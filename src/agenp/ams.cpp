@@ -1,8 +1,7 @@
 #include "agenp/ams.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::framework {
 
@@ -20,10 +19,7 @@ const asg::AnswerSetGrammar& AutonomousManagedSystem::model() const {
 }
 
 std::pair<bool, std::size_t> AutonomousManagedSystem::handle_request(const cfg::TokenString& request) {
-    obs::ScopedSpan span("agenp.ams.handle_request", "agenp");
-    obs::TracePhase request_phase(obs::current_trace(), "agenp.ams.handle_request");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.ams.request_time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::AmsHandleRequest);
     if (obs::metrics_enabled()) {
         static obs::Counter& requests = obs::metrics().counter("agenp.ams.requests");
         requests.add(1);

@@ -3,7 +3,7 @@
 #include <set>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::framework {
 
@@ -29,7 +29,7 @@ void publish_outcome(const AdaptationOutcome& outcome) {
 
 AdaptationOutcome PolicyAdaptationPoint::maybe_adapt(const DecisionMonitor& monitor,
                                                      RepresentationsRepository& representations) {
-    obs::ScopedSpan span("agenp.padap.maybe_adapt", "agenp");
+    obs::Phase phase(obs::PhaseId::PadapMaybeAdapt);
     static obs::Counter& checks = obs::metrics().counter("agenp.padap.monitor_checks");
     if (obs::metrics_enabled()) checks.add(1);
 
@@ -83,9 +83,7 @@ asp::Program context_signature(const std::vector<ilp::Example>& positive,
 AdaptationOutcome PolicyAdaptationPoint::adapt_from_examples(
     const std::vector<ilp::Example>& positive, const std::vector<ilp::Example>& negative,
     RepresentationsRepository& representations, const std::string& note) {
-    obs::ScopedSpan span("agenp.padap.adapt", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.padap.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::PadapAdapt);
 
     AdaptationOutcome outcome;
     ilp::LearningTask task;

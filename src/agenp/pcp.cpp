@@ -4,7 +4,7 @@
 #include <set>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::framework {
 
@@ -169,7 +169,7 @@ PolicyCheckingPoint::GpmQualityReport PolicyCheckingPoint::assess_gpm(
 
 analysis::DiagnosticSink PolicyCheckingPoint::lint_model(const asg::AnswerSetGrammar& model,
                                                          const analysis::LintOptions& options) {
-    obs::ScopedSpan span("agenp.pcp.lint_model", "agenp");
+    obs::Phase phase(obs::PhaseId::PcpLintModel);
     auto sink = analysis::lint_asg(model, options);
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
@@ -184,9 +184,7 @@ analysis::DiagnosticSink PolicyCheckingPoint::lint_model(const asg::AnswerSetGra
 PolicyCheckingPoint::ViolationReport PolicyCheckingPoint::detect_violations(
     const asg::AnswerSetGrammar& model, const std::vector<ilp::Example>& forbidden,
     const asg::MembershipOptions& options) {
-    obs::ScopedSpan span("agenp.pcp.detect_violations", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.pcp.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::PcpDetectViolations);
 
     ViolationReport report;
     for (std::size_t i = 0; i < forbidden.size(); ++i) {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::framework {
 
@@ -71,10 +69,7 @@ std::string DecisionMonitor::render_audit(std::size_t last_n) const {
 bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Program& context,
                                  const asg::AnswerSetGrammar& model,
                                  const PolicyRepository& repo) const {
-    obs::ScopedSpan span("agenp.pdp.decide", "agenp");
-    obs::TracePhase request_phase(obs::current_trace(), "agenp.pdp.decide");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.pdp.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::PdpDecide);
 
     // The memo pointer rides on a per-call copy so `decide` stays const
     // (MembershipOptions is a small value; the copy is a handful of words).
@@ -84,8 +79,6 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
     bool permitted = false;
     switch (strategy_) {
         case DecisionStrategy::Repository: {
-            static obs::CostCell& repo_cost = obs::costs().cell("pdp.repository");
-            obs::ScopedCost cost(repo_cost);
             permitted = repo.contains(request);
             // When the PReP could not materialize the full request space,
             // absence from the repository is inconclusive: fall back to the
@@ -100,12 +93,9 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
             }
             break;
         }
-        case DecisionStrategy::Membership: {
-            static obs::CostCell& membership_cost = obs::costs().cell("pdp.membership");
-            obs::ScopedCost cost(membership_cost);
+        case DecisionStrategy::Membership:
             permitted = asg::in_language(model, request, context, options);
             break;
-        }
     }
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();

@@ -1,16 +1,14 @@
 #include "agenp/prep.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::framework {
 
 PrepReport PolicyRefinementPoint::refresh(const asg::AnswerSetGrammar& model,
                                           const asp::Program& context, PolicyRepository& repo,
                                           std::uint64_t version) {
-    obs::ScopedSpan span("agenp.prep.refresh", "agenp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("agenp.prep.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::PrepRefresh);
 
     auto result = asg::language(model, context, options_.language);
     PrepReport report;

@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "asp/stratify.hpp"
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::analysis {
 namespace {
@@ -308,11 +307,7 @@ void publish(const char* what, const DiagnosticSink& sink) {
 }  // namespace
 
 DiagnosticSink lint_program(const Program& program, const LintOptions& options) {
-    obs::ScopedSpan span("analysis.lint_program", "analysis");
-    static obs::Histogram& time_hist = obs::metrics().histogram("analysis.lint.time_us");
-    obs::ScopedTimer timer(time_hist);
-    static obs::CostCell& lint_cost = obs::costs().cell("lint.program");
-    obs::ScopedCost cost(lint_cost);
+    obs::Phase phase(obs::PhaseId::LintProgram);
 
     DiagnosticSink sink;
     std::set<std::string> universe;
@@ -484,11 +479,7 @@ void check_grammar_shape(const asg::AnswerSetGrammar& grammar, DiagnosticSink& s
 }  // namespace
 
 DiagnosticSink lint_asg(const asg::AnswerSetGrammar& grammar, const LintOptions& options) {
-    obs::ScopedSpan span("analysis.lint_asg", "analysis");
-    static obs::Histogram& time_hist = obs::metrics().histogram("analysis.lint.time_us");
-    obs::ScopedTimer timer(time_hist);
-    static obs::CostCell& lint_cost = obs::costs().cell("lint.asg");
-    obs::ScopedCost cost(lint_cost);
+    obs::Phase phase(obs::PhaseId::LintAsg);
 
     DiagnosticSink sink;
     check_grammar_shape(grammar, sink);

@@ -1,10 +1,8 @@
 #include "asg/membership.hpp"
 
 #include "asg/memo.hpp"
-#include "obs/costtable.hpp"
 #include "obs/metrics.hpp"
-#include "obs/reqtrace.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::asg {
 
@@ -30,10 +28,7 @@ void publish(const MembershipResult& result, std::size_t asp_checks) {
 
 MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens,
                                   const asp::Program& context, const MembershipOptions& options) {
-    obs::ScopedSpan span("asg.membership", "asg");
-    obs::TracePhase request_phase(obs::current_trace(), "asg.membership");
-    static obs::Histogram& time_hist = obs::metrics().histogram("asg.membership.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::AsgMembership);
 
     MembershipResult result;
     std::size_t asp_checks = 0;
@@ -48,9 +43,7 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
         if (memoized.usable() && !tree.is_leaf()) {
             MemoizedGrounding::Root root;
             {
-                obs::TracePhase ground_phase(obs::current_trace(), "asp.ground");
-                static obs::CostCell& memo_cost = obs::costs().cell("asg.memo_probe");
-                obs::ScopedCost cost(memo_cost);
+                obs::Phase probe(obs::PhaseId::AsgMemoProbe);
                 root = memoized.ground_root(tree);
             }
             if (root.verdict.has_value()) {
@@ -61,31 +54,14 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
                 }
                 continue;
             }
-            {
-                obs::TracePhase solve_phase(obs::current_trace(), "asp.solve");
-                static obs::CostCell& solve_cost = obs::costs().cell("asp.solve");
-                obs::ScopedCost cost(solve_cost);
-                solved = asp::solve(*root.program, options.solve);
-            }
+            solved = asp::solve(*root.program, options.solve);
             ++asp_checks;
             // A resource-limited verdict is not decisive — memoizing it
             // would freeze `resource_limited` semantics into the cache.
             if (!solved.exhausted) memoized.store_verdict(root, solved.satisfiable());
         } else {
             asp::Program program = instantiate(grammar, tree, context);
-            asp::GroundProgram gp;
-            {
-                obs::TracePhase ground_phase(obs::current_trace(), "asp.ground");
-                static obs::CostCell& ground_cost = obs::costs().cell("asp.ground");
-                obs::ScopedCost cost(ground_cost);
-                gp = asp::ground(program, options.grounding);
-            }
-            {
-                obs::TracePhase solve_phase(obs::current_trace(), "asp.solve");
-                static obs::CostCell& solve_cost = obs::costs().cell("asp.solve");
-                obs::ScopedCost cost(solve_cost);
-                solved = asp::solve(gp, options.solve);
-            }
+            solved = asp::solve(asp::ground(program, options.grounding), options.solve);
             ++asp_checks;
         }
         if (solved.satisfiable()) {

@@ -6,7 +6,7 @@
 
 #include "asp/substitution.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "util/arena.hpp"
 
 namespace agenp::asp {
@@ -131,9 +131,7 @@ public:
 
 private:
     void instantiate() {
-        obs::ScopedSpan span("asp.ground", "asp");
-        static obs::Histogram& time_hist = obs::metrics().histogram("asp.grounder.time_us");
-        obs::ScopedTimer timer(time_hist);
+        obs::Phase phase(obs::PhaseId::AspGround);
 
         check_safety();
 

@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::asp {
 namespace {
@@ -37,9 +37,6 @@ public:
     explicit SolverImpl(const GroundProgram& gp) : gp_(gp) { build(); }
 
     SolveResult run(const SolveOptions& options) {
-        obs::ScopedSpan span("asp.solve", "asp");
-        static obs::Histogram& time_hist = obs::metrics().histogram("asp.solver.time_us");
-        obs::ScopedTimer timer(time_hist);
         SolveResult result = search(options);
         result.stats = stats_;
         result.stats.models = result.models.size();
@@ -366,11 +363,12 @@ private:
 
 Solver::Solver(const GroundProgram& program) : program_(program) {}
 
-SolveResult Solver::solve(const SolveOptions& options) { return SolverImpl(program_).run(options); }
+SolveResult Solver::solve(const SolveOptions& options) { return asp::solve(program_, options); }
 
 bool Solver::satisfiable() { return solve({.max_models = 1}).satisfiable(); }
 
 SolveResult solve(const GroundProgram& program, const SolveOptions& options) {
+    obs::Phase phase(obs::PhaseId::AspSolve);
     return SolverImpl(program).run(options);
 }
 

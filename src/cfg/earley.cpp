@@ -5,7 +5,7 @@
 #include <set>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::cfg {
 
@@ -45,7 +45,7 @@ struct Chart {
 };
 
 Chart run_earley(const Grammar& g, const TokenString& tokens) {
-    obs::ScopedSpan span("cfg.parse", "cfg");
+    obs::Phase phase(obs::PhaseId::CfgParse);
     auto nullable_list = g.nullable_nonterminals();
     std::set<Symbol> nullable(nullable_list.begin(), nullable_list.end());
 
@@ -221,7 +221,7 @@ std::vector<ParseNode> parse_trees(const Grammar& grammar, const TokenString& to
                                    const ParseOptions& options) {
     Chart chart = run_earley(grammar, tokens);
     if (!chart.accepted) return {};
-    obs::ScopedSpan span("cfg.extract_trees", "cfg");
+    obs::Phase phase(obs::PhaseId::CfgExtractTrees);
     auto trees = TreeBuilder(grammar, tokens, chart, options.max_trees).build_start();
     if (obs::metrics_enabled()) {
         static obs::Counter& extracted = obs::metrics().counter("cfg.earley.trees_extracted");

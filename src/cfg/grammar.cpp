@@ -115,28 +115,20 @@ Grammar Grammar::parse(std::string_view text) {
 }
 
 int Grammar::add_production(Production p) {
+    int index = static_cast<int>(productions_.size());
+    Symbol lhs = p.lhs;
     productions_.push_back(std::move(p));
-    index_dirty_ = true;
-    return static_cast<int>(productions_.size()) - 1;
-}
-
-void Grammar::rebuild_index() const {
-    by_lhs_.clear();
-    for (std::size_t i = 0; i < productions_.size(); ++i) {
-        Symbol lhs = productions_[i].lhs;
-        auto it = std::find_if(by_lhs_.begin(), by_lhs_.end(),
-                               [&](const auto& e) { return e.first == lhs; });
-        if (it == by_lhs_.end()) {
-            by_lhs_.emplace_back(lhs, std::vector<int>{static_cast<int>(i)});
-        } else {
-            it->second.push_back(static_cast<int>(i));
-        }
+    auto it = std::find_if(by_lhs_.begin(), by_lhs_.end(),
+                           [&](const auto& e) { return e.first == lhs; });
+    if (it == by_lhs_.end()) {
+        by_lhs_.emplace_back(lhs, std::vector<int>{index});
+    } else {
+        it->second.push_back(index);
     }
-    index_dirty_ = false;
+    return index;
 }
 
 const std::vector<int>& Grammar::productions_for(Symbol nt) const {
-    if (index_dirty_) rebuild_index();
     static const std::vector<int> kEmpty;
     auto it = std::find_if(by_lhs_.begin(), by_lhs_.end(),
                            [&](const auto& e) { return e.first == nt; });

@@ -73,7 +73,8 @@ public:
         return productions_[static_cast<std::size_t>(index)];
     }
 
-    // Productions whose lhs is `nt` (indices into productions()).
+    // Productions whose lhs is `nt` (indices into productions()). A pure
+    // read: a grammar may be shared by concurrent readers.
     [[nodiscard]] const std::vector<int>& productions_for(Symbol nt) const;
 
     [[nodiscard]] bool is_nonterminal(Symbol s) const;
@@ -86,10 +87,8 @@ public:
 private:
     Symbol start_;
     std::vector<Production> productions_;
-    mutable std::vector<std::pair<Symbol, std::vector<int>>> by_lhs_;  // lazily rebuilt index
-    mutable bool index_dirty_ = true;
-
-    void rebuild_index() const;
+    // lhs -> production indices, kept current by add_production.
+    std::vector<std::pair<Symbol, std::vector<int>>> by_lhs_;
 };
 
 }  // namespace agenp::cfg

@@ -27,11 +27,10 @@
 #include "obs/build.hpp"
 #include "obs/costtable.hpp"
 #include "obs/export/http.hpp"
-#include "obs/export/push.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
+#include "obs/reqtrace.hpp"
 #include "obs/window.hpp"
 #include "srv/audit.hpp"
 #include "srv/export.hpp"
@@ -643,21 +642,6 @@ int cmd_serve(const ServeCliOptions& cli, std::istream& in, std::ostream& out) {
         out << "AGENP_METRICS_LISTENING port=" << metrics_http->port() << "\n" << std::flush;
     }
 
-    // Graphite push (--metrics-push HOST:PORT --metrics-every S): same
-    // enumerator as /metrics, rendered as plaintext lines.
-    std::unique_ptr<obs::GraphitePusher> pusher;
-    if (!cli.metrics_push_host.empty()) {
-        obs::PushOptions push_options;
-        push_options.host = cli.metrics_push_host;
-        push_options.port = cli.metrics_push_port;
-        push_options.interval = std::chrono::seconds(cli.metrics_every_s);
-        pusher = std::make_unique<obs::GraphitePusher>(
-            push_options, [&router, &draining, state_ptr = state.get(), &window](std::time_t now) {
-                return srv::serve_exposition_graphite(router,
-                                                      draining.load(std::memory_order_acquire),
-                                                      "agenp", now, state_ptr, &window);
-            });
-    }
     auto stop_reporter = [&] {
         if (reporter.joinable()) {
             {
@@ -771,9 +755,8 @@ int cmd_serve(const ServeCliOptions& cli, std::istream& in, std::ostream& out) {
                 << srv::serve_stats_json(router, &server, state.get(), &window) << "\n";
             print_summary(served);
         }
-        // Stop the exporters before `server` leaves scope: the /statz
+        // Stop the exporter before `server` leaves scope: the /statz
         // handler reads server_ptr, so it must be quiesced first.
-        pusher.reset();
         metrics_http.reset();
         server_ptr.store(nullptr, std::memory_order_release);
         // Idempotent; also ends a session started via !prof.
@@ -804,7 +787,6 @@ int cmd_serve(const ServeCliOptions& cli, std::istream& in, std::ostream& out) {
     stop_reporter();
     stop_snapshotter();
     drain_snapshot();
-    pusher.reset();
     metrics_http.reset();
     (void)obs::CpuProfiler::instance().stop();
     print_summary(served);
@@ -901,25 +883,25 @@ std::vector<std::string> normalize_flags(const std::vector<std::string>& argv) {
 }
 
 // Applies the telemetry flags around one command dispatch; writes the
-// trace file and stats dump after the command finishes.
+// trace file and stats dump after the command finishes. --trace-out
+// installs one TraceContext on this thread, so it records the phases the
+// command runs here (serve's worker threads keep their own request trees,
+// see --trace-sample / !trace).
 class TelemetryScope {
 public:
     TelemetryScope(bool stats, std::string trace_path, std::ostream& out)
-        : stats_(stats), trace_path_(std::move(trace_path)), out_(out) {
-        if (!trace_path_.empty()) {
-            obs::tracer().clear();
-            obs::tracer().set_enabled(true);
-        }
-    }
+        : stats_(stats),
+          trace_path_(std::move(trace_path)),
+          out_(out),
+          trace_scope_(trace_path_.empty() ? nullptr : &trace_) {}
 
     ~TelemetryScope() {
         if (!trace_path_.empty()) {
-            obs::tracer().set_enabled(false);
             std::ofstream file(trace_path_);
             if (file) {
-                file << obs::tracer().chrome_trace_json();
+                file << trace_.chrome_trace_json();
                 out_ << "trace written to " << trace_path_ << " (open in chrome://tracing)\n";
-                out_ << obs::tracer().flat_profile();
+                out_ << trace_.flat_profile();
             } else {
                 out_ << "cannot write trace file: " << trace_path_ << "\n";
             }
@@ -933,6 +915,8 @@ private:
     bool stats_;
     std::string trace_path_;
     std::ostream& out_;
+    obs::TraceContext trace_{0};
+    obs::TraceContextScope trace_scope_;
 };
 
 }  // namespace
@@ -1015,17 +999,6 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
                 serve.metrics_listen = true;
                 serve.metrics_listen_port = static_cast<std::uint16_t>(std::stoul(metrics_port));
             }
-            auto push = take_flag(args, "--metrics-push", "");
-            if (!push.empty()) {
-                auto colon = push.rfind(':');
-                if (colon == std::string::npos || colon == 0 || colon + 1 == push.size()) {
-                    throw CliError("--metrics-push expects HOST:PORT");
-                }
-                serve.metrics_push_host = push.substr(0, colon);
-                serve.metrics_push_port =
-                    static_cast<std::uint16_t>(std::stoul(push.substr(colon + 1)));
-            }
-            serve.metrics_every_s = std::stoull(take_flag(args, "--metrics-every", "10"));
             serve.audit_path = take_flag(args, "--audit-log", "");
             serve.audit_max_mb = std::stoull(take_flag(args, "--audit-max-mb", "64"));
             serve.audit_sample = std::stoull(take_flag(args, "--audit-sample", "1"));
@@ -1042,7 +1015,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
                     "[--cache-mb M] [--no-cache] [--cache-shards N] [--no-memo] "
                     "[--memo-mb M] [--trace-slow-ms MS] "
                     "[--trace-sample N] [--stats-every SEC] [--listen PORT] [--replicas N] "
-                    "[--metrics-listen PORT] [--metrics-push HOST:PORT] [--metrics-every SEC] "
+                    "[--metrics-listen PORT] "
                     "[--audit-log FILE] [--audit-max-mb M] [--audit-sample N] "
                     "[--state-dir DIR] [--snapshot-every SEC] [--prof-hz HZ]");
             }

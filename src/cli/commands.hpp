@@ -10,7 +10,7 @@
 //               [--cache-shards N] [--no-memo] [--memo-mb M]
 //               [--trace-slow-ms MS] [--trace-sample N] [--stats-every SEC]
 //               [--listen PORT] [--replicas N]
-//               [--metrics-listen PORT] [--metrics-push HOST:PORT] [--metrics-every SEC]
+//               [--metrics-listen PORT]
 //               [--audit-log FILE] [--audit-max-mb M] [--audit-sample N]
 //               [--state-dir DIR] [--snapshot-every SEC]
 //   agenp loadgen [--threads N] [--clients N] [--requests N] [--distinct K]
@@ -19,8 +19,10 @@
 //
 // Global flags (any command):
 //   --stats            print the metrics-registry dump after the command
-//   --trace-out=FILE   record spans and write Chrome trace-event JSON
-//                      (open in chrome://tracing or ui.perfetto.dev)
+//   --trace-out=FILE   record the phases the command runs on its own
+//                      thread and write them as Chrome trace-event JSON
+//                      (open in chrome://tracing or ui.perfetto.dev),
+//                      plus a flat profile with self time on stdout
 //
 // Serve-mode observability: request lines starting with '!' are control
 // lines — `!stats` prints a SERVE_STATS_JSON line (service + cache + lock
@@ -126,12 +128,6 @@ struct ServeCliOptions {
     // line. Works in both stdin and listen mode.
     bool metrics_listen = false;
     std::uint16_t metrics_listen_port = 0;
-    // Graphite push mode (--metrics-push HOST:PORT): renders the same
-    // exposition as plaintext `path value timestamp` lines every
-    // `metrics_every_s` seconds.
-    std::string metrics_push_host;
-    std::uint16_t metrics_push_port = 0;
-    std::size_t metrics_every_s = 10;
     // Decision audit log (--audit-log FILE): NDJSON, one line per finished
     // request, rotated to FILE.1 when audit_max_mb is crossed;
     // audit_sample = N keeps every Nth entry.

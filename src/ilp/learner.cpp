@@ -8,7 +8,7 @@
 #include "asp/substitution.hpp"
 #include "ilp/guidance.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::ilp {
 
@@ -568,9 +568,7 @@ void publish_stats(const LearnResult& result) {
 }  // namespace
 
 LearnResult learn(const LearningTask& task, const LearnOptions& options) {
-    obs::ScopedSpan span("ilp.learn", "ilp");
-    static obs::Histogram& time_hist = obs::metrics().histogram("ilp.learner.time_us");
-    obs::ScopedTimer timer(time_hist);
+    obs::Phase phase(obs::PhaseId::IlpLearn);
     LearnResult result = options.allow_fast_path && task.space.constraints_only()
                              ? FastPathLearner(task, options).run()
                              : GeneralLearner(task, options).run();

@@ -3,11 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <deque>
-#include <mutex>
-#include <tuple>
-
-#include "util/mutex.hpp"
 
 namespace agenp::obs {
 namespace {
@@ -22,17 +17,17 @@ void store_double(std::atomic<std::uint64_t>& bits, double value) {
 
 }  // namespace
 
-void CostCell::observe(std::uint64_t elapsed_us) {
+void CostCell::observe(std::uint64_t elapsed_ns) {
     bool first = calls_.fetch_add(1, std::memory_order_relaxed) == 0;
-    total_us_.fetch_add(elapsed_us, std::memory_order_relaxed);
-    auto sample = static_cast<double>(elapsed_us);
-    std::uint64_t prev = ewma_us_bits_.load(std::memory_order_relaxed);
+    total_ns_.fetch_add(elapsed_ns, std::memory_order_relaxed);
+    auto sample = static_cast<double>(elapsed_ns);
+    std::uint64_t prev = ewma_ns_bits_.load(std::memory_order_relaxed);
     for (;;) {
         double next = first && prev == 0
                           ? sample
                           : CostTable::kCostAlpha * sample +
                                 (1.0 - CostTable::kCostAlpha) * std::bit_cast<double>(prev);
-        if (ewma_us_bits_.compare_exchange_weak(prev, std::bit_cast<std::uint64_t>(next),
+        if (ewma_ns_bits_.compare_exchange_weak(prev, std::bit_cast<std::uint64_t>(next),
                                                 std::memory_order_relaxed)) {
             break;
         }
@@ -40,7 +35,7 @@ void CostCell::observe(std::uint64_t elapsed_us) {
     }
 }
 
-double CostCell::ewma_us() const { return load_double(ewma_us_bits_); }
+double CostCell::ewma_us() const { return load_double(ewma_ns_bits_) / 1000.0; }
 
 double CostCell::frequency_hz() const { return load_double(freq_hz_bits_); }
 
@@ -60,49 +55,25 @@ void CostCell::tick(std::uint64_t now_ns) {
     last_tick_ns_ = now_ns;
 }
 
-struct CostTable::Impl {
-    mutable util::Mutex mu;
-    // deque: stable element addresses across registration. The CostCell
-    // atomics are written lock-free by observe(); the cell *list* and the
-    // non-atomic tick bookkeeping inside each cell mutate only under mu.
-    std::deque<std::pair<std::string, CostCell>> cells GUARDED_BY(mu);
-};
-
-CostTable::CostTable() : impl_(new Impl) {}
-CostTable::~CostTable() { delete impl_; }
-
-CostCell& CostTable::cell(std::string_view check) {
-    util::MutexLock lock(impl_->mu);
-    for (auto& [name, cell] : impl_->cells) {
-        if (name == check) return cell;
-    }
-    // CostCell holds atomics (immovable); construct it in place.
-    impl_->cells.emplace_back(std::piecewise_construct, std::forward_as_tuple(check),
-                              std::forward_as_tuple());
-    return impl_->cells.back().second;
-}
-
 void CostTable::tick() {
     std::uint64_t now = monotonic_ns();
-    util::MutexLock lock(impl_->mu);
-    for (auto& [name, cell] : impl_->cells) cell.tick(now);
+    util::MutexLock lock(tick_mu_);
+    for (CostCell& cell : cells_) cell.tick(now);
 }
 
 std::vector<CostEntry> CostTable::snapshot() const {
     std::vector<CostEntry> entries;
-    {
-        util::MutexLock lock(impl_->mu);
-        entries.reserve(impl_->cells.size());
-        for (const auto& [name, cell] : impl_->cells) {
-            CostEntry entry;
-            entry.check = name;
-            entry.calls = cell.calls();
-            entry.total_us = cell.total_us();
-            entry.ewma_us = cell.ewma_us();
-            entry.frequency_hz = cell.frequency_hz();
-            entry.us_per_s = entry.ewma_us * entry.frequency_hz;
-            entries.push_back(std::move(entry));
-        }
+    entries.reserve(kPhaseCount);
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+        const CostCell& cell = cells_[i];
+        CostEntry entry;
+        entry.check = std::string(kPhaseNames[i]);
+        entry.calls = cell.calls();
+        entry.total_us = cell.total_us();
+        entry.ewma_us = cell.ewma_us();
+        entry.frequency_hz = cell.frequency_hz();
+        entry.us_per_s = entry.ewma_us * entry.frequency_hz;
+        entries.push_back(std::move(entry));
     }
     std::sort(entries.begin(), entries.end(), [](const CostEntry& a, const CostEntry& b) {
         return a.us_per_s != b.us_per_s ? a.us_per_s > b.us_per_s : a.check < b.check;
@@ -117,7 +88,7 @@ std::string CostTable::render_json() const {
     for (const CostEntry& entry : snapshot()) {
         if (!first) out += ',';
         first = false;
-        out += "{\"check\":\"" + json_escape(entry.check) + "\"";
+        out += "{\"check\":\"" + entry.check + "\"";
         out += ",\"calls\":" + std::to_string(entry.calls);
         out += ",\"total_us\":" + std::to_string(entry.total_us);
         std::snprintf(buf, sizeof(buf), ",\"ewma_us\":%.2f,\"hz\":%.3f,\"us_per_s\":%.2f}",
@@ -128,25 +99,12 @@ std::string CostTable::render_json() const {
     return out;
 }
 
-std::string CostTable::render_text() const {
-    std::string out = "check                     calls     ewma_us        hz    us_per_s\n";
-    char line[192];
-    for (const CostEntry& entry : snapshot()) {
-        std::snprintf(line, sizeof(line), "%-22s %9llu %11.2f %9.3f %11.2f\n",
-                      entry.check.c_str(),
-                      static_cast<unsigned long long>(entry.calls), entry.ewma_us,
-                      entry.frequency_hz, entry.us_per_s);
-        out += line;
-    }
-    return out;
-}
-
 void CostTable::reset() {
-    util::MutexLock lock(impl_->mu);
-    for (auto& [name, cell] : impl_->cells) {
+    util::MutexLock lock(tick_mu_);
+    for (CostCell& cell : cells_) {
         cell.calls_.store(0, std::memory_order_relaxed);
-        cell.total_us_.store(0, std::memory_order_relaxed);
-        cell.ewma_us_bits_.store(0, std::memory_order_relaxed);
+        cell.total_ns_.store(0, std::memory_order_relaxed);
+        cell.ewma_ns_bits_.store(0, std::memory_order_relaxed);
         cell.freq_hz_bits_.store(0, std::memory_order_relaxed);
         cell.last_calls_ = 0;
         cell.last_tick_ns_ = 0;

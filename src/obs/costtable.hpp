@@ -1,7 +1,7 @@
-// Per-check cost attribution: EWMA cost x observed frequency per named
-// check/phase (DESIGN.md section 7.5).
+// Per-phase cost attribution: EWMA cost x observed frequency for every
+// PhaseId (DESIGN.md section 7.5).
 //
-// The rspamd symbols_cache idiom: every named check keeps an exponentially
+// The rspamd symbols_cache idiom: every phase keeps an exponentially
 // weighted moving average of its per-call cost (updated on each
 // observation) and of its call frequency (updated by a 1 Hz tick). Their
 // product — expected microseconds of wall time consumed per second — is a
@@ -9,34 +9,36 @@
 // profile-guided adaptive-scheduling ROADMAP item needs to reorder checks
 // and pick strategies.
 //
-// Hot path: observe() is two relaxed atomic adds plus one CAS loop on a
-// bit-cast double — no locks. ScopedCost call sites cache the CostCell&
-// once (same pattern as the `static obs::Counter&` idiom) and compile to
-// nothing when metrics are disabled. tick() and snapshot() take the
-// registration mutex; both run at human rates.
+// Hot path: obs::Phase feeds cell(id).observe(), two relaxed atomic adds
+// plus one CAS loop on a bit-cast double — no locks, no name lookup: the
+// cells are a fixed array indexed by PhaseId. Costs accumulate in
+// nanoseconds and convert to microseconds only when read, so a
+// sub-microsecond phase (a cache probe) does not report zero. tick() and
+// reset() serialize on a mutex; both run at human rates.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "obs/phase.hpp"
+#include "util/mutex.hpp"
 
 namespace agenp::obs {
 
 class CostCell {
 public:
-    // Records one call that took `elapsed_us`. Lock-free, callable from
+    // Records one call that took `elapsed_ns`. Lock-free, callable from
     // any thread.
-    void observe(std::uint64_t elapsed_us);
+    void observe(std::uint64_t elapsed_ns);
 
     [[nodiscard]] std::uint64_t calls() const {
         return calls_.load(std::memory_order_relaxed);
     }
     [[nodiscard]] std::uint64_t total_us() const {
-        return total_us_.load(std::memory_order_relaxed);
+        return total_ns_.load(std::memory_order_relaxed) / 1000;
     }
     // EWMA per-call cost in microseconds (0 before the first observation).
     [[nodiscard]] double ewma_us() const;
@@ -48,16 +50,16 @@ private:
     void tick(std::uint64_t now_ns);  // single writer: the table's ticker
 
     std::atomic<std::uint64_t> calls_{0};
-    std::atomic<std::uint64_t> total_us_{0};
-    std::atomic<std::uint64_t> ewma_us_bits_{0};   // bit-cast double
-    std::atomic<std::uint64_t> freq_hz_bits_{0};   // bit-cast double
-    // Ticker-private state, guarded by the table mutex.
+    std::atomic<std::uint64_t> total_ns_{0};
+    std::atomic<std::uint64_t> ewma_ns_bits_{0};  // bit-cast double
+    std::atomic<std::uint64_t> freq_hz_bits_{0};  // bit-cast double
+    // Ticker-private state, written only under CostTable::tick_mu_.
     std::uint64_t last_calls_ = 0;
     std::uint64_t last_tick_ns_ = 0;
 };
 
 struct CostEntry {
-    std::string check;
+    std::string check;  // the phase name
     std::uint64_t calls = 0;
     std::uint64_t total_us = 0;
     double ewma_us = 0.0;
@@ -71,53 +73,28 @@ public:
     static constexpr double kCostAlpha = 0.2;
     static constexpr double kFreqAlpha = 0.3;
 
-    // Stable reference for the life of the table; same name -> same cell.
-    CostCell& cell(std::string_view check);
+    CostCell& cell(PhaseId phase) { return cells_[phase_index(phase)]; }
 
     // Folds call-count deltas into each cell's frequency EWMA. Call about
     // once per second (serve's WindowTicker does).
     void tick();
 
-    // All cells, sorted by us_per_s descending (the scheduling order).
+    // One entry per phase, sorted by us_per_s descending (the scheduling
+    // order), ties by name.
     [[nodiscard]] std::vector<CostEntry> snapshot() const;
 
     // [{"check":"asp.solve","calls":..,"ewma_us":..,"hz":..,"us_per_s":..},...]
     [[nodiscard]] std::string render_json() const;
-    // Aligned human-readable table, same order.
-    [[nodiscard]] std::string render_text() const;
 
-    // Zeroes every cell (names stay registered). Benchmarks use this to
-    // isolate rows.
+    // Zeroes every cell.
     void reset();
 
-    CostTable();
-    ~CostTable();
-    CostTable(const CostTable&) = delete;
-    CostTable& operator=(const CostTable&) = delete;
-
 private:
-    struct Impl;
-    Impl* impl_;
+    util::Mutex tick_mu_;
+    std::array<CostCell, kPhaseCount> cells_;
 };
 
-// The process-wide cost table used by instrumentation call sites.
+// The process-wide cost table obs::Phase feeds.
 CostTable& costs();
-
-// RAII cost observation; no-op when metrics are disabled at construction.
-class ScopedCost {
-public:
-    explicit ScopedCost(CostCell& cell)
-        : cell_(metrics_enabled() ? &cell : nullptr),
-          start_ns_(cell_ != nullptr ? monotonic_ns() : 0) {}
-    ~ScopedCost() {
-        if (cell_ != nullptr) cell_->observe((monotonic_ns() - start_ns_) / 1000);
-    }
-    ScopedCost(const ScopedCost&) = delete;
-    ScopedCost& operator=(const ScopedCost&) = delete;
-
-private:
-    CostCell* cell_;
-    std::uint64_t start_ns_;
-};
 
 }  // namespace agenp::obs

@@ -18,16 +18,6 @@ std::string prometheus_name(std::string_view dotted) {
     return out;
 }
 
-std::string graphite_path(std::string_view prefix, std::string_view dotted) {
-    std::string out;
-    if (!prefix.empty() && !(has_project_prefix(dotted) && prefix == "agenp")) {
-        out.append(prefix);
-        out.push_back('.');
-    }
-    out.append(dotted);
-    return out;
-}
-
 void append_labels(std::string& out, const MetricLabels& labels) {
     if (labels.empty()) return;
     out.push_back('{');
@@ -55,20 +45,6 @@ void append_labels_le(std::string& out, const MetricLabels& labels, std::string_
     out += "le=\"";
     out += le;
     out += "\"}";
-}
-
-void append_graphite_tags(std::string& out, const MetricLabels& labels) {
-    for (const auto& [key, value] : labels) {
-        out.push_back(';');
-        out += key;
-        out.push_back('=');
-        // Graphite tag values cannot contain ';' or whitespace; the label
-        // values we emit (replica indices, lock names) never do, but
-        // sanitize defensively so one odd value cannot corrupt the line.
-        for (char c : value) {
-            out.push_back((c == ';' || c == ' ' || c == '\n' || c == '\r' || c == '\t') ? '_' : c);
-        }
-    }
 }
 
 std::string format_double(double v) {
@@ -232,35 +208,6 @@ std::string Exposition::prometheus() const {
                 out += series + "_count";
                 append_labels(out, s.labels);
                 out += " " + std::to_string(s.hist.count) + "\n";
-            }
-        }
-    }
-    return out;
-}
-
-std::string Exposition::graphite(std::string_view prefix, std::time_t timestamp) const {
-    std::string out;
-    std::string ts = " " + std::to_string(static_cast<long long>(timestamp)) + "\n";
-    auto line = [&](const std::string& path, const MetricLabels& labels,
-                    const std::string& value) {
-        out += path;
-        append_graphite_tags(out, labels);
-        out += " " + value + ts;
-    };
-    for (const Family& f : families_) {
-        std::string path = graphite_path(prefix, f.name);
-        for (const Sample& s : f.samples) {
-            if (f.type == 'c') {
-                line(path, s.labels, std::to_string(s.uvalue));
-            } else if (f.type == 'g') {
-                line(path, s.labels,
-                     s.is_double ? format_double(s.dvalue) : std::to_string(s.ivalue));
-            } else {
-                line(path + ".count", s.labels, std::to_string(s.hist.count));
-                line(path + ".sum", s.labels, std::to_string(s.hist.sum));
-                line(path + ".p50", s.labels, format_double(s.hist.quantile(0.5)));
-                line(path + ".p99", s.labels, format_double(s.hist.quantile(0.99)));
-                line(path + ".max", s.labels, std::to_string(s.hist.max));
             }
         }
     }

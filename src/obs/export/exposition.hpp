@@ -2,17 +2,13 @@
 // for external consumers. An Exposition is a collected snapshot — callers
 // append instruments (usually via append_registry / append_locks, which
 // split metric_key() encodings back into base name + labels) and then
-// render the whole set either as Prometheus text exposition format 0.0.4
-// (the `/metrics` pull path) or as graphite plaintext (the push path).
-// Both renderings come from the same samples, so a fleet scraped by
-// Prometheus and a fleet pushing to graphite report identical numbers.
+// render the whole set as Prometheus text exposition format 0.0.4 (the
+// `/metrics` pull path).
 //
 // Name mapping: registry names are dot-separated (`srv.conn.accepted`);
 // Prometheus output prefixes `agenp_` and maps dots to underscores
 // (`agenp_srv_conn_accepted_total`), which is always charset-valid because
-// registration asserts valid_metric_name(). Graphite output keeps the
-// dotted form under a configurable prefix and renders labels as `;k=v`
-// tags.
+// registration asserts valid_metric_name().
 //
 // Histograms are rendered as native Prometheus histograms: the bit-width
 // bucket i (values v with bit_width(v) == i, i.e. [2^(i-1), 2^i)) becomes
@@ -22,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ctime>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -61,11 +56,6 @@ public:
     // each with `# HELP` and `# TYPE` lines; counters get a `_total`
     // suffix; histograms render `_bucket`/`_sum`/`_count` series.
     [[nodiscard]] std::string prometheus() const;
-
-    // Graphite plaintext (`path value timestamp`), one line per sample,
-    // labels as `;key=value` path tags. Histograms flatten to _count/_sum/
-    // _p50/_p99/_max lines (graphite has no native histogram type).
-    [[nodiscard]] std::string graphite(std::string_view prefix, std::time_t timestamp) const;
 
 private:
     struct Family;

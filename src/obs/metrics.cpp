@@ -373,14 +373,4 @@ MetricsRegistry& metrics() {
     return registry;
 }
 
-// --- ScopedTimer ------------------------------------------------------------
-
-ScopedTimer::ScopedTimer(Histogram& h) : histogram_(metrics_enabled() ? &h : nullptr) {
-    if (histogram_ != nullptr) start_ns_ = monotonic_ns();
-}
-
-ScopedTimer::~ScopedTimer() {
-    if (histogram_ != nullptr) histogram_->observe((monotonic_ns() - start_ns_) / 1000);
-}
-
 }  // namespace agenp::obs

@@ -30,8 +30,8 @@
 namespace agenp::obs {
 
 // Global kill switch. Defaults to enabled; disabling makes the flush
-// helpers and ScopedTimer no-ops (call sites that cache Counter& still pay
-// one relaxed add — near-zero either way).
+// helpers and obs::Phase's histogram and cost sinks no-ops (call sites
+// that cache Counter& still pay one relaxed add — near-zero either way).
 bool metrics_enabled();
 void set_metrics_enabled(bool enabled);
 
@@ -164,22 +164,8 @@ private:
 // The process-wide registry used by all instrumentation call sites.
 MetricsRegistry& metrics();
 
-// Times a scope and observes the elapsed microseconds into `h` (skipped
-// entirely when metrics are disabled at construction time).
-class ScopedTimer {
-public:
-    explicit ScopedTimer(Histogram& h);
-    ~ScopedTimer();
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-private:
-    Histogram* histogram_;  // null when disabled
-    std::uint64_t start_ns_ = 0;
-};
-
-// Monotonic nanoseconds since an arbitrary process-local epoch (shared
-// with the tracer so span and timer clocks agree).
+// Monotonic nanoseconds since an arbitrary process-local epoch: the one
+// clock phases, traces and the serving layer's deadlines read.
 std::uint64_t monotonic_ns();
 
 // Escapes a string for embedding in a JSON string literal.

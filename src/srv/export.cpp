@@ -244,13 +244,13 @@ obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
         for (const obs::CostEntry& entry : obs::costs().snapshot()) {
             obs::MetricLabels labels{{"check", entry.check}};
             exposition.add_counter("cost.calls", labels, entry.calls,
-                                   "Observed calls by named check");
+                                   "Observed calls by phase");
             exposition.add_gauge_d("cost.ewma_us", labels, entry.ewma_us,
-                                   "EWMA per-call cost in microseconds by named check");
+                                   "EWMA per-call cost in microseconds by phase");
             exposition.add_gauge_d("cost.frequency_hz", labels, entry.frequency_hz,
-                                   "EWMA call frequency by named check");
+                                   "EWMA call frequency by phase");
             exposition.add_gauge_d("cost.us_per_s", labels, entry.us_per_s,
-                                   "Expected wall-time share (ewma_us x hz) by named check");
+                                   "Expected wall-time share (ewma_us x hz) by phase");
         }
     }
     return exposition;
@@ -260,13 +260,6 @@ std::string serve_exposition_prometheus(const AmsRouter& router, bool draining,
                                         const store::StateStore* state,
                                         const obs::RollingWindow* window) {
     return serve_exposition(router, draining, state, window).prometheus();
-}
-
-std::string serve_exposition_graphite(const AmsRouter& router, bool draining,
-                                      std::string_view prefix, std::time_t timestamp,
-                                      const store::StateStore* state,
-                                      const obs::RollingWindow* window) {
-    return serve_exposition(router, draining, state, window).graphite(prefix, timestamp);
 }
 
 }  // namespace agenp::srv

@@ -3,21 +3,17 @@
 //   !stats / /statz / periodic reporter  -> serve_stats_json (one-line JSON)
 //   GET /healthz                         -> healthz_json (liveness + drain)
 //   GET /metrics  (Prometheus pull)      -> serve_exposition(...).prometheus()
-//   --metrics-push (graphite push)       -> serve_exposition(...).graphite()
 //
 // The exposition enumerates one obs::Exposition from three sources — the
-// process metrics registry, the lock-contention registry, and a
-// RouterStats snapshot (model version, divergence, routing, aggregated
-// cache) — so the pull and push exporters can never disagree about what a
-// metric is called or how it is valued. serve_stats_json keeps its
+// process metrics registry (including the per-phase phase_us histograms),
+// the lock-contention registry, and a RouterStats snapshot (model version,
+// divergence, routing, aggregated cache). serve_stats_json keeps its
 // original key set: it is the compatibility surface for `!stats` JSON
 // consumers and is not derived from the exposition.
 #pragma once
 
 #include <chrono>
-#include <ctime>
 #include <string>
-#include <string_view>
 
 #include "obs/export/exposition.hpp"
 #include "obs/window.hpp"
@@ -50,8 +46,9 @@ std::string windowed_serve_stats_json(const WindowedServeStats& stats);
 // StateStore attached (`--state-dir`) a "store" object rides along:
 // snapshot count/age/bytes/entries, WAL growth, and what restore() found.
 // With a rolling window attached, a "window" object with 10s/60s/300s
-// spans and a "costs" array (the per-check cost table) ride along too —
-// all additions are new keys; the original key set is unchanged.
+// spans and a "costs" array (the per-phase cost table, one row per
+// obs::PhaseId) ride along too — all additions are new keys; the original
+// key set is unchanged.
 std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
                              const store::StateStore* state = nullptr,
                              const obs::RollingWindow* window = nullptr);
@@ -68,8 +65,9 @@ std::string healthz_json(const AmsRouter& router, bool draining);
 // the process registry as agenp_store_*.
 // With a rolling window attached, the exposition additionally carries the
 // agenp_window_* families (requests_per_s, cache_hit_rate, latency
-// quantiles, labeled by span) and the agenp_cost_* families (per-check
-// calls, EWMA cost, frequency, us/s share from obs::costs()).
+// quantiles, labeled by span) and the agenp_cost_* families (per-phase
+// calls, EWMA cost, frequency, us/s share from obs::costs(), labeled by
+// check = phase name).
 obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
                                  const store::StateStore* state = nullptr,
                                  const obs::RollingWindow* window = nullptr);
@@ -78,11 +76,5 @@ obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
 std::string serve_exposition_prometheus(const AmsRouter& router, bool draining,
                                         const store::StateStore* state = nullptr,
                                         const obs::RollingWindow* window = nullptr);
-
-// Renders serve_exposition as graphite plaintext under `prefix`.
-std::string serve_exposition_graphite(const AmsRouter& router, bool draining,
-                                      std::string_view prefix, std::time_t timestamp,
-                                      const store::StateStore* state = nullptr,
-                                      const obs::RollingWindow* window = nullptr);
 
 }  // namespace agenp::srv

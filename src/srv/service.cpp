@@ -1,22 +1,13 @@
 #include "srv/service.hpp"
 
-#include "obs/costtable.hpp"
+#include <algorithm>
+#include <limits>
+
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "srv/audit.hpp"
 #include "util/strings.hpp"
 
 namespace agenp::srv {
-
-namespace {
-
-std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
-    return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                          std::chrono::steady_clock::now() - since)
-                                          .count());
-}
-
-}  // namespace
 
 std::string_view outcome_name(Outcome outcome) {
     switch (outcome) {
@@ -67,14 +58,17 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
 
 std::future<Decision> DecisionService::submit(cfg::TokenString request,
                                               SubmitOptions submit_options) {
-    auto now = std::chrono::steady_clock::now();
     Task task;
     task.tokens = std::move(request);
-    task.enqueued = now;
+    task.enqueued_ns = obs::monotonic_ns();
     std::chrono::microseconds timeout = submit_options.timeout;
     if (timeout.count() <= 0) timeout = options_.default_timeout;
-    task.deadline = timeout.count() > 0 ? now + timeout
-                                        : std::chrono::steady_clock::time_point::max();
+    // A timeout too large to represent means no deadline.
+    constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
+    auto timeout_us = static_cast<std::uint64_t>(std::max<std::int64_t>(timeout.count(), 0));
+    task.deadline_ns = timeout_us > 0 && timeout_us < (kNoDeadline - task.enqueued_ns) / 1000
+                           ? task.enqueued_ns + timeout_us * 1000
+                           : kNoDeadline;
     task.trace_id = options_.id_offset +
                     (submitted_.fetch_add(1, std::memory_order_relaxed) + 1) * options_.id_stride;
     task.client_id = submit_options.client_id;
@@ -88,8 +82,9 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
         if (options_.trace.slow_threshold_us > 0 || sampled) {
             task.trace = std::make_unique<obs::TraceContext>(task.trace_id);
             task.trace->set_client(task.client_id);
-            task.root_span = task.trace->begin_span("srv.request");
-            task.queue_span = task.trace->begin_span("srv.queue_wait");
+            // The root spans threads: it opens here, so the whole tree
+            // nests under it, and closes in maybe_capture().
+            task.trace->begin_span(obs::PhaseId::SrvRequest, task.enqueued_ns);
         }
     }
     auto future = task.promise.get_future();
@@ -217,9 +212,9 @@ void DecisionService::worker_loop() {
     }
 }
 
-void DecisionService::maybe_capture(Task& task, std::uint64_t total_us) {
+void DecisionService::maybe_capture(Task& task, std::uint64_t end_ns, std::uint64_t total_us) {
     if (task.trace == nullptr) return;
-    task.trace->end_span(task.root_span);
+    task.trace->end_span(0, end_ns);
     const TraceOptions& opts = options_.trace;
     const char* reason = nullptr;
     if (opts.slow_threshold_us > 0 && total_us >= opts.slow_threshold_us) {
@@ -239,8 +234,10 @@ void DecisionService::maybe_capture(Task& task, std::uint64_t total_us) {
 }
 
 void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
+    std::uint64_t end_ns = obs::monotonic_ns();
+    obs::record_phase(obs::PhaseId::SrvRequest, task.enqueued_ns, end_ns, &task.phases, nullptr);
     decision.outcome = outcome;
-    decision.latency_us = elapsed_us(task.enqueued);
+    decision.latency_us = task.phases.us(obs::PhaseId::SrvRequest);
     decision.trace_id = task.trace_id;
     if (obs::metrics_enabled()) {
         static obs::Histogram& latency = obs::metrics().histogram("srv.latency_us");
@@ -250,8 +247,8 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
     record.id = task.trace_id;
     record.client = task.client_id;
     record.model_version = decision.model_version;
-    record.queue_us = task.queue_us;
-    record.solve_us = task.solve_us;
+    record.queue_us = task.phases.us(obs::PhaseId::SrvQueueWait);
+    record.solve_us = task.phases.us(obs::PhaseId::SrvSolve);
     record.total_us = decision.latency_us;
     record.outcome = static_cast<std::uint8_t>(outcome);
     record.cache_hit = decision.cache_hit;
@@ -273,24 +270,25 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
         entry.model_version = decision.model_version;
         entry.replica = options_.id_offset;
         entry.latency_us = decision.latency_us;
-        entry.queue_us = task.queue_us;
-        entry.solve_us = task.solve_us;
+        entry.queue_us = record.queue_us;
+        entry.solve_us = record.solve_us;
         options_.audit->record(std::move(entry));
     }
-    maybe_capture(task, decision.latency_us);
+    maybe_capture(task, end_ns, decision.latency_us);
 }
 
 Decision DecisionService::process(Task& task) {
-    task.queue_us = elapsed_us(task.enqueued);
-    if (task.trace != nullptr) task.trace->end_span(task.queue_span);
-    // Deeper layers (PDP, membership, solver call sites) pick the context
-    // up through obs::current_trace() for the rest of the evaluation.
+    std::uint64_t dequeued_ns = obs::monotonic_ns();
+    obs::record_phase(obs::PhaseId::SrvQueueWait, task.enqueued_ns, dequeued_ns, &task.phases,
+                      task.trace.get());
+    // Every obs::Phase below, down to the solver, feeds this request's
+    // phase times and trace through the thread-locals these install.
+    obs::PhaseTimesScope phase_scope(&task.phases);
     obs::TraceContextScope trace_scope(task.trace.get());
-    obs::ScopedSpan span("srv.decide", "srv");
     Decision decision;
     decision.trace_id = task.trace_id;
 
-    if (std::chrono::steady_clock::now() >= task.deadline) {
+    if (dequeued_ns >= task.deadline_ns) {
         expired_.fetch_add(1, std::memory_order_relaxed);
         if (obs::metrics_enabled()) {
             static obs::Counter& expired = obs::metrics().counter("srv.expired");
@@ -305,36 +303,32 @@ Decision DecisionService::process(Task& task) {
         obs::ProfiledReadLock state(state_mu_);
         asp::Program context;
         {
-            obs::TracePhase phase(task.trace.get(), "srv.context");
+            obs::Phase phase(obs::PhaseId::SrvContext);
             context = ams_.pip().gather();
         }
         decision.model_version = ams_.model_version();
 
-        auto solve = [&] {
-            obs::TracePhase phase(task.trace.get(), "srv.solve");
-            auto start = std::chrono::steady_clock::now();
-            bool verdict = ams_.decide(task.tokens, context);
-            task.solve_us = elapsed_us(start);
-            return verdict;
-        };
-        if (options_.use_cache) {
-            CacheKey key = DecisionCache::make_key(task.tokens, context);
-            std::optional<bool> hit;
-            {
-                obs::TracePhase phase(task.trace.get(), "srv.cache_probe");
-                static obs::CostCell& probe_cost = obs::costs().cell("srv.cache_probe");
-                obs::ScopedCost cost(probe_cost);
-                hit = cache_.lookup(key, decision.model_version);
-            }
-            if (hit) {
-                permitted = *hit;
-                decision.cache_hit = true;
+        {
+            // The verdict step of every request: a cache probe, and the
+            // PDP on a miss.
+            obs::Phase phase(obs::PhaseId::SrvSolve);
+            if (options_.use_cache) {
+                CacheKey key = DecisionCache::make_key(task.tokens, context);
+                std::optional<bool> hit;
+                {
+                    obs::Phase probe(obs::PhaseId::SrvCacheProbe);
+                    hit = cache_.lookup(key, decision.model_version);
+                }
+                if (hit) {
+                    permitted = *hit;
+                    decision.cache_hit = true;
+                } else {
+                    permitted = ams_.decide(task.tokens, context);
+                    cache_.insert(key, decision.model_version, permitted);
+                }
             } else {
-                permitted = solve();
-                cache_.insert(key, decision.model_version, permitted);
+                permitted = ams_.decide(task.tokens, context);
             }
-        } else {
-            permitted = solve();
         }
         ams_.pep().enforce(task.tokens, permitted);
 
@@ -344,7 +338,7 @@ Decision DecisionService::process(Task& task) {
         record.permitted = permitted;
         record.model_version = decision.model_version;
         {
-            obs::TracePhase phase(task.trace.get(), "srv.monitor");
+            obs::Phase phase(obs::PhaseId::SrvMonitor);
             obs::ProfiledMutexLock monitor(monitor_mu_);
             decision.monitor_index = ams_.monitor().record(std::move(record));
         }

@@ -29,14 +29,15 @@
 // Deadlines: a request whose deadline passes while queued is answered
 // Outcome::Expired without paying for a solve.
 //
-// Observability (DESIGN.md section 7): every request gets a monotone id.
-// A summary of each request (outcome, queue/solve/total latency, cache
-// hit, model version) lands in a lock-free FlightRecorder ring. When
-// request tracing is configured (TraceOptions), each request carries a
-// TraceContext through queue wait -> cache probe -> PDP -> membership ->
-// solver; the full span tree is kept only for requests slower than the
-// tail threshold (plus optional 1-in-N samples) and is exportable as
-// Chrome trace-event JSON.
+// Observability (DESIGN.md section 7): every request gets a monotone id
+// and an obs::PhaseTimes array that every obs::Phase on the worker feeds.
+// A summary of each request (outcome, queue/solve/total latency from that
+// array, cache hit, model version) lands in a lock-free FlightRecorder
+// ring and the audit log. When request tracing is configured
+// (TraceOptions), each request also carries a TraceContext through queue
+// wait -> cache probe -> PDP -> membership -> solver; the full span tree
+// is kept only for requests slower than the tail threshold (plus optional
+// 1-in-N samples) and is exportable as Chrome trace-event JSON.
 #pragma once
 
 #include <atomic>
@@ -51,6 +52,7 @@
 #include "agenp/ams.hpp"
 #include "asg/memo.hpp"
 #include "obs/lockprof.hpp"
+#include "obs/phase.hpp"
 #include "obs/reqtrace.hpp"
 #include "srv/cache.hpp"
 #include "srv/flight.hpp"
@@ -217,22 +219,20 @@ private:
     struct Task {
         cfg::TokenString tokens;
         std::promise<Decision> promise;
-        std::chrono::steady_clock::time_point enqueued;
-        std::chrono::steady_clock::time_point deadline;  // max() = none
+        std::uint64_t enqueued_ns = 0;  // obs::monotonic_ns() at submit
+        std::uint64_t deadline_ns = 0;  // UINT64_MAX = none
         std::uint64_t trace_id = 0;
         std::uint64_t client_id = 0;  // transport connection id; 0 = none
         std::function<void(const Decision&)> on_complete;
-        std::unique_ptr<obs::TraceContext> trace;  // null unless tracing this request
-        std::size_t root_span = 0;
-        std::size_t queue_span = 0;
-        std::uint64_t queue_us = 0;  // submit -> worker dequeue
-        std::uint64_t solve_us = 0;  // cache-miss membership solve
+        // Null unless tracing this request; span 0 is the srv.request root.
+        std::unique_ptr<obs::TraceContext> trace;
+        obs::PhaseTimes phases;
     };
 
     void worker_loop();
     Decision process(Task& task);
     void finish(Decision& decision, Task& task, Outcome outcome);
-    void maybe_capture(Task& task, std::uint64_t total_us);
+    void maybe_capture(Task& task, std::uint64_t end_ns, std::uint64_t total_us);
 
     framework::AutonomousManagedSystem& ams_;
     ServiceOptions options_;

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/phase.hpp"
 #include "store/framing.hpp"
 #include "util/errors.hpp"
 
@@ -44,7 +44,7 @@ std::string StateStore::snapshot_path() const { return options_.dir + "/snapshot
 std::string StateStore::wal_path() const { return options_.dir + "/wal.agenp"; }
 
 RestoreResult StateStore::restore() {
-    obs::ScopedSpan span("store.restore");
+    obs::Phase phase(obs::PhaseId::StoreRestore);
     RestoreResult out;
 
     std::string bytes;
@@ -96,7 +96,7 @@ RestoreResult StateStore::restore() {
 }
 
 bool StateStore::save_snapshot(SnapshotData data, std::string* error) {
-    obs::ScopedSpan span("store.snapshot");
+    obs::Phase phase(obs::PhaseId::StoreSnapshot);
     data.created_unix_s = wall_unix_ms() / 1000;
     std::string bytes = encode_snapshot(data);
     std::string io_error;

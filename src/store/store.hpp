@@ -14,9 +14,9 @@
 // entries that the snapshot already contains, and cache restore is
 // idempotent, so recovery never depends on that ordering.
 //
-// Observability: store.snapshot / store.restore spans; store.* counters
+// Observability: store.snapshot / store.restore phases; store.* counters
 // and gauges in the process registry (exported as agenp_store_* by the
-// Prometheus/graphite exposition).
+// Prometheus exposition).
 #pragma once
 
 #include <atomic>

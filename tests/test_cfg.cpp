@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "cfg/earley.hpp"
 #include "cfg/generate.hpp"
@@ -50,6 +53,40 @@ TEST(Grammar, TokenizeRoundTrips) {
     auto tokens = tokenize("permit  admin read");
     EXPECT_EQ(tokens.size(), 3u);
     EXPECT_EQ(detokenize(tokens), "permit admin read");
+}
+
+TEST(Grammar, ConcurrentReadersOfAnUnqueriedGrammar) {
+    // Built with add_production and never queried, so the first reads of
+    // its production index happen on several threads at once (a shared
+    // model served by a worker pool). Run under TSan in CI.
+    Grammar g;
+    g.set_start(Symbol("rule"));
+    g.add_production({Symbol("rule"), {GSym::nonterm("action"), GSym::nonterm("subject")}});
+    g.add_production({Symbol("action"), {GSym::term("permit")}});
+    g.add_production({Symbol("action"), {GSym::term("deny")}});
+    g.add_production({Symbol("subject"), {GSym::term("admin")}});
+    g.add_production({Symbol("subject"), {GSym::term("user")}});
+    // Symbols and tokens are interned up front: interning locks, and a lock
+    // shared by the readers would order their first reads.
+    const Symbol action("action");
+    const TokenString sentence = tokenize("deny user");
+    std::atomic<bool> go{false};
+    std::atomic<int> parsed{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&] {
+            while (!go.load(std::memory_order_acquire)) {
+            }
+            for (int i = 0; i < 50; ++i) {
+                if (g.productions_for(action).size() != 2) return;
+                if (parse_trees(g, sentence).size() != 1) return;
+                parsed.fetch_add(1);
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (auto& r : readers) r.join();
+    EXPECT_EQ(parsed.load(), 4 * 50);
 }
 
 TEST(Earley, RecognizesSimpleSentences) {

@@ -1,7 +1,7 @@
 // End-to-end tests for the observability export surface: the Prometheus
-// text exposition served on --metrics-listen, the graphite push renderer,
-// the /healthz drain signal, and the NDJSON decision audit log (rotation,
-// sampling, and trace_id cross-correlation with the flight recorder).
+// text exposition served on --metrics-listen, the /healthz drain signal,
+// and the NDJSON decision audit log (rotation, sampling, and trace_id
+// cross-correlation with the flight recorder).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,15 +17,11 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "cli/commands.hpp"
 #include "obs/export/exposition.hpp"
 #include "obs/export/http.hpp"
-#include "obs/export/push.hpp"
 #include "obs/metrics.hpp"
 #include "srv/audit.hpp"
 #include "srv/transport.hpp"
@@ -217,22 +213,6 @@ TEST(ExpositionTest, HistogramBucketsAreCumulativeAndEndAtInf) {
     EXPECT_EQ(sum_value, 207);
 }
 
-TEST(ExpositionTest, GraphiteRendersPathValueTimestamp) {
-    agenp::obs::Exposition exposition;
-    exposition.add_counter("srv.requests", {}, 7);
-    exposition.add_gauge("srv.queue_depth", {{"replica", "1"}}, 2);
-    agenp::obs::Histogram hist;
-    hist.observe(10);
-    hist.observe(20);
-    exposition.add_histogram("srv.latency_us", {}, hist.snapshot());
-    std::string body = exposition.graphite("agenp", 1700000000);
-    EXPECT_NE(body.find("agenp.srv.requests 7 1700000000\n"), std::string::npos);
-    EXPECT_NE(body.find("agenp.srv.queue_depth;replica=1 2 1700000000\n"), std::string::npos);
-    EXPECT_NE(body.find("agenp.srv.latency_us.count 2 1700000000\n"), std::string::npos);
-    EXPECT_NE(body.find("agenp.srv.latency_us.sum 30 1700000000\n"), std::string::npos);
-    EXPECT_NE(body.find("agenp.srv.latency_us.p99"), std::string::npos);
-}
-
 TEST(ExpositionTest, RegistryLabelsSurviveRoundTrip) {
     auto& counter = agenp::obs::metrics().counter("test.export.labeled", {{"shard", "3"}});
     counter.add(9);
@@ -285,48 +265,6 @@ TEST(HttpServerTest, ExposesQueryStringAndParams) {
     EXPECT_EQ(agenp::obs::http_query_param("a=1&b", "b"), "");
     EXPECT_EQ(agenp::obs::http_query_param("", "b"), "");
     EXPECT_EQ(agenp::obs::http_query_param("bb=3", "b"), "");
-}
-
-TEST(GraphitePusherTest, PushesRenderedBodyToPlainTcpSink) {
-    // A one-shot TCP sink standing in for carbon: accept one connection,
-    // read to EOF.
-    int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(listen_fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-    ASSERT_EQ(::listen(listen_fd, 1), 0);
-    socklen_t len = sizeof(addr);
-    ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    std::uint16_t port = ntohs(addr.sin_port);
-
-    std::string received;
-    std::thread sink([&] {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
-        if (fd < 0) return;
-        char buf[4096];
-        ssize_t n;
-        while ((n = ::read(fd, buf, sizeof(buf))) > 0) received.append(buf, buf + n);
-        ::close(fd);
-    });
-
-    agenp::obs::PushOptions options;
-    options.host = "127.0.0.1";
-    options.port = port;
-    options.interval = std::chrono::seconds(3600);  // only the initial push
-    agenp::obs::GraphitePusher pusher(options, [](std::time_t ts) {
-        return "agenp.test.push 1 " + std::to_string(ts) + "\n";
-    });
-    for (int i = 0; i < 2000 && pusher.pushes() == 0; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    sink.join();
-    ::close(listen_fd);
-    pusher.stop();
-    EXPECT_EQ(pusher.pushes(), 1U);
-    EXPECT_NE(received.find("agenp.test.push 1 "), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -14,8 +15,8 @@
 
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 #include "obs/reqtrace.hpp"
-#include "obs/trace.hpp"
 
 namespace agenp::obs {
 namespace {
@@ -435,99 +436,105 @@ TEST(Registry, GlobalRegistryIsASingleton) {
     EXPECT_EQ(&metrics(), &metrics());
 }
 
-TEST(Metrics, DisabledSkipsScopedTimer) {
-    Histogram h;
+TEST(Metrics, DisabledPhaseSkipsHistogram) {
+    Histogram& h = phase_histogram(PhaseId::CfgParse);
+    std::uint64_t before = h.snapshot().count;
     set_metrics_enabled(false);
-    { ScopedTimer t(h); }
+    { Phase phase(PhaseId::CfgParse); }
     set_metrics_enabled(true);
-    EXPECT_EQ(h.snapshot().count, 0u);
-    { ScopedTimer t(h); }
-    EXPECT_EQ(h.snapshot().count, 1u);
+    EXPECT_EQ(h.snapshot().count, before);
+    { Phase phase(PhaseId::CfgParse); }
+    EXPECT_EQ(h.snapshot().count, before + 1);
 }
 
 // --- tracing -----------------------------------------------------------------
 
 TEST(Trace, DisabledRecorderCapturesNothing) {
-    tracer().set_enabled(false);
-    tracer().clear();
-    { ScopedSpan span("invisible"); }
-    EXPECT_TRUE(tracer().events().empty());
+    TraceContext ctx(1);  // never installed on this thread
+    { Phase phase(PhaseId::AsgMembership); }
+    EXPECT_TRUE(ctx.spans().empty());
+    EXPECT_EQ(current_trace(), nullptr);
 }
 
 TEST(Trace, SpanNestingAndSelfTime) {
-    tracer().set_enabled(true);
-    tracer().clear();
+    TraceContext ctx(1);
     {
-        ScopedSpan outer("outer", "test");
+        TraceContextScope scope(&ctx);
+        Phase outer(PhaseId::AsgMembership);
         spin_for_us(2000);
         {
-            ScopedSpan inner("inner", "test");
+            Phase inner(PhaseId::AspSolve);
             spin_for_us(2000);
         }
         spin_for_us(1000);
     }
-    tracer().set_enabled(false);
 
-    auto events = tracer().events();
-    ASSERT_EQ(events.size(), 2u);
-    // Spans are recorded at destruction: inner first, outer second.
-    const auto& inner = events[0];
-    const auto& outer = events[1];
-    EXPECT_EQ(inner.name, "inner");
-    EXPECT_EQ(outer.name, "outer");
-    EXPECT_EQ(inner.depth, 1u);
-    EXPECT_EQ(outer.depth, 0u);
-    EXPECT_EQ(inner.thread, outer.thread);
+    const auto& spans = ctx.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    // Spans open at entry: outer first, inner second.
+    const auto& outer = spans[0];
+    const auto& inner = spans[1];
+    EXPECT_EQ(outer.phase, PhaseId::AsgMembership);
+    EXPECT_EQ(inner.phase, PhaseId::AspSolve);
+    EXPECT_EQ(outer.parent, -1);
+    EXPECT_EQ(inner.parent, 0);
 
     // The child lies inside the parent on the timeline.
-    EXPECT_GE(inner.start_us, outer.start_us);
-    EXPECT_LE(inner.start_us + inner.duration_us, outer.start_us + outer.duration_us);
+    EXPECT_GE(inner.start_ns, outer.start_ns);
+    EXPECT_LE(inner.start_ns + inner.duration_ns, outer.start_ns + outer.duration_ns);
 
     // Self time excludes the child: ~3ms of the outer ~5ms.
-    EXPECT_LE(inner.self_us, inner.duration_us);
-    EXPECT_GE(outer.duration_us, inner.duration_us);
-    EXPECT_LE(outer.self_us, outer.duration_us - inner.duration_us + 100);
-    EXPECT_GE(outer.self_us + inner.duration_us + 100, outer.duration_us);
+    EXPECT_EQ(inner.self_ns(), inner.duration_ns);
+    EXPECT_EQ(outer.child_ns, inner.duration_ns);
+    EXPECT_EQ(outer.self_ns(), outer.duration_ns - inner.duration_ns);
+    EXPECT_GE(outer.self_ns(), 2'900'000u);
 }
 
 TEST(Trace, ChromeTraceJsonIsWellFormed) {
-    tracer().set_enabled(true);
-    tracer().clear();
+    TraceContext ctx(3);
     {
-        ScopedSpan a("phase.a", "test");
-        ScopedSpan b("phase \"b\"\\nested", "test");
+        TraceContextScope scope(&ctx);
+        Phase a(PhaseId::PdpDecide);
+        Phase b(PhaseId::AsgMembership);
         spin_for_us(100);
     }
-    tracer().set_enabled(false);
 
-    auto json = tracer().chrome_trace_json();
+    auto json = ctx.chrome_trace_json();
     EXPECT_TRUE(is_valid_json(json)) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-    EXPECT_NE(json.find("phase.a"), std::string::npos);
+    EXPECT_NE(json.find("agenp.pdp.decide"), std::string::npos);
 }
 
 TEST(Trace, FlatProfileAggregatesByName) {
-    tracer().set_enabled(true);
-    tracer().clear();
-    for (int i = 0; i < 3; ++i) {
-        ScopedSpan span("repeated", "test");
-        spin_for_us(200);
+    TraceContext ctx(1);
+    {
+        TraceContextScope scope(&ctx);
+        Phase outer(PhaseId::IlpLearn);
+        for (int i = 0; i < 3; ++i) {
+            Phase phase(PhaseId::AspSolve);
+            spin_for_us(200);
+        }
     }
-    tracer().set_enabled(false);
 
-    auto profile = tracer().flat_profile();
-    EXPECT_NE(profile.find("repeated"), std::string::npos);
-    EXPECT_NE(profile.find("3"), std::string::npos);  // call count
-}
-
-TEST(Trace, ClearDropsEvents) {
-    tracer().set_enabled(true);
-    { ScopedSpan span("to-drop"); }
-    tracer().clear();
-    tracer().set_enabled(false);
-    EXPECT_TRUE(tracer().events().empty());
+    auto profile = ctx.flat_profile();
+    auto line_of = [&](std::string_view name) {
+        std::size_t at = profile.find(name);
+        EXPECT_NE(at, std::string::npos) << profile;
+        return profile.substr(at, profile.find('\n', at) - at);
+    };
+    unsigned long long calls = 0, total_us = 0, self_us = 0;
+    ASSERT_EQ(std::sscanf(line_of("asp.solve").c_str(), "asp.solve %llu %llu %llu", &calls,
+                          &total_us, &self_us),
+              3);
+    EXPECT_EQ(calls, 3u);
+    EXPECT_EQ(self_us, total_us);  // leaf spans: all self time
+    ASSERT_EQ(std::sscanf(line_of("ilp.learn").c_str(), "ilp.learn %llu %llu %llu", &calls,
+                          &total_us, &self_us),
+              3);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_LT(self_us, total_us);  // the three children are not self time
 }
 
 // --- lock-contention profiler ---
@@ -739,14 +746,14 @@ TEST(LockProf, SnapshotFindsNamedLock) {
 
 TEST(ReqTrace, SpanTreeRecordsParentLinks) {
     TraceContext ctx(7);
-    auto root = ctx.begin_span("request");
-    auto queue = ctx.begin_span("queue");
-    ctx.end_span(queue);
-    auto solve = ctx.begin_span("solve");
-    auto ground = ctx.begin_span("ground");
-    ctx.end_span(ground);
-    ctx.end_span(solve);
-    ctx.end_span(root);
+    auto root = ctx.begin_span(PhaseId::SrvRequest, 100);
+    auto queue = ctx.begin_span(PhaseId::SrvQueueWait, 100);
+    ctx.end_span(queue, 200);
+    auto solve = ctx.begin_span(PhaseId::SrvSolve, 200);
+    auto ground = ctx.begin_span(PhaseId::AspGround, 250);
+    ctx.end_span(ground, 300);
+    ctx.end_span(solve, 400);
+    ctx.end_span(root, 500);
 
     ASSERT_EQ(ctx.spans().size(), 4u);
     EXPECT_EQ(ctx.trace_id(), 7u);
@@ -754,20 +761,20 @@ TEST(ReqTrace, SpanTreeRecordsParentLinks) {
     EXPECT_EQ(ctx.spans()[queue].parent, static_cast<std::int32_t>(root));
     EXPECT_EQ(ctx.spans()[solve].parent, static_cast<std::int32_t>(root));
     EXPECT_EQ(ctx.spans()[ground].parent, static_cast<std::int32_t>(solve));
-    EXPECT_EQ(ctx.find("solve"), solve);
-    EXPECT_EQ(ctx.find("missing"), TraceContext::npos);
+    EXPECT_EQ(ctx.find("srv.solve"), solve);
+    EXPECT_EQ(ctx.find("asp.solve"), TraceContext::npos);
 }
 
 TEST(ReqTrace, DurationsNestMonotonically) {
     TraceContext ctx(1);
-    auto root = ctx.begin_span("request");
-    auto inner = ctx.begin_span("work");
+    auto root = ctx.begin_span(PhaseId::SrvRequest, monotonic_ns());
+    auto inner = ctx.begin_span(PhaseId::SrvSolve, monotonic_ns());
     spin_for_us(200);
-    ctx.end_span(inner);
-    ctx.end_span(root);
-    EXPECT_GT(ctx.spans()[inner].duration_us, 0u);
-    EXPECT_GE(ctx.spans()[root].duration_us, ctx.spans()[inner].duration_us);
-    EXPECT_EQ(ctx.total_us(), ctx.spans()[root].duration_us);
+    ctx.end_span(inner, monotonic_ns());
+    ctx.end_span(root, monotonic_ns());
+    EXPECT_GT(ctx.spans()[inner].duration_us(), 0u);
+    EXPECT_GE(ctx.spans()[root].duration_ns, ctx.spans()[inner].duration_ns);
+    EXPECT_EQ(ctx.total_us(), ctx.spans()[root].duration_us());
 }
 
 TEST(ReqTrace, ScopeInstallsAndRestoresThreadLocal) {
@@ -790,27 +797,21 @@ TEST(ReqTrace, ScopeInstallsAndRestoresThreadLocal) {
     EXPECT_EQ(seen, nullptr);
 }
 
-TEST(ReqTrace, TracePhaseOnNullContextIsANoOp) {
-    TracePhase phase(nullptr, "ignored");  // must not crash or allocate a span
+TEST(ReqTrace, PhaseWithoutContextIsANoOp) {
+    { Phase phase(PhaseId::SrvSolve); }  // no context installed: must not crash
     TraceContext ctx(3);
     {
         TraceContextScope scope(&ctx);
-        TracePhase live(current_trace(), "real");
+        Phase live(PhaseId::SrvSolve);
     }
     ASSERT_EQ(ctx.spans().size(), 1u);
-    EXPECT_EQ(ctx.spans()[0].name, "real");
+    EXPECT_EQ(phase_name(ctx.spans()[0].phase), "srv.solve");
 }
 
 TEST(ReqTrace, ChromeTraceJsonCarriesTraceIdLanes) {
     TraceContext a(11), b(12);
-    {
-        auto root = a.begin_span("request");
-        a.end_span(root);
-    }
-    {
-        auto root = b.begin_span("request");
-        b.end_span(root);
-    }
+    a.end_span(a.begin_span(PhaseId::SrvRequest, 1'000), 2'000);
+    b.end_span(b.begin_span(PhaseId::SrvRequest, 1'500), 2'500);
     std::string json = chrome_trace_json({&a, &b});
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"tid\":11"), std::string::npos);

@@ -4,14 +4,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "asp/parser.hpp"
+#include "obs/phase.hpp"
+#include "srv/audit.hpp"
 #include "srv/loadgen.hpp"
 #include "srv/router.hpp"
 #include "srv/service.hpp"
@@ -630,6 +637,73 @@ TEST(DecisionService, TracingOffAllocatesNoContexts) {
     service.drain();
     EXPECT_GT(decision.trace_id, 0u);  // ids are assigned regardless
     EXPECT_EQ(service.captured_traces().size(), 0u);
+}
+
+TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
+    // One Phase measurement feeds every surface: a captured trace's
+    // queue-wait and solve spans, the flight record and the audit line
+    // report the same microseconds, and every per-request phase histogram
+    // counts each request once, cache hit or miss.
+    constexpr obs::PhaseId kPerRequest[] = {
+        obs::PhaseId::SrvRequest, obs::PhaseId::SrvQueueWait,  obs::PhaseId::SrvContext,
+        obs::PhaseId::SrvSolve,   obs::PhaseId::SrvCacheProbe, obs::PhaseId::SrvMonitor};
+    std::vector<std::uint64_t> before;
+    for (obs::PhaseId id : kPerRequest) before.push_back(obs::phase_histogram(id).snapshot().count);
+
+    std::string audit_path = std::string(::testing::TempDir()) + "/agenp_srv_consistency.ndjson";
+    std::remove(audit_path.c_str());
+    constexpr std::size_t kRequests = 16;
+    std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> audited;  // id -> queue, solve
+    std::map<std::uint64_t, FlightRecord> flights;
+    std::vector<CapturedTrace> captured;
+    {
+        AuditLog audit(AuditOptions{.path = audit_path});
+        auto ams = make_demo_ams(4, /*context_weight=*/0);
+        ServiceOptions options = service_options(2);
+        options.trace.sample_every = 1;
+        options.trace.max_captured = kRequests;
+        options.audit = &audit;
+        DecisionService service(ams, options);
+        std::vector<std::future<Decision>> futures;
+        for (std::size_t i = 0; i < kRequests; ++i) {
+            futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+        }
+        for (auto& f : futures) f.get();
+        service.drain();
+        for (const FlightRecord& r : service.flight().snapshot()) flights[r.id] = r;
+        captured = service.captured_traces();
+    }
+    std::ifstream audit_file(audit_path);
+    for (std::string line; std::getline(audit_file, line);) {
+        auto entry = parse_json(line);
+        ASSERT_TRUE(entry.has_value()) << line;
+        audited[entry->find("trace_id")->as_uint()] = {entry->find("queue_us")->as_uint(),
+                                                       entry->find("solve_us")->as_uint()};
+    }
+
+    ASSERT_EQ(captured.size(), kRequests);
+    ASSERT_EQ(flights.size(), kRequests);
+    ASSERT_EQ(audited.size(), kRequests);
+    for (const CapturedTrace& c : captured) {
+        std::uint64_t id = c.trace_id();
+        auto queue = c.trace.find("srv.queue_wait");
+        auto solve = c.trace.find("srv.solve");
+        ASSERT_NE(queue, obs::TraceContext::npos) << id;
+        ASSERT_NE(solve, obs::TraceContext::npos) << id;
+        std::uint64_t queue_us = c.trace.spans()[queue].duration_us();
+        std::uint64_t solve_us = c.trace.spans()[solve].duration_us();
+        ASSERT_EQ(flights.count(id), 1u) << id;
+        EXPECT_EQ(flights[id].queue_us, queue_us) << id;
+        EXPECT_EQ(flights[id].solve_us, solve_us) << id;
+        EXPECT_EQ(flights[id].total_us, c.trace.total_us()) << id;
+        ASSERT_EQ(audited.count(id), 1u) << id;
+        EXPECT_EQ(audited[id].first, queue_us) << id;
+        EXPECT_EQ(audited[id].second, solve_us) << id;
+    }
+    for (std::size_t i = 0; i < std::size(kPerRequest); ++i) {
+        EXPECT_EQ(obs::phase_histogram(kPerRequest[i]).snapshot().count, before[i] + kRequests)
+            << obs::phase_name(kPerRequest[i]);
+    }
 }
 
 // --- wire protocol ----------------------------------------------------------
