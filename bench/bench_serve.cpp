@@ -3,8 +3,8 @@
 // Closed-loop load generation against the decision service on the demo
 // serving domain, sweeping worker thread counts with the decision cache on
 // and off — in-process (`"transport":"inproc"`) and over a loopback TCP
-// connection to an AmsRouter behind a TcpServer (`"transport":"tcp"`), so
-// the wire + event-loop overhead of `agenp serve --listen` is measured
+// connection to the srv::Server that `agenp serve --listen` runs
+// (`"transport":"tcp"`), so the wire + event-loop overhead is measured
 // against the same workload. The lock-contention profiler is reset before
 // each configuration, so every row carries per-lock wait statistics for
 // the three serving-path hot locks (symbol.intern, srv.cache_shard,
@@ -34,8 +34,8 @@
 // repeated-request in-process workload; the CI smoke (`--smoke`) asserts
 // the line parses, the sweep ran, both transports are present, and the
 // per-lock wait stats are present. The `exporter` row replays the top
-// cache-on TCP configuration with a /metrics listener being scraped
-// concurrently; the exposition path budget is <3% throughput overhead
+// cache-on TCP configuration with the server's /metrics listener being
+// scraped concurrently; the exposition path budget is <3% throughput overhead
 // at a 1 s scrape interval (CI checks the row exists and scrapes ran —
 // the numeric bound is advisory, shared-runner noise exceeds it).
 #include <unistd.h>
@@ -55,11 +55,8 @@
 #include "obs/export/http.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/prof.hpp"
-#include "srv/export.hpp"
 #include "srv/loadgen.hpp"
-#include "srv/router.hpp"
-#include "srv/transport.hpp"
-#include "store/store.hpp"
+#include "srv/server.hpp"
 
 using namespace agenp;
 
@@ -100,22 +97,31 @@ Row run_config(std::size_t threads, bool cache, bool memo, std::size_t requests_
     return row;
 }
 
-// Same workload through the full serving stack: loopback TCP into a
-// TcpServer fronting a 1-replica AmsRouter. The latency rows include the
-// wire round trip and the event loop's read/dispatch/write path.
+// Where the servers below write their AGENP_* and final stats lines.
+std::ostream quiet(nullptr);
+
+// The server `agenp serve --listen 0` runs, on the demo domain with one
+// replica.
+srv::ServerOptions tcp_server_options(std::size_t threads, bool cache) {
+    srv::ServerOptions options;
+    options.router.service.threads = threads;
+    options.router.service.use_cache = cache;
+    options.port = 0;
+    return options;
+}
+
+srv::AmsRouter::AmsFactory demo_factory(std::size_t distinct) {
+    return [distinct] {
+        return std::make_unique<framework::AutonomousManagedSystem>(srv::make_demo_ams(distinct));
+    };
+}
+
+// Same workload through the full serving stack: loopback TCP into the
+// server's event loop. The latency rows include the wire round trip and
+// the loop's read/dispatch/write path.
 Row run_config_tcp(std::size_t threads, bool cache, std::size_t requests_per_client,
                    std::size_t distinct) {
-    srv::RouterOptions options;
-    options.replicas = 1;
-    options.service.threads = threads;
-    options.service.use_cache = cache;
-    srv::AmsRouter router(
-        [distinct] {
-            return std::make_unique<framework::AutonomousManagedSystem>(
-                srv::make_demo_ams(distinct));
-        },
-        options);
-    srv::TcpServer server(router, srv::TransportOptions{});
+    srv::Server server(demo_factory(distinct), tcp_server_options(threads, cache), quiet);
 
     srv::LoadgenOptions load;
     load.clients = threads;
@@ -128,14 +134,13 @@ Row run_config_tcp(std::size_t threads, bool cache, std::size_t requests_per_cli
     row.report = srv::run_loadgen_tcp("127.0.0.1", server.port(), srv::demo_workload(distinct),
                                       load);
     row.locks = obs::locks().snapshot();
-    server.shutdown();
     return row;
 }
 
-// Exporter overhead: the same loopback-TCP workload with a /metrics HTTP
-// listener attached to the router and a scraper pulling the full
-// Prometheus exposition every `scrape_interval`. Compared against an
-// unscraped baseline at the same configuration.
+// Exporter overhead: the same loopback-TCP workload with the server's
+// metrics listener on and a scraper pulling the full Prometheus
+// exposition every `scrape_interval`. Compared against an unscraped
+// baseline at the same configuration.
 struct ExporterRow {
     double baseline_rps = 0;
     double scraped_rps = 0;
@@ -146,26 +151,9 @@ struct ExporterRow {
 ExporterRow run_exporter_overhead(std::size_t threads, std::size_t requests_per_client,
                                   std::size_t distinct,
                                   std::chrono::milliseconds scrape_interval) {
-    srv::RouterOptions options;
-    options.replicas = 1;
-    options.service.threads = threads;
-    options.service.use_cache = true;
-    srv::AmsRouter router(
-        [distinct] {
-            return std::make_unique<framework::AutonomousManagedSystem>(
-                srv::make_demo_ams(distinct));
-        },
-        options);
-    srv::TcpServer server(router, srv::TransportOptions{});
-
-    obs::HttpServerOptions http_options;
-    http_options.port = 0;
-    obs::HttpServer metrics_http(http_options, [&router](const obs::HttpRequest&) {
-        obs::HttpResponse response;
-        response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        response.body = srv::serve_exposition_prometheus(router, false);
-        return response;
-    });
+    srv::ServerOptions options = tcp_server_options(threads, /*cache=*/true);
+    options.metrics_port = 0;
+    srv::Server server(demo_factory(distinct), options, quiet);
 
     srv::LoadgenOptions load;
     load.clients = threads;
@@ -185,7 +173,7 @@ ExporterRow run_exporter_overhead(std::size_t threads, std::size_t requests_per_
     std::atomic<std::size_t> scrapes{0};
     std::thread scraper([&] {
         while (!stop.load(std::memory_order_acquire)) {
-            if (obs::http_get("127.0.0.1", metrics_http.port(), "/metrics").has_value()) {
+            if (obs::http_get("127.0.0.1", server.metrics_port(), "/metrics").has_value()) {
                 scrapes.fetch_add(1, std::memory_order_relaxed);
             }
             std::this_thread::sleep_for(scrape_interval);
@@ -200,8 +188,6 @@ ExporterRow run_exporter_overhead(std::size_t threads, std::size_t requests_per_
     row.overhead_pct = row.baseline_rps > 0
                            ? (row.baseline_rps - row.scraped_rps) / row.baseline_rps * 100.0
                            : 0;
-    metrics_http.shutdown();
-    server.shutdown();
     return row;
 }
 
@@ -222,17 +208,8 @@ struct ProfilerRow {
 
 ProfilerRow run_profiler_overhead(std::size_t threads, std::size_t requests_per_client,
                                   std::size_t distinct, std::size_t hz) {
-    srv::RouterOptions options;
-    options.replicas = 1;
-    options.service.threads = threads;
-    options.service.use_cache = true;
-    srv::AmsRouter router(
-        [distinct] {
-            return std::make_unique<framework::AutonomousManagedSystem>(
-                srv::make_demo_ams(distinct));
-        },
-        options);
-    srv::TcpServer server(router, srv::TransportOptions{});
+    srv::Server server(demo_factory(distinct), tcp_server_options(threads, /*cache=*/true),
+                       quiet);
 
     srv::LoadgenOptions load;
     load.clients = threads;
@@ -261,7 +238,6 @@ ProfilerRow run_profiler_overhead(std::size_t threads, std::size_t requests_per_
     row.overhead_pct = row.baseline_rps > 0
                            ? (row.baseline_rps - row.profiled_rps) / row.baseline_rps * 100.0
                            : 0;
-    server.shutdown();
     return row;
 }
 
@@ -331,42 +307,27 @@ RestartRow run_restart(std::size_t distinct, std::size_t steady_passes) {
     }
     const std::string state_dir = dir;
 
-    auto factory = [distinct] {
-        return std::make_unique<framework::AutonomousManagedSystem>(
-            srv::make_demo_ams(distinct));
-    };
-    srv::RouterOptions options;
-    options.replicas = 1;
-    options.service.threads = 2;
-    options.service.use_cache = true;
+    srv::ServerOptions options;
+    options.router.service.threads = 2;
     const auto workload = srv::demo_workload(distinct);
 
     {
-        // First life of the process: take traffic until the cache holds
-        // every distinct request, snapshot, and tear everything down —
-        // the bench stand-in for `agenp serve --state-dir` draining.
-        srv::AmsRouter router(factory, options);
-        for (const auto& request : workload) router.submit(request, {}).get();
-        store::StateStore store({state_dir});
-        std::string error;
-        if (!store.save_snapshot(router.export_state(), &error)) {
-            std::fprintf(stderr, "restart bench: snapshot failed: %s\n", error.c_str());
-        }
-    }
-    {
         // Cold restart: same binary, no persisted state.
-        srv::AmsRouter router(factory, options);
-        row.cold = measure_restart_side(router, workload, steady_passes);
+        srv::Server server(demo_factory(distinct), options, quiet);
+        row.cold = measure_restart_side(server.router(), workload, steady_passes);
+    }
+    options.state_dir = state_dir;
+    {
+        // First life with `--state-dir`: take traffic until the cache
+        // holds every distinct request; the drain snapshots it.
+        srv::Server server(demo_factory(distinct), options, quiet);
+        for (const auto& request : workload) server.router().submit(request, {}).get();
     }
     {
-        // Warm restart: restore the snapshot before the first request.
-        srv::AmsRouter router(factory, options);
-        store::StateStore store({state_dir});
-        store::RestoreResult restored = store.restore();
-        if (restored.snapshot_loaded) {
-            row.entries_restored = router.restore_state(restored.data).entries_restored;
-        }
-        row.warm = measure_restart_side(router, workload, steady_passes);
+        // Warm restart: the server restores the snapshot on start.
+        srv::Server server(demo_factory(distinct), options, quiet);
+        row.entries_restored = server.router().snapshot_stats().total.cache.entries;
+        row.warm = measure_restart_side(server.router(), workload, steady_passes);
     }
 
     row.warm_ge_10x_cold = row.warm.window_hit_rate > 0 &&

@@ -32,8 +32,9 @@
 // `--state-dir` (SNAPSHOT_JSON reply). The tail-capture knobs default from the environment:
 // AGENP_TRACE_SLOW_MS (capture trees for requests slower than this) and
 // AGENP_TRACE_SAMPLE (also capture every Nth request); --trace-slow-ms /
-// --trace-sample override. --stats-every SEC starts a reporter thread
-// that prints SERVE_STATS_JSON every SEC seconds.
+// --trace-sample override. --stats-every SEC prints a SERVE_WINDOW_JSON
+// line (rates and latency quantiles over the last SEC seconds) every SEC
+// seconds.
 //
 // The learn-task file format is line-oriented with #section headers:
 //
@@ -58,7 +59,6 @@
 // `max_vars`, `max_comparisons`. Example lines: `tokens | inline context.`
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <istream>
@@ -66,6 +66,8 @@
 #include <vector>
 
 #include "ilp/learner.hpp"
+#include "srv/loadgen.hpp"
+#include "srv/server.hpp"
 
 namespace agenp::cli {
 
@@ -106,85 +108,23 @@ int cmd_evaluate(const std::string& schema_path, const std::string& policy_path,
 // per-phase AGENP telemetry.
 int cmd_quickstart(std::ostream& out);
 
-struct ServeCliOptions {
-    std::string grammar_path;
-    std::string context_path;
-    std::size_t threads = 4;
-    std::size_t cache_mb = 64;
-    bool use_cache = true;
-    std::uint64_t trace_slow_ms = 0;  // tail-capture threshold (0 = off)
-    std::size_t trace_sample = 0;     // capture every Nth request (0 = off)
-    std::size_t stats_every_s = 0;    // periodic SERVE_STATS_JSON reporter (0 = off)
-    // TCP mode (--listen): accept wire-protocol connections instead of
-    // reading stdin. Port 0 binds an ephemeral port, printed on the
-    // `AGENP_LISTENING port=N` line.
-    bool listen = false;
-    std::uint16_t listen_port = 0;
-    std::size_t replicas = 1;  // AMS replicas behind the AmsRouter
-    // HTTP telemetry surface (--metrics-listen): GET /metrics serves the
-    // Prometheus text exposition, /healthz liveness + drain state (503
-    // while draining), /statz the SERVE_STATS_JSON body. Port 0 binds an
-    // ephemeral port, printed on the `AGENP_METRICS_LISTENING port=N`
-    // line. Works in both stdin and listen mode.
-    bool metrics_listen = false;
-    std::uint16_t metrics_listen_port = 0;
-    // Decision audit log (--audit-log FILE): NDJSON, one line per finished
-    // request, rotated to FILE.1 when audit_max_mb is crossed;
-    // audit_sample = N keeps every Nth entry.
-    std::string audit_path;
-    std::size_t audit_max_mb = 64;
-    std::size_t audit_sample = 1;
-    // Warm restarts (--state-dir DIR): restore the decision cache, policy
-    // repository, and model version from DIR on startup, append cache
-    // inserts to a WAL, and write a crash-safe snapshot every
-    // `snapshot_every_s` seconds (0 = only on drain and `!snapshot`).
-    // The directory is created 0700 — snapshots hold full request text.
-    std::string state_dir;
-    std::size_t snapshot_every_s = 0;
-    // Decision-cache shard count (0 = the CacheOptions default of 16;
-    // rounded up to a power of two).
-    std::size_t cache_shards = 0;
-    // Grounding memo on the cache-miss path (--no-memo disables,
-    // --memo-mb sizes the budget). See docs/PERFORMANCE.md.
-    bool use_memo = true;
-    std::size_t memo_mb = 32;
-    // Continuous CPU profiling (--prof-hz HZ, 0 = off): start the SIGPROF
-    // sampler at HZ for the life of the process. Independently of this
-    // flag, `!prof start|stop|status` toggles profiling at runtime and
-    // `GET /profz?seconds=N&hz=H` takes a one-shot profile over the
-    // metrics listener.
-    std::size_t prof_hz = 0;
-    // Test hooks. `shutdown_fd`: in listen mode, poll this descriptor
-    // instead of installing SIGTERM/SIGINT handlers — one readable byte
-    // (or EOF) triggers the graceful drain. `announce_port`: when set,
-    // the bound port is also published here; `metrics_announce_port`
-    // likewise for the metrics HTTP port.
-    int shutdown_fd = -1;
-    std::atomic<std::uint16_t>* announce_port = nullptr;
-    std::atomic<std::uint16_t>* metrics_announce_port = nullptr;
-};
-
-// PDP-as-a-service. Stdin mode (default): one request per line in, one
-// decision per line out — a plain token-string line is answered with the
-// outcome name, a `{...}` wire-protocol line (docs/PROTOCOL.md) with the
-// JSON reply, and '!'-prefixed control lines query the running service
-// (see the header comment). A summary with throughput and cache hit rate
-// is printed at EOF. Listen mode (--listen): serves the same line
-// protocol over TCP until SIGTERM/SIGINT, then drains gracefully.
-// `cache_mb == 0` with `use_cache` still enables a minimal cache; pass
-// use_cache=false to disable it.
-int cmd_serve(const ServeCliOptions& options, std::istream& in, std::ostream& out);
+// PDP-as-a-service: runs one srv::Server over the grammar and optional
+// context file. Stdin mode (no `options.port`): one request per line in,
+// one decision per line out — a plain token-string line is answered with
+// the outcome name, a `{...}` wire-protocol line (docs/PROTOCOL.md) with
+// the JSON reply, and '!'-prefixed control lines query the running
+// service (see the header comment) — until EOF. Listen mode
+// (`options.port`, --listen): serves the same line protocol over TCP
+// until SIGTERM/SIGINT. Either way the server then drains, which prints
+// the final SERVE_STATS_JSON line, and a summary with throughput and
+// cache hit rate follows.
+int cmd_serve(const std::string& grammar_path, const std::string& context_path,
+              const srv::ServerOptions& options, std::istream& in, std::ostream& out);
 
 struct LoadgenCliOptions {
-    std::size_t threads = 4;  // in-process service workers (ignored with --connect)
-    std::size_t clients = 4;
-    std::size_t requests_per_client = 250;
+    srv::ServiceOptions service;  // in-process service (ignored with --connect)
+    srv::LoadgenOptions load;
     std::size_t distinct = 8;
-    std::size_t cache_mb = 64;
-    bool use_cache = true;
-    std::size_t cache_shards = 0;  // 0 = the CacheOptions default of 16
-    bool use_memo = true;          // --no-memo: ground+solve every cache miss
-    std::size_t memo_mb = 32;      // grounding-memo budget (in-process mode)
     // Non-empty host: drive a remote `agenp serve --listen` server over
     // TCP instead of an in-process service.
     std::string connect_host;
@@ -196,6 +136,13 @@ struct LoadgenCliOptions {
 // human-readable report plus one `LOADGEN_JSON {...}` line. Exit code 1
 // when any response was dropped.
 int cmd_loadgen(const LoadgenCliOptions& options, std::ostream& out);
+
+// Pulls the service flags `serve` and in-process `loadgen` share out of
+// `args` straight into `options`; an absent flag keeps the default:
+//   --threads N  --cache-mb M  --no-cache  --cache-shards N  --no-memo  --memo-mb M
+// `--cache-mb 0` gives the minimal cache (one entry per shard); use
+// --no-cache to disable it.
+void take_service_flags(std::vector<std::string>& args, srv::ServiceOptions& options);
 
 // argv-level dispatcher (used by main and by tests).
 int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <thread>
 
 namespace agenp::srv {
 
@@ -14,8 +15,26 @@ void FlightRecorder::record(const FlightRecord& record) {
     std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[seq & mask_];
     // Odd = write in progress. 2*seq is unique per write, so a reader can
-    // never confuse two generations of the same slot.
-    slot.seq.store(2 * seq + 1, std::memory_order_release);
+    // never confuse two generations of the same slot. Writers that wrap
+    // onto one slot (seq and seq + capacity) take turns: a write claims
+    // the slot by swapping an older even sequence for its own odd one,
+    // waits out an older write still in progress, and drops itself when a
+    // newer generation already holds the slot.
+    const std::uint64_t writing = 2 * seq + 1;
+    std::uint64_t current = slot.seq.load(std::memory_order_relaxed);
+    while (true) {
+        if (current > writing) return;
+        if (current % 2 == 1) {
+            std::this_thread::yield();
+            current = slot.seq.load(std::memory_order_relaxed);
+        } else if (slot.seq.compare_exchange_weak(current, writing, std::memory_order_acquire,
+                                                  std::memory_order_relaxed)) {
+            break;  // acquire: the previous generation's payload stores come first
+        }
+    }
+    // Orders the odd claim before the payload stores, pairing with the
+    // acquire fence in snapshot().
+    std::atomic_thread_fence(std::memory_order_release);
     slot.id.store(record.id, std::memory_order_relaxed);
     slot.client.store(record.client, std::memory_order_relaxed);
     slot.model_version.store(record.model_version, std::memory_order_relaxed);
@@ -42,7 +61,8 @@ std::vector<FlightRecord> FlightRecorder::snapshot() const {
         r.total_us = slot.total_us.load(std::memory_order_relaxed);
         r.outcome = slot.outcome.load(std::memory_order_relaxed);
         r.cache_hit = slot.cache_hit.load(std::memory_order_relaxed);
-        if (slot.seq.load(std::memory_order_acquire) != before) continue;  // torn
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (slot.seq.load(std::memory_order_relaxed) != before) continue;  // torn
         out.push_back(r);
     }
     std::sort(out.begin(), out.end(),

@@ -7,14 +7,17 @@
 // without having enabled tracing beforehand. `agenp serve` dumps it on
 // demand via the `!flight` control line.
 //
-// Concurrency: record() is lock-free. Each slot is a tiny seqlock built
+// Concurrency: record() takes no lock. Each slot is a tiny seqlock built
 // entirely from atomics: the writer claims a sequence number with one
-// fetch_add, marks the slot odd (write in progress), stores the payload
-// with relaxed atomics, then publishes by storing the even sequence. A
-// reader that observes an odd or changed sequence discards the slot
-// instead of blocking. All payload fields are std::atomic, so there is no
-// data race for TSan to object to — the sequence check only guards
-// against mixing fields of two different records.
+// fetch_add, claims the slot by compare-exchanging its even sequence for
+// the writer's own odd one (write in progress), stores the payload with
+// relaxed atomics, then publishes by storing the even sequence. A slot
+// has one writer at a time: a write that wraps onto a slot another write
+// still holds waits for it, and a write that finds a newer generation
+// already there drops itself. A reader that observes an odd or changed
+// sequence discards the slot instead of blocking. All payload fields are
+// std::atomic, so there is no data race for TSan to object to — the
+// sequence check only guards against mixing fields of two records.
 #pragma once
 
 #include <atomic>
@@ -43,7 +46,8 @@ public:
     // Capacity is rounded up to a power of two (minimum 2).
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-    // Lock-free; overwrites the oldest slot once the ring is full.
+    // Never blocks on readers; overwrites the oldest slot once the ring is
+    // full (a record that lost its slot to a newer one is dropped).
     void record(const FlightRecord& record);
 
     // Consistent records currently retained, oldest first (by id).

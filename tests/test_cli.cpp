@@ -258,17 +258,17 @@ task -> "strike" { requires(5). }
 )asg";
 
 TEST(CmdServe, ControlLinesReportStatsFlightAndTraces) {
-    ServeCliOptions options;
-    options.grammar_path = temp_file("serve_ctl.asg", kServeGrammar);
-    options.context_path = temp_file("serve_ctl.lp", "maxloa(3).\n");
-    options.threads = 2;
-    options.trace_sample = 1;  // capture every request's span tree
+    std::string grammar = temp_file("serve_ctl.asg", kServeGrammar);
+    std::string context = temp_file("serve_ctl.lp", "maxloa(3).\n");
+    srv::ServerOptions options;
+    options.router.service.threads = 2;
+    options.router.service.trace.sample_every = 1;  // capture every request's span tree
     std::string trace_path = std::string(::testing::TempDir()) + "/agenp_serve_ctl_trace.json";
 
     std::istringstream in("do patrol\ndo strike\n!stats\n!flight\n!trace " + trace_path +
                           "\n!bogus\n");
     std::ostringstream out;
-    EXPECT_EQ(cmd_serve(options, in, out), 0);
+    EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
     std::string text = out.str();
 
     // Decisions, in request order.
@@ -314,10 +314,10 @@ TEST(CmdServe, UsageMentionsObservabilityFlags) {
 }
 
 TEST(CmdServe, WarmRestartRoundTripThroughStateDir) {
-    ServeCliOptions options;
-    options.grammar_path = temp_file("serve_state.asg", kServeGrammar);
-    options.context_path = temp_file("serve_state.lp", "maxloa(3).\n");
-    options.threads = 2;
+    std::string grammar = temp_file("serve_state.asg", kServeGrammar);
+    std::string context = temp_file("serve_state.lp", "maxloa(3).\n");
+    srv::ServerOptions options;
+    options.router.service.threads = 2;
     options.state_dir = std::string(::testing::TempDir()) + "/agenp_cli_state";
 
     // First life: cold start (nothing to restore), two decisions, and a
@@ -325,7 +325,7 @@ TEST(CmdServe, WarmRestartRoundTripThroughStateDir) {
     {
         std::istringstream in("do patrol\ndo strike\n");
         std::ostringstream out;
-        EXPECT_EQ(cmd_serve(options, in, out), 0);
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
         EXPECT_NE(out.str().find("AGENP_STATE_RESTORED entries=0"), std::string::npos)
             << out.str();
         EXPECT_NE(out.str().find("SNAPSHOT_JSON {\"entries\":2"), std::string::npos) << out.str();
@@ -335,7 +335,7 @@ TEST(CmdServe, WarmRestartRoundTripThroughStateDir) {
     {
         std::istringstream in("do patrol\ndo strike\n!stats\n");
         std::ostringstream out;
-        EXPECT_EQ(cmd_serve(options, in, out), 0);
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
         std::string text = out.str();
         EXPECT_NE(text.find("AGENP_STATE_RESTORED entries=2"), std::string::npos) << text;
         auto stats_pos = text.find("SERVE_STATS_JSON {");
@@ -353,16 +353,16 @@ TEST(CmdServe, WarmRestartRoundTripThroughStateDir) {
 }
 
 TEST(CmdServe, SnapshotControlLineNeedsStateDir) {
-    ServeCliOptions options;
-    options.grammar_path = temp_file("serve_snap.asg", kServeGrammar);
-    options.context_path = temp_file("serve_snap.lp", "maxloa(3).\n");
-    options.threads = 1;
+    std::string grammar = temp_file("serve_snap.asg", kServeGrammar);
+    std::string context = temp_file("serve_snap.lp", "maxloa(3).\n");
+    srv::ServerOptions options;
+    options.router.service.threads = 1;
 
     // Without --state-dir the control line explains itself.
     {
         std::istringstream in("!snapshot\n");
         std::ostringstream out;
-        EXPECT_EQ(cmd_serve(options, in, out), 0);
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
         EXPECT_NE(out.str().find("snapshot unavailable: serve started without --state-dir"),
                   std::string::npos)
             << out.str();
@@ -372,7 +372,7 @@ TEST(CmdServe, SnapshotControlLineNeedsStateDir) {
     {
         std::istringstream in("do patrol\n!snapshot\n");
         std::ostringstream out;
-        EXPECT_EQ(cmd_serve(options, in, out), 0);
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
         EXPECT_NE(out.str().find("SNAPSHOT_JSON {\"entries\":1"), std::string::npos) << out.str();
     }
     std::remove((options.state_dir + "/snapshot.agenp").c_str());
@@ -381,17 +381,17 @@ TEST(CmdServe, SnapshotControlLineNeedsStateDir) {
 }
 
 TEST(CmdServe, StdinModeRoutesAcrossReplicasAndSpeaksJson) {
-    ServeCliOptions options;
-    options.grammar_path = temp_file("serve_repl.asg", kServeGrammar);
-    options.context_path = temp_file("serve_repl.lp", "maxloa(3).\n");
-    options.threads = 2;
-    options.replicas = 2;  // stdin front door over a 2-replica router
+    std::string grammar = temp_file("serve_repl.asg", kServeGrammar);
+    std::string context = temp_file("serve_repl.lp", "maxloa(3).\n");
+    srv::ServerOptions options;
+    options.router.service.threads = 2;
+    options.router.replicas = 2;  // stdin front door over a 2-replica router
 
     // Plain token lines and wire-protocol JSON lines share one dispatch
     // path; both kinds work interleaved on stdin.
     std::istringstream in("do patrol\n{\"id\":7,\"decide\":\"do strike\"}\n!stats\n");
     std::ostringstream out;
-    EXPECT_EQ(cmd_serve(options, in, out), 0);
+    EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
     std::string text = out.str();
 
     EXPECT_NE(text.find("Permit"), std::string::npos);
@@ -406,6 +406,59 @@ TEST(CmdServe, StdinModeRoutesAcrossReplicasAndSpeaksJson) {
           "\"routed\":{\"affinity\":2,\"fallback\":0}"}) {
         EXPECT_NE(stats_line.find(field), std::string::npos) << field << "\n" << stats_line;
     }
+}
+
+TEST(CmdServe, BadPolicyExitsTwoBeforeListening) {
+    std::string grammar = temp_file("serve_bad.asg", "request -> \"do\" missing_nonterminal\n");
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"serve", grammar, "--listen", "0"}, out, err), 2);
+    EXPECT_EQ(out.str().find("AGENP_LISTENING"), std::string::npos) << out.str();
+    EXPECT_NE(err.str().find("error: "), std::string::npos);
+}
+
+TEST(Run, PortFlagsRejectValuesAbove65535) {
+    // The grammar path does not exist: a port that slipped through the
+    // check would fail later with "cannot read file" instead.
+    const std::pair<std::vector<std::string>, std::string> cases[] = {
+        {{"serve", "/nonexistent/p.asg", "--listen", "70000"}, "--listen"},
+        {{"serve", "/nonexistent/p.asg", "--metrics-listen", "65536"}, "--metrics-listen"},
+        {{"loadgen", "--connect", "127.0.0.1:70000"}, "--connect"},
+    };
+    for (const auto& [args, flag] : cases) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(args, out, err), 2) << flag;
+        EXPECT_NE(err.str().find(flag + " expects a port in 0..65535"), std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str().find("AGENP_LISTENING"), std::string::npos);
+    }
+}
+
+TEST(ServiceFlags, ParseStraightIntoServiceOptions) {
+    // Absent flags keep the ServiceOptions defaults.
+    std::vector<std::string> none;
+    srv::ServiceOptions defaults;
+    take_service_flags(none, defaults);
+    EXPECT_EQ(defaults.threads, srv::ServiceOptions{}.threads);
+    EXPECT_EQ(defaults.cache.capacity_bytes, srv::CacheOptions{}.capacity_bytes);
+    EXPECT_TRUE(defaults.use_cache);
+
+    // `--cache-mb 0` is the minimal cache, not the 64 MiB default.
+    std::vector<std::string> args = {"--threads", "3",       "--cache-mb", "0",  "--cache-shards",
+                                     "4",         "--no-memo", "--memo-mb", "8", "rest"};
+    srv::ServiceOptions options;
+    take_service_flags(args, options);
+    EXPECT_EQ(options.threads, 3U);
+    EXPECT_EQ(options.cache.capacity_bytes, 0U);
+    EXPECT_TRUE(options.use_cache);
+    EXPECT_EQ(options.cache.shards, 4U);
+    EXPECT_FALSE(options.use_memo);
+    EXPECT_EQ(options.memo.capacity_bytes, std::size_t{8} << 20);
+    EXPECT_EQ(args, std::vector<std::string>{"rest"});
+
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"loadgen", "--clients", "2", "--requests", "10", "--cache-mb", "0"}, out, err), 0)
+        << err.str();
+    EXPECT_NE(out.str().find("cache on"), std::string::npos);
 }
 
 TEST(CmdLoadgen, UsageAndConnectValidation) {
@@ -459,9 +512,9 @@ TEST(CmdServe, UsageMentionsMemoFlags) {
 
 TEST(CmdLoadgen, InProcessReportCarriesDroppedCount) {
     LoadgenCliOptions options;
-    options.threads = 2;
-    options.clients = 2;
-    options.requests_per_client = 20;
+    options.service.threads = 2;
+    options.load.clients = 2;
+    options.load.requests_per_client = 20;
     std::ostringstream out;
     EXPECT_EQ(cmd_loadgen(options, out), 0);
     EXPECT_NE(out.str().find("0 dropped"), std::string::npos);

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,26 +20,20 @@
 
 #include <unistd.h>
 
-#include "cli/commands.hpp"
+#include "asp/parser.hpp"
 #include "obs/export/exposition.hpp"
 #include "obs/export/http.hpp"
 #include "obs/metrics.hpp"
 #include "srv/audit.hpp"
+#include "srv/server.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
 #include "util/strings.hpp"
 
 namespace {
 
-using agenp::cli::ServeCliOptions;
-using agenp::cli::cmd_serve;
-
-std::string temp_file(const std::string& name, const std::string& content) {
-    std::string path = std::string(::testing::TempDir()) + "/agenp_" + name;
-    std::ofstream out(path);
-    out << content;
-    return path;
-}
+using agenp::srv::Server;
+using agenp::srv::ServerOptions;
 
 // The same tiny serving grammar the CLI tests use: "do patrol" permits
 // under maxloa(3), "do strike" denies.
@@ -50,11 +45,13 @@ task -> "patrol" { requires(2). }
 task -> "strike" { requires(5). }
 )asg";
 
-ServeCliOptions base_serve_options(const std::string& tag) {
-    ServeCliOptions options;
-    options.grammar_path = temp_file("export_" + tag + ".asg", kServeGrammar);
-    options.context_path = temp_file("export_" + tag + ".lp", "maxloa(3).\n");
-    options.threads = 2;
+agenp::srv::AmsRouter::AmsFactory serve_factory() {
+    return agenp::srv::policy_factory(kServeGrammar, agenp::asp::parse_program("maxloa(3)."));
+}
+
+ServerOptions base_serve_options() {
+    ServerOptions options;
+    options.router.service.threads = 2;
     return options;
 }
 
@@ -366,65 +363,31 @@ TEST(AuditLogTest, SamplingKeepsEveryNth) {
 }
 
 // ---------------------------------------------------------------------------
-// Live serve-process tests.
-
-// Feeds cmd_serve from the read end of a pipe so the test can inject
-// traffic, scrape mid-flight, then close the write end to trigger the
-// stdin-mode drain.
-struct PipeStreambuf : std::streambuf {
-    int fd;
-    char ch = 0;
-    explicit PipeStreambuf(int fd) : fd(fd) {}
-    int underflow() override {
-        ssize_t n = ::read(fd, &ch, 1);
-        if (n <= 0) return traits_type::eof();
-        setg(&ch, &ch, &ch + 1);
-        return traits_type::to_int_type(ch);
-    }
-};
+// Live serve-process tests: the srv::Server `agenp serve` runs.
 
 TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
-    int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
-    std::atomic<std::uint16_t> metrics_port{0};
-    ServeCliOptions options = base_serve_options("scrape");
-    options.metrics_listen = true;
-    options.metrics_listen_port = 0;
-    options.metrics_announce_port = &metrics_port;
+    ServerOptions options = base_serve_options();
+    options.metrics_port = 0;
     std::ostringstream out;
-    std::thread server([&] {
-        PipeStreambuf buf(fds[0]);
-        std::istream in(&buf);
-        cmd_serve(options, in, out);
-    });
-    for (int i = 0; i < 2000 && metrics_port.load() == 0; ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_NE(metrics_port.load(), 0);
+    Server server(serve_factory(), options, out);
+    const std::uint16_t metrics_port = server.metrics_port();
+    ASSERT_NE(metrics_port, 0);
 
-    // Send traffic, then scrape while the server is alive.
+    // Answer 20 requests on the stdin front end, then scrape while the
+    // server is alive: the latency histogram and the cost-table cells
+    // only exist once traffic was processed.
     std::string input;
     for (int i = 0; i < 20; ++i) input += "do patrol\n";
-    ASSERT_EQ(::write(fds[1], input.data(), input.size()), static_cast<ssize_t>(input.size()));
-    // Wait until the exporter sees all 20 requests: the latency histogram
-    // and the cost-table cells only exist once traffic was processed, so
-    // scraping before that races (notably under sanitizer slowdown).
-    for (int i = 0; i < 2000; ++i) {
-        auto probe = get(metrics_port.load(), "/statz");
-        if (probe.has_value() &&
-            probe->body.find("\"completed\":20") != std::string::npos) {
-            break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
+    std::istringstream in(input);
+    server.serve_lines(in);
 
-    auto healthz = get(metrics_port.load(), "/healthz");
+    auto healthz = get(metrics_port, "/healthz");
     ASSERT_TRUE(healthz.has_value());
     EXPECT_EQ(healthz->status, 200);
     EXPECT_NE(healthz->body.find("\"status\":\"ok\""), std::string::npos);
     EXPECT_NE(healthz->content_type.find("application/json"), std::string::npos);
 
-    auto metrics = get(metrics_port.load(), "/metrics");
+    auto metrics = get(metrics_port, "/metrics");
     ASSERT_TRUE(metrics.has_value());
     EXPECT_EQ(metrics->status, 200);
     EXPECT_NE(metrics->content_type.find("version=0.0.4"), std::string::npos);
@@ -449,7 +412,7 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_NE(metrics->body.find("agenp_memo_sat_hits"), std::string::npos);
     EXPECT_NE(metrics->body.find("agenp_memo_entries"), std::string::npos);
 
-    auto statz = get(metrics_port.load(), "/statz");
+    auto statz = get(metrics_port, "/statz");
     ASSERT_TRUE(statz.has_value());
     EXPECT_EQ(statz->status, 200);
     auto stats = agenp::srv::parse_json(statz->body);
@@ -463,7 +426,7 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_NE(statz->body.find("\"p95_us\":"), std::string::npos);
     EXPECT_NE(statz->body.find("\"hit_rate\":"), std::string::npos);
 
-    auto buildz = get(metrics_port.load(), "/buildz");
+    auto buildz = get(metrics_port, "/buildz");
     ASSERT_TRUE(buildz.has_value());
     EXPECT_EQ(buildz->status, 200);
     EXPECT_NE(buildz->body.find("\"git_sha\":\""), std::string::npos);
@@ -474,23 +437,21 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
 
     // Short one-shot profile over the live server; stacks may be empty on
     // an idle process, but the endpoint itself must answer in both forms.
-    auto profz = get(metrics_port.load(), "/profz?seconds=0.2&hz=200&format=json");
+    auto profz = get(metrics_port, "/profz?seconds=0.2&hz=200&format=json");
     ASSERT_TRUE(profz.has_value());
     EXPECT_EQ(profz->status, 200);
     EXPECT_NE(profz->body.find("\"hz\":200"), std::string::npos);
     EXPECT_NE(profz->body.find("\"stacks\":["), std::string::npos);
-    auto bad = get(metrics_port.load(), "/profz?seconds=900");
+    auto bad = get(metrics_port, "/profz?seconds=900");
     ASSERT_TRUE(bad.has_value());
     EXPECT_EQ(bad->status, 400);
 
-    auto missing = get(metrics_port.load(), "/nope");
+    auto missing = get(metrics_port, "/nope");
     ASSERT_TRUE(missing.has_value());
     EXPECT_EQ(missing->status, 404);
     EXPECT_NE(missing->body.find("/profz"), std::string::npos);
 
-    ::close(fds[1]);  // EOF -> drain -> exit
-    server.join();
-    ::close(fds[0]);
+    server.drain();
     EXPECT_NE(out.str().find("Permit"), std::string::npos);
 }
 
@@ -502,11 +463,14 @@ TEST(ServeMetricsTest, AuditLinesCorrelateWithFlightRecorderTraceIds) {
         input += "{\"decide\":\"do patrol\",\"id\":" + std::to_string(i + 1) + "}\n";
     }
     input += "!flight\n";
-    ServeCliOptions options = base_serve_options("audit");
-    options.audit_path = audit_path;
+    ServerOptions options = base_serve_options();
+    options.audit.path = audit_path;
     std::istringstream in(input);
     std::ostringstream out;
-    ASSERT_EQ(cmd_serve(options, in, out), 0);
+    {
+        Server server(serve_factory(), options, out);
+        server.serve_lines(in);
+    }
 
     // Flight-recorder trace ids from the !flight control line (the flight
     // record `id` field carries the request's trace id).
@@ -555,43 +519,30 @@ TEST(ServeMetricsTest, AuditLinesCorrelateWithFlightRecorderTraceIds) {
 // draining body. The drain window is wide (one worker, no cache, a
 // backlog of full solves, replies unread by the client until the end)
 // but scheduling can still collapse it, so the caller retries.
-bool drain_attempt(int attempt) {
-    std::atomic<std::uint16_t> port{0};
-    std::atomic<std::uint16_t> metrics_port{0};
-    int shutdown_fds[2];
-    if (::pipe(shutdown_fds) != 0) return false;
-    ServeCliOptions options = base_serve_options("drain" + std::to_string(attempt));
-    options.listen = true;
-    options.listen_port = 0;
-    options.metrics_listen = true;
-    options.metrics_listen_port = 0;
-    options.announce_port = &port;
-    options.metrics_announce_port = &metrics_port;
-    options.shutdown_fd = shutdown_fds[0];
-    options.threads = 1;
-    options.use_cache = false;
-    std::istringstream in;
+bool drain_attempt() {
+    ServerOptions options = base_serve_options();
+    options.port = 0;
+    options.metrics_port = 0;
+    options.router.service.threads = 1;
+    options.router.service.use_cache = false;
     std::ostringstream out;
-    std::thread server([&] { cmd_serve(options, in, out); });
-    for (int i = 0; i < 2000 && (port.load() == 0 || metrics_port.load() == 0); ++i) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_NE(port.load(), 0);
-    EXPECT_NE(metrics_port.load(), 0);
+    Server server(serve_factory(), options, out);
+    const std::uint16_t port = server.port();
+    const std::uint16_t metrics_port = server.metrics_port();
 
-    auto healthy = get(metrics_port.load(), "/healthz");
+    auto healthy = get(metrics_port, "/healthz");
     EXPECT_TRUE(healthy.has_value() && healthy->status == 200);
 
     // Queue a backlog and wait until the server has actually submitted it
     // (shutdown discards unread input, so the lines must be past the
     // event loop before the drain starts).
-    agenp::srv::TcpClient client("127.0.0.1", port.load());
+    agenp::srv::TcpClient client("127.0.0.1", port);
     constexpr int kBacklog = 400;
     for (int i = 0; i < kBacklog; ++i) {
         client.send_line("{\"decide\":\"do patrol\",\"id\":" + std::to_string(i + 1) + "}");
     }
     for (int i = 0; i < 2000; ++i) {
-        auto statz = get(metrics_port.load(), "/statz");
+        auto statz = get(metrics_port, "/statz");
         if (!statz.has_value()) break;
         auto stats = agenp::srv::parse_json(statz->body);
         if (stats.has_value() &&
@@ -607,7 +558,7 @@ bool drain_attempt(int attempt) {
     std::atomic<bool> poller_stop{false};
     std::thread poller([&] {
         while (!poller_stop.load(std::memory_order_acquire)) {
-            auto response = get(metrics_port.load(), "/healthz", std::chrono::milliseconds(250));
+            auto response = get(metrics_port, "/healthz", std::chrono::milliseconds(250));
             if (!response.has_value()) break;  // listener torn down
             if (response->status == 503 &&
                 response->body.find("\"status\":\"draining\"") != std::string::npos) {
@@ -616,15 +567,13 @@ bool drain_attempt(int attempt) {
             }
         }
     });
-    EXPECT_EQ(::write(shutdown_fds[1], "x", 1), 1);
+    std::thread drainer([&] { server.drain(); });
     // Let the drain finish: read the replies so the server can flush.
     while (client.recv_line(std::chrono::milliseconds(2000)).has_value()) {
     }
-    server.join();
+    drainer.join();
     poller_stop.store(true, std::memory_order_release);
     poller.join();
-    ::close(shutdown_fds[0]);
-    ::close(shutdown_fds[1]);
     return saw_draining.load();
 }
 
@@ -634,9 +583,77 @@ TEST(ServeMetricsTest, ListenModeHealthzFlipsTo503WhileDraining) {
     // can still blow through it, so allow a few fresh-server retries.
     bool saw_draining = false;
     for (int attempt = 0; attempt < 5 && !saw_draining; ++attempt) {
-        saw_draining = drain_attempt(attempt);
+        saw_draining = drain_attempt();
     }
     EXPECT_TRUE(saw_draining);
+}
+
+// An output sink the test can read while the server's ticker thread
+// writes to it.
+class SharedSink : public std::streambuf {
+public:
+    std::string text() {
+        std::lock_guard lock(mu_);
+        return text_;
+    }
+
+protected:
+    int overflow(int c) override {
+        std::lock_guard lock(mu_);
+        if (c != traits_type::eof()) text_.push_back(static_cast<char>(c));
+        return c;
+    }
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        std::lock_guard lock(mu_);
+        text_.append(s, static_cast<std::size_t>(n));
+        return n;
+    }
+
+private:
+    std::mutex mu_;
+    std::string text_;
+};
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+    std::size_t count = 0;
+    for (auto pos = text.find(needle); pos != std::string::npos; pos = text.find(needle, pos + 1)) {
+        ++count;
+    }
+    return count;
+}
+
+TEST(ServeMetricsTest, PeriodicWindowLinesAndSnapshotsRunOnTheTicker) {
+    const std::string state_dir = std::string(::testing::TempDir()) + "/agenp_periodic_state";
+    const std::string snapshot_path = state_dir + "/snapshot.agenp";
+    std::remove(snapshot_path.c_str());
+    ServerOptions options = base_serve_options();
+    options.state_dir = state_dir;
+    options.stats_every_s = 1;
+    options.snapshot_every_s = 1;
+    SharedSink sink;
+    std::ostream out(&sink);
+    Server server(serve_factory(), options, out);
+    std::istringstream in("do patrol\n");
+    server.serve_lines(in);
+
+    // Ticks come once a second; allow generous slack for sanitizer builds.
+    bool snapshot_written = false;
+    for (int i = 0; i < 600; ++i) {
+        snapshot_written = std::ifstream(snapshot_path).good();
+        if (snapshot_written && count_of(sink.text(), "SERVE_WINDOW_JSON {") >= 2) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    EXPECT_TRUE(snapshot_written) << "no periodic snapshot in " << state_dir;
+    EXPECT_GE(count_of(sink.text(), "SERVE_WINDOW_JSON {"), 2U) << sink.text();
+    EXPECT_EQ(sink.text().find("snapshot failed"), std::string::npos) << sink.text();
+
+    server.drain();
+    std::string text = sink.text();
+    EXPECT_NE(text.find("SNAPSHOT_JSON {\"entries\":1"), std::string::npos) << text;
+    EXPECT_NE(text.find("SERVE_STATS_JSON {"), std::string::npos) << text;
+    std::remove(snapshot_path.c_str());
+    std::remove((state_dir + "/wal.agenp").c_str());
+    ::rmdir(state_dir.c_str());
 }
 
 }  // namespace

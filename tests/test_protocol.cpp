@@ -1,6 +1,6 @@
 // docs/PROTOCOL.md conformance: every example exchange in the protocol
 // document is replayed verbatim against a live `agenp serve --listen`
-// server (real cmd_serve, real TCP socket). If the shipped behavior
+// server (the srv::Server `agenp serve` runs, real TCP socket). If the shipped behavior
 // drifts from the spec, this test fails — and names the drifting line.
 //
 // Transcript conventions (defined in the document itself):
@@ -13,29 +13,20 @@
 
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cli/commands.hpp"
+#include "asp/parser.hpp"
+#include "srv/server.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
 
-namespace agenp::cli {
+namespace agenp::srv {
 namespace {
-
-std::string temp_file(const std::string& name, const std::string& content) {
-    std::string path = std::string(::testing::TempDir()) + name;
-    std::ofstream out(path);
-    out << content;
-    return path;
-}
 
 std::string read_whole_file(const std::string& path) {
     std::ifstream in(path);
@@ -185,29 +176,18 @@ TEST(Protocol, ShippedExamplesRoundTripAgainstLiveServer) {
     auto steps = transcript_steps(doc);
     ASSERT_FALSE(steps.empty()) << "PROTOCOL.md lost its ```jsonl transcripts";
 
-    ServeCliOptions options;
-    options.grammar_path = temp_file("protocol_grammar.asg", grammars.front());
-    options.context_path = temp_file("protocol_context.lp", contexts.front());
-    options.threads = 2;
-    options.replicas = 1;  // the document pins "replicas":1 in ping replies
+    srv::ServerOptions options;
+    options.router.service.threads = 2;
+    options.router.replicas = 1;  // the document pins "replicas":1 in ping replies
     // The `!snapshot` example needs somewhere to persist to.
     options.state_dir = std::string(::testing::TempDir()) + "protocol_state";
-    options.listen = true;
-    options.listen_port = 0;
-    int shutdown_pipe[2];
-    ASSERT_EQ(::pipe(shutdown_pipe), 0);
-    options.shutdown_fd = shutdown_pipe[0];
-    std::atomic<std::uint16_t> port{0};
-    options.announce_port = &port;
-
-    std::istringstream unused_in;
+    options.port = 0;
     std::ostringstream serve_out;
-    int exit_code = -1;
-    std::thread server([&] { exit_code = cmd_serve(options, unused_in, serve_out); });
-    while (port.load() == 0) std::this_thread::sleep_for(std::chrono::milliseconds{1});
+    srv::Server server(policy_factory(grammars.front(), asp::parse_program(contexts.front())),
+                       options, serve_out);
 
     {
-        srv::TcpClient client("127.0.0.1", port.load());
+        srv::TcpClient client("127.0.0.1", server.port());
         for (const auto& step : steps) {
             switch (step.kind) {
                 case Step::Kind::Send: client.send_line(step.text); break;
@@ -231,12 +211,7 @@ TEST(Protocol, ShippedExamplesRoundTripAgainstLiveServer) {
         }
     }
 
-    // One byte on the shutdown descriptor triggers the graceful drain.
-    ASSERT_EQ(::write(shutdown_pipe[1], "x", 1), 1);
-    server.join();
-    ::close(shutdown_pipe[0]);
-    ::close(shutdown_pipe[1]);
-    EXPECT_EQ(exit_code, 0) << serve_out.str();
+    server.drain();
     EXPECT_NE(serve_out.str().find("AGENP_LISTENING port="), std::string::npos);
     EXPECT_NE(serve_out.str().find("SERVE_STATS_JSON "), std::string::npos);
     std::remove((options.state_dir + "/snapshot.agenp").c_str());
@@ -270,4 +245,4 @@ TEST(Protocol, BadRequestCatalogueMatchesParser) {
 }
 
 }  // namespace
-}  // namespace agenp::cli
+}  // namespace agenp::srv
