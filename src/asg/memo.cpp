@@ -74,10 +74,30 @@ public:
         return asp::Atom(predicate(a.predicate), a.args, a.annotation);
     }
 
+    asp::AtomRule rule(const asp::AtomRule& r) {
+        asp::AtomRule out;
+        if (r.head) out.head = atom(*r.head);
+        out.pos.reserve(r.pos.size());
+        for (const auto& a : r.pos) out.pos.push_back(atom(a));
+        out.neg.reserve(r.neg.size());
+        for (const auto& a : r.neg) out.neg.push_back(atom(a));
+        return out;
+    }
+
 private:
     std::string suffix_;
     std::unordered_map<std::uint32_t, util::Symbol> cache_;
 };
+
+void intern_rule(asp::GroundProgram& program, const asp::AtomRule& rule) {
+    asp::GroundRule ground_rule;
+    if (rule.head) ground_rule.head = program.intern(*rule.head);
+    ground_rule.pos.reserve(rule.pos.size());
+    for (const auto& a : rule.pos) ground_rule.pos.push_back(program.intern(a));
+    ground_rule.neg.reserve(rule.neg.size());
+    for (const auto& a : rule.neg) ground_rule.neg.push_back(program.intern(a));
+    program.add_rule(std::move(ground_rule));
+}
 
 }  // namespace
 
@@ -102,19 +122,25 @@ void GroundingMemo::note_gate_fallback() {
     gate_fallbacks_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void GroundingMemo::record(std::uint64_t hits, std::uint64_t misses, std::uint64_t sat_hits) {
+    hits_.fetch_add(hits, std::memory_order_relaxed);
+    misses_.fetch_add(misses, std::memory_order_relaxed);
+    sat_hits_.fetch_add(sat_hits, std::memory_order_relaxed);
+}
+
 MemoStats GroundingMemo::stats() const {
     MemoStats out;
     for (const auto& shard : shards_) {
         obs::ProfiledMutexLock lock(shard->mu);
-        out.hits += shard->hits;
-        out.misses += shard->misses;
         out.insertions += shard->insertions;
         out.evictions += shard->evictions;
         out.invalidations += shard->invalidations;
-        out.sat_hits += shard->sat_hits;
         out.entries += shard->lru.size();
         out.bytes += shard->bytes;
     }
+    out.hits = hits_.load(std::memory_order_relaxed);
+    out.misses = misses_.load(std::memory_order_relaxed);
+    out.sat_hits = sat_hits_.load(std::memory_order_relaxed);
     out.gate_fallbacks = gate_fallbacks_.load(std::memory_order_relaxed);
     return out;
 }
@@ -150,6 +176,23 @@ void GroundingMemo::erase_entry(Shard& shard, std::list<Entry>::iterator it) {
     shard.lru.erase(it);
 }
 
+void GroundingMemo::put(Shard& shard, const Key& key,
+                        std::shared_ptr<const GroundedFragment> fragment, int verdict) {
+    auto existing = shard.index.find(key.hash);
+    if (existing != shard.index.end()) erase_entry(shard, existing->second);
+    Entry entry;
+    entry.key = key;
+    entry.epoch = epoch();
+    entry.bytes = (fragment ? fragment->bytes : 0) + key.shape.size() * sizeof(int) + sizeof(Entry);
+    entry.fragment = std::move(fragment);
+    entry.verdict = verdict;
+    shard.lru.push_front(std::move(entry));
+    shard.index.emplace(key.hash, shard.lru.begin());
+    shard.bytes += shard.lru.front().bytes;
+    ++shard.insertions;
+    evict_over_budget(shard);
+}
+
 void GroundingMemo::evict_over_budget(Shard& shard) {
     while (shard.bytes > shard_capacity_ && !shard.lru.empty()) {
         ++shard.evictions;
@@ -161,58 +204,27 @@ GroundingMemo::Probe GroundingMemo::probe(const Key& key) {
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
     auto it = find_live(shard, key);
-    if (it == shard.lru.end()) {
-        ++shard.misses;
-        return {};
-    }
-    ++shard.hits;
-    if (it->verdict >= 0) ++shard.sat_hits;
+    if (it == shard.lru.end()) return {};
     shard.lru.splice(shard.lru.begin(), shard.lru, it);  // touch
-    Probe out;
-    out.fragment = it->fragment;
-    out.program = it->program;
-    out.verdict = it->verdict;
-    return out;
+    return {it->fragment, it->verdict};
 }
 
 void GroundingMemo::insert(const Key& key, std::shared_ptr<const GroundedFragment> fragment) {
-    std::size_t bytes = fragment ? fragment->bytes : 0;
-    Shard& shard = shard_for(key.hash);
-    obs::ProfiledMutexLock lock(shard.mu);
-    auto existing = shard.index.find(key.hash);
-    if (existing != shard.index.end()) erase_entry(shard, existing->second);
-    Entry entry;
-    entry.key = key;
-    entry.epoch = epoch();
-    entry.bytes = bytes + key.shape.size() * sizeof(int) + sizeof(Entry);
-    entry.fragment = std::move(fragment);
-    shard.lru.push_front(std::move(entry));
-    shard.index.emplace(key.hash, shard.lru.begin());
-    shard.bytes += shard.lru.front().bytes;
-    ++shard.insertions;
-    evict_over_budget(shard);
-}
-
-void GroundingMemo::attach_program(const Key& key,
-                                   std::shared_ptr<const asp::GroundProgram> program) {
-    std::size_t extra = program ? program->atom_count() * 64 + program->rules().size() * 32 : 0;
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
     auto it = find_live(shard, key);
-    if (it == shard.lru.end()) return;
-    if (it->program) return;
-    it->program = std::move(program);
-    it->bytes += extra;
-    shard.bytes += extra;
-    evict_over_budget(shard);
+    put(shard, key, std::move(fragment), it == shard.lru.end() ? -1 : it->verdict);
 }
 
 void GroundingMemo::attach_verdict(const Key& key, bool satisfiable) {
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
     auto it = find_live(shard, key);
-    if (it == shard.lru.end()) return;
-    it->verdict = satisfiable ? 1 : 0;
+    if (it == shard.lru.end()) {
+        put(shard, key, nullptr, satisfiable ? 1 : 0);
+    } else {
+        it->verdict = satisfiable ? 1 : 0;
+    }
 }
 
 MemoizedGrounding::MemoizedGrounding(GroundingMemo* memo, const AnswerSetGrammar& grammar,
@@ -237,8 +249,9 @@ MemoizedGrounding::MemoizedGrounding(GroundingMemo* memo, const AnswerSetGrammar
 }
 
 MemoizedGrounding::~MemoizedGrounding() {
+    if (local_hits_ == 0 && local_misses_ == 0) return;  // sat hits are hits
+    memo_->record(local_hits_, local_misses_, local_sat_hits_);
     if (!obs::metrics_enabled()) return;
-    if (local_hits_ == 0 && local_misses_ == 0 && local_sat_hits_ == 0) return;
     auto& m = obs::metrics();
     static obs::Counter& hits = m.counter("asg.memo.hits");
     static obs::Counter& misses = m.counter("asg.memo.misses");
@@ -257,24 +270,10 @@ GroundingMemo::Key MemoizedGrounding::make_key(const cfg::ParseNode& node) const
     return key;
 }
 
-std::shared_ptr<const GroundedFragment> MemoizedGrounding::ground_fragment(
-    const cfg::ParseNode& node) {
-    GroundingMemo::Key key = make_key(node);
-    GroundingMemo::Probe probe = memo_->probe(key);
-    if (probe.fragment) {
-        ++local_hits_;
-        return probe.fragment;
-    }
-    ++local_misses_;
-    auto fragment = compute_fragment(node);
-    memo_->insert(key, fragment);
-    return fragment;
-}
-
-std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
-    const cfg::ParseNode& node) {
-    auto fragment = std::make_shared<GroundedFragment>();
-    std::vector<asp::Atom> seeds;
+template <typename Emit>
+std::vector<asp::Atom> MemoizedGrounding::compose(const cfg::ParseNode& node, Emit&& emit) {
+    std::vector<asp::Atom> derived;
+    std::size_t rules = 0;
 
     // Children first: relocate their rules and derived atoms into this
     // node's namespace (child i lives under "@i"). Leaves contribute
@@ -284,16 +283,9 @@ std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
         if (child.is_leaf()) continue;
         auto child_fragment = ground_fragment(child);
         Relocator reloc(static_cast<int>(i) + 1);
-        for (const auto& rule : child_fragment->rules) {
-            asp::AtomRule moved;
-            if (rule.head) moved.head = reloc.atom(*rule.head);
-            moved.pos.reserve(rule.pos.size());
-            for (const auto& a : rule.pos) moved.pos.push_back(reloc.atom(a));
-            moved.neg.reserve(rule.neg.size());
-            for (const auto& a : rule.neg) moved.neg.push_back(reloc.atom(a));
-            fragment->rules.push_back(std::move(moved));
-        }
-        for (const auto& a : child_fragment->derived) seeds.push_back(reloc.atom(a));
+        for (const auto& rule : child_fragment->rules) emit(reloc.rule(rule));
+        for (const auto& a : child_fragment->derived) derived.push_back(reloc.atom(a));
+        rules += child_fragment->rules.size();
     }
 
     // This node's own contribution: its production's annotation plus the
@@ -304,61 +296,54 @@ std::shared_ptr<const GroundedFragment> MemoizedGrounding::compute_fragment(
     local.rules().reserve(annotation.size() + context_.size());
     for (const auto& rule : annotation.rules()) local.add(rename_rule_at(rule, {}));
     for (const auto& rule : context_.rules()) local.add(rename_rule_at(rule, {}));
-    asp::SeededGrounding seeded = asp::ground_seeded(local, seeds, limits_);
-
-    for (auto& rule : seeded.rules) fragment->rules.push_back(std::move(rule));
-    fragment->derived = std::move(seeds);
-    for (auto& a : seeded.new_atoms) fragment->derived.push_back(std::move(a));
+    asp::SeededGrounding seeded = asp::ground_seeded(local, derived, limits_);
+    rules += seeded.rules.size();
+    for (auto& rule : seeded.rules) emit(std::move(rule));
+    for (auto& a : seeded.new_atoms) derived.push_back(std::move(a));
 
     // The per-call groundings each respect `limits_`; also bound the
     // composed totals so a fragment explosion surfaces the same way the
     // monolithic path would.
-    if (fragment->rules.size() > limits_.max_rules) {
+    if (rules > limits_.max_rules) {
         throw asp::GroundingError("grounding exceeded max_rules limit");
     }
-    if (fragment->derived.size() > limits_.max_atoms) {
+    if (derived.size() > limits_.max_atoms) {
         throw asp::GroundingError("grounding exceeded max_atoms limit");
     }
+    return derived;
+}
+
+std::shared_ptr<const GroundedFragment> MemoizedGrounding::ground_fragment(
+    const cfg::ParseNode& node) {
+    GroundingMemo::Key key = make_key(node);
+    if (auto hit = memo_->probe(key).fragment) {
+        ++local_hits_;
+        return hit;
+    }
+    ++local_misses_;  // also when only a root verdict is stored under `key`
+    auto fragment = std::make_shared<GroundedFragment>();
+    fragment->derived =
+        compose(node, [&](asp::AtomRule&& rule) { fragment->rules.push_back(std::move(rule)); });
     fragment->bytes = fragment_bytes(*fragment);
+    memo_->insert(key, fragment);
     return fragment;
 }
 
 MemoizedGrounding::Root MemoizedGrounding::ground_root(const cfg::ParseNode& tree) {
     Root out;
     out.key = make_key(tree);
-    GroundingMemo::Probe probe = memo_->probe(out.key);
-    if (probe.verdict >= 0) {
+    int verdict = memo_->probe(out.key).verdict;
+    if (verdict >= 0) {
         ++local_hits_;
         ++local_sat_hits_;
-        out.verdict = probe.verdict == 1;
+        out.verdict = verdict == 1;
         return out;
     }
-    std::shared_ptr<const GroundedFragment> fragment = probe.fragment;
-    if (fragment) {
-        ++local_hits_;
-    } else {
-        ++local_misses_;
-        fragment = compute_fragment(tree);
-        memo_->insert(out.key, fragment);
-    }
-    if (probe.program) {
-        out.program = probe.program;
-        return out;
-    }
-    // At the parse root the fragment's relative names are absolute, so its
-    // rules intern directly into the solver program.
-    auto program = std::make_shared<asp::GroundProgram>();
-    for (const auto& rule : fragment->rules) {
-        asp::GroundRule ground_rule;
-        if (rule.head) ground_rule.head = program->intern(*rule.head);
-        ground_rule.pos.reserve(rule.pos.size());
-        for (const auto& a : rule.pos) ground_rule.pos.push_back(program->intern(a));
-        ground_rule.neg.reserve(rule.neg.size());
-        for (const auto& a : rule.neg) ground_rule.neg.push_back(program->intern(a));
-        program->add_rule(std::move(ground_rule));
-    }
-    out.program = program;
-    memo_->attach_program(out.key, program);
+    ++local_misses_;
+    // At the parse root the fragment-relative names are absolute, so the
+    // composed rules intern straight into the solver program.
+    out.program = std::make_unique<asp::GroundProgram>();
+    compose(tree, [&](asp::AtomRule&& rule) { intern_rule(*out.program, rule); });
     return out;
 }
 

@@ -7,6 +7,9 @@
 // through the production choice. This memo keys grounded fragments by
 // `cfg::subtree_hash` ⧺ a context fingerprint, so repeated grammar
 // fragments across requests (and across parse positions) ground once.
+// A parse root is composed from its children's fragments straight into the
+// solver program and keeps only its decisive verdict: a whole root recurs
+// only as a repeated request, which a verdict alone answers.
 //
 // Soundness gate: compositional grounding is only valid when no annotation
 // or context rule has an annotated HEAD — an annotated head lets a parent
@@ -42,9 +45,9 @@ namespace agenp::asg {
 // A grounded G[PT] fragment with predicate namespaces relative to its own
 // subtree root: "p@" is the subtree root, "p@1.2" a grandchild. For the
 // parse root these relative names coincide with the absolute names that
-// `instantiate` produces, so the root fragment's rules intern directly
-// into the solver program. All atoms are deep heap values — nothing in a
-// fragment may point into the grounder's scratch arena (§13 escape rule).
+// `instantiate` produces, so a root composes directly into the solver
+// program. All atoms are deep heap values — nothing in a fragment may point
+// into the grounder's scratch arena (§13 escape rule).
 struct GroundedFragment {
     std::vector<asp::AtomRule> rules;
     std::vector<asp::Atom> derived;  // every derivable atom, relative names
@@ -52,8 +55,8 @@ struct GroundedFragment {
 };
 
 struct MemoStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::uint64_t hits = 0;    // fragments served + roots answered by a verdict
+    std::uint64_t misses = 0;  // fragments grounded + roots composed
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;  // stale-epoch entries erased on probe
@@ -92,25 +95,29 @@ public:
     };
 
     struct Probe {
-        std::shared_ptr<const GroundedFragment> fragment;           // null = miss
-        std::shared_ptr<const asp::GroundProgram> program;          // root entries only
+        std::shared_ptr<const GroundedFragment> fragment;  // null: none stored
         int verdict = -1;  // -1 unknown, 0 unsatisfiable, 1 satisfiable
     };
 
+    // Looks `key` up and marks it recently used. Counts nothing: the caller
+    // knows whether it wanted the fragment or the verdict (see `record`).
     Probe probe(const Key& key);
+    // Stores a subtree's fragment, keeping any verdict already under `key`
+    // (in a recursive grammar one query's root is the next one's child).
     void insert(const Key& key, std::shared_ptr<const GroundedFragment> fragment);
-    // Attach the interned solver program / decisive solve verdict to an
-    // existing entry (parse-root subtrees only); no-op if it was evicted.
-    void attach_program(const Key& key, std::shared_ptr<const asp::GroundProgram> program);
+    // Stores a parse root's decisive solve verdict. Without an entry for
+    // `key` it inserts a verdict-only one, charged its shape plus the entry
+    // overhead.
     void attach_verdict(const Key& key, bool satisfiable);
+    // Adds one query's probe outcomes to the stats.
+    void record(std::uint64_t hits, std::uint64_t misses, std::uint64_t sat_hits);
 
 private:
     struct Entry {
         Key key;
         std::uint64_t epoch = 0;
         std::size_t bytes = 0;
-        std::shared_ptr<const GroundedFragment> fragment;
-        std::shared_ptr<const asp::GroundProgram> program;
+        std::shared_ptr<const GroundedFragment> fragment;  // null: verdict only
         int verdict = -1;
     };
 
@@ -119,12 +126,9 @@ private:
         std::list<Entry> lru GUARDED_BY(mu);  // front = most recent
         std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index GUARDED_BY(mu);
         std::size_t bytes GUARDED_BY(mu) = 0;
-        std::uint64_t hits GUARDED_BY(mu) = 0;
-        std::uint64_t misses GUARDED_BY(mu) = 0;
         std::uint64_t insertions GUARDED_BY(mu) = 0;
         std::uint64_t evictions GUARDED_BY(mu) = 0;
         std::uint64_t invalidations GUARDED_BY(mu) = 0;
-        std::uint64_t sat_hits GUARDED_BY(mu) = 0;
     };
 
     Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
@@ -132,19 +136,26 @@ private:
     // when stale (counted as an invalidation). end() when absent.
     std::list<Entry>::iterator find_live(Shard& shard, const Key& key) REQUIRES(shard.mu);
     void erase_entry(Shard& shard, std::list<Entry>::iterator it) REQUIRES(shard.mu);
+    // Inserts a fresh entry for `key`, replacing whatever holds its hash.
+    void put(Shard& shard, const Key& key, std::shared_ptr<const GroundedFragment> fragment,
+             int verdict) REQUIRES(shard.mu);
     void evict_over_budget(Shard& shard) REQUIRES(shard.mu);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint64_t shard_mask_ = 0;
     std::size_t shard_capacity_ = 0;
     std::atomic<std::uint64_t> epoch_{0};
+    std::atomic<std::uint64_t> hits_{0};
+    std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> sat_hits_{0};
     std::atomic<std::uint64_t> gate_fallbacks_{0};
 };
 
 // One membership query's view of the memo: computes the gate and the
 // context fingerprint once, then serves composed root programs and cached
 // verdicts per parse tree. Counts hits/misses locally and flushes them to
-// the obs metrics registry on destruction (one flush per query).
+// the memo's stats and the obs metrics registry on destruction (one flush
+// per query).
 class MemoizedGrounding {
 public:
     MemoizedGrounding(GroundingMemo* memo, const AnswerSetGrammar& grammar,
@@ -161,8 +172,8 @@ public:
     struct Root {
         GroundingMemo::Key key;
         // The composed, interned G[PT] — null when `verdict` already
-        // answers the query.
-        std::shared_ptr<const asp::GroundProgram> program;
+        // answers the query. Owned by the caller; the memo keeps none.
+        std::unique_ptr<asp::GroundProgram> program;
         std::optional<bool> verdict;  // memoized decisive solve result
     };
 
@@ -177,7 +188,11 @@ public:
 private:
     GroundingMemo::Key make_key(const cfg::ParseNode& node) const;
     std::shared_ptr<const GroundedFragment> ground_fragment(const cfg::ParseNode& node);
-    std::shared_ptr<const GroundedFragment> compute_fragment(const cfg::ParseNode& node);
+    // Grounds `node`'s G[PT] from its children's memoized fragments and its
+    // own annotation + context, handing every rule to `emit`; returns every
+    // derivable atom. Throws asp::GroundingError on blown limits.
+    template <typename Emit>
+    std::vector<asp::Atom> compose(const cfg::ParseNode& node, Emit&& emit);
 
     GroundingMemo* memo_;
     const AnswerSetGrammar& grammar_;

@@ -86,7 +86,11 @@ Chart run_earley(const Grammar& g, const TokenString& tokens) {
                 // Complete.
                 ++completions;
                 result.completed[{s.prod, s.origin}].insert(i);
-                for (const State& t : chart[static_cast<std::size_t>(s.origin)]) {
+                // By index and by value: an empty completion (origin == i)
+                // appends to the very list it scans.
+                const std::vector<State>& waiting = chart[static_cast<std::size_t>(s.origin)];
+                for (std::size_t w = 0; w < waiting.size(); ++w) {
+                    State t = waiting[w];
                     const auto& tp = g.production(t.prod);
                     if (t.dot < static_cast<int>(tp.rhs.size()) &&
                         !tp.rhs[static_cast<std::size_t>(t.dot)].terminal &&

@@ -343,14 +343,15 @@ int cmd_serve(const std::string& grammar_path, const std::string& context_path,
 
     auto seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     srv::RouterStats rs = server.router().snapshot_stats();
-    std::size_t served = rs.total.completed + rs.total.rejected_overload + rs.total.expired;
+    std::size_t served =
+        rs.total.completed + rs.total.rejected_overload + rs.total.expired + rs.total.errors;
     char buf[128];
     std::snprintf(buf, sizeof(buf), "%.1f req/s, cache hit rate %.3f",
                   seconds > 0 ? static_cast<double>(served) / seconds : 0.0,
                   rs.total.cache.hit_rate());
     out << "served " << served << " requests (" << rs.total.permitted << " permit, "
         << rs.total.denied << " deny, " << rs.total.rejected_overload << " overloaded, "
-        << rs.total.expired << " expired): " << buf << "\n";
+        << rs.total.expired << " expired, " << rs.total.errors << " errors): " << buf << "\n";
     return 0;
 }
 

@@ -37,7 +37,7 @@ struct AuditEntry {
     std::uint64_t trace_id = 0;
     std::uint64_t client_id = 0;
     std::uint64_t request_hash = 0;  // util::fnv1a_hash of the request text
-    std::string outcome;             // Permit / Deny / Overloaded / Expired
+    std::string outcome;             // Permit / Deny / Overloaded / Expired / Error
     std::string strategy;            // membership / repository / cache / none
     bool cache_hit = false;
     std::uint64_t model_version = 0;

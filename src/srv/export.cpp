@@ -98,6 +98,7 @@ std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
     out += ",\"denied\":" + std::to_string(stats.denied);
     out += ",\"overloaded\":" + std::to_string(stats.rejected_overload);
     out += ",\"expired\":" + std::to_string(stats.expired);
+    out += ",\"errors\":" + std::to_string(stats.errors);
     out += ",\"queue_depth\":" + std::to_string(stats.queue_depth);
     out += ",\"traces_captured\":" + std::to_string(stats.traces_captured);
     char buf[32];

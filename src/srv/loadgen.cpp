@@ -70,7 +70,7 @@ LoadgenReport run_loadgen(DecisionService& service, const std::vector<cfg::Token
 
     struct ClientResult {
         std::size_t requests = 0;
-        std::size_t permitted = 0, denied = 0, overloaded = 0, expired = 0;
+        std::size_t permitted = 0, denied = 0, overloaded = 0, expired = 0, dropped = 0;
     };
     std::vector<ClientResult> results(options.clients);
     // Clients observe into one histogram concurrently (lock-free).
@@ -98,6 +98,7 @@ LoadgenReport run_loadgen(DecisionService& service, const std::vector<cfg::Token
                     case Outcome::Deny: ++r.denied; break;
                     case Outcome::Overloaded: ++r.overloaded; break;
                     case Outcome::Expired: ++r.expired; break;
+                    case Outcome::Error: ++r.dropped; break;
                 }
             }
         });
@@ -111,6 +112,7 @@ LoadgenReport run_loadgen(DecisionService& service, const std::vector<cfg::Token
         report.denied += r.denied;
         report.overloaded += r.overloaded;
         report.expired += r.expired;
+        report.dropped += r.dropped;
     }
     report.seconds = elapsed.count();
     report.throughput_rps =

@@ -38,8 +38,9 @@ struct LoadgenReport {
     double p95_us = 0;
     double p99_us = 0;
     double hit_rate = 0;  // over this run only (stats delta)
-    // Requests sent without a usable reply (TCP mode only: timeouts,
-    // unparseable replies, dropped connections). Always 0 in-process.
+    // Requests sent without a usable reply: TCP timeouts, unparseable or
+    // `internal` error replies and dropped connections; in-process,
+    // Outcome::Error decisions.
     std::size_t dropped = 0;
 
     // Fills mean/p50/p95/p99 from a latency histogram snapshot — the one

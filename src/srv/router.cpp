@@ -168,6 +168,7 @@ RouterStats AmsRouter::snapshot_stats() const {
         out.total.denied += replica.service.denied;
         out.total.rejected_overload += replica.service.rejected_overload;
         out.total.expired += replica.service.expired;
+        out.total.errors += replica.service.errors;
         out.total.traces_captured += replica.service.traces_captured;
         out.total.queue_depth += replica.service.queue_depth;
         out.total.cache.hits += replica.service.cache.hits;

@@ -1,6 +1,7 @@
 #include "srv/service.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -15,6 +16,7 @@ std::string_view outcome_name(Outcome outcome) {
         case Outcome::Deny: return "Deny";
         case Outcome::Overloaded: return "Overloaded";
         case Outcome::Expired: return "Expired";
+        case Outcome::Error: return "Error";
     }
     return "?";
 }
@@ -164,6 +166,7 @@ ServiceStats DecisionService::snapshot_stats() const {
     out.denied = denied_.load(std::memory_order_relaxed);
     out.rejected_overload = rejected_.load(std::memory_order_relaxed);
     out.expired = expired_.load(std::memory_order_relaxed);
+    out.errors = errors_.load(std::memory_order_relaxed);
     out.traces_captured = traces_captured_.load(std::memory_order_relaxed);
     {
         util::MutexLock lock(queue_mu_);
@@ -264,7 +267,7 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
                                  ? "cache"
                                  : framework::strategy_name(ams_.strategy());
         } else {
-            entry.strategy = "none";  // rejected before reaching the PDP
+            entry.strategy = "none";  // rejected, expired or failed: not decided
         }
         entry.cache_hit = decision.cache_hit;
         entry.model_version = decision.model_version;
@@ -299,7 +302,7 @@ Decision DecisionService::process(Task& task) {
     }
 
     bool permitted = false;
-    {
+    try {
         obs::ProfiledReadLock state(state_mu_);
         asp::Program context;
         {
@@ -342,6 +345,18 @@ Decision DecisionService::process(Task& task) {
             obs::ProfiledMutexLock monitor(monitor_mu_);
             decision.monitor_index = ams_.monitor().record(std::move(record));
         }
+    } catch (const std::exception& e) {
+        // Fails this request only; unwinding released the model lock, and
+        // a throw from the verdict step skipped the cache insert and the
+        // monitor record.
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        if (obs::metrics_enabled()) {
+            static obs::Counter& errors = obs::metrics().counter("srv.errors");
+            errors.add(1);
+        }
+        decision.error = e.what();
+        finish(decision, task, Outcome::Error);
+        return decision;
     }
 
     completed_.fetch_add(1, std::memory_order_relaxed);

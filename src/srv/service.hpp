@@ -27,7 +27,9 @@
 // request is rejected immediately with Outcome::Overloaded — the caller
 // learns it must shed load, rather than every caller slowing down.
 // Deadlines: a request whose deadline passes while queued is answered
-// Outcome::Expired without paying for a solve.
+// Outcome::Expired without paying for a solve. Failures: a decision whose
+// evaluation throws (e.g. asp::GroundingError on a blown grounding limit)
+// is answered Outcome::Error; the worker goes on to the next request.
 //
 // Observability (DESIGN.md section 7): every request gets a monotone id
 // and an obs::PhaseTimes array that every obs::Phase on the worker feeds.
@@ -109,6 +111,7 @@ enum class Outcome {
     Deny,
     Overloaded,  // rejected at submit: queue full or service stopping
     Expired,     // deadline passed before a worker picked the request up
+    Error,       // evaluating the request threw; nothing cached or monitored
 };
 
 std::string_view outcome_name(Outcome outcome);
@@ -124,8 +127,9 @@ struct Decision {
     // flight record and any captured trace.
     std::uint64_t trace_id = 0;
     // Monitor sequence number for give_feedback(); kNoIndex when the
-    // request never reached the PDP (Overloaded / Expired).
+    // request was not decided (Overloaded / Expired / Error).
     std::size_t monitor_index = kNoIndex;
+    std::string error;  // Error only: what the evaluation threw
 
     [[nodiscard]] bool permitted() const { return outcome == Outcome::Permit; }
 };
@@ -137,6 +141,7 @@ struct ServiceStats {
     std::uint64_t denied = 0;
     std::uint64_t rejected_overload = 0;
     std::uint64_t expired = 0;
+    std::uint64_t errors = 0;  // Outcome::Error replies
     std::uint64_t traces_captured = 0;
     std::size_t queue_depth = 0;
     CacheStats cache;
@@ -261,6 +266,7 @@ private:
     std::atomic<std::uint64_t> denied_{0};
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> expired_{0};
+    std::atomic<std::uint64_t> errors_{0};
     std::atomic<std::uint64_t> traces_captured_{0};
 
     std::vector<std::thread> workers_;

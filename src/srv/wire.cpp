@@ -396,12 +396,14 @@ void append_id(std::string& out, bool has_id, std::uint64_t id) {
 }  // namespace
 
 std::string wire_decision_json(const WireRequest& request, const Decision& decision) {
-    if (decision.outcome == Outcome::Overloaded || decision.outcome == Outcome::Expired) {
-        return wire_error_json(
-            request.has_id ? std::optional<std::uint64_t>(request.id) : std::nullopt,
-            decision.outcome == Outcome::Overloaded ? "overloaded" : "expired",
-            decision.outcome == Outcome::Overloaded ? "request queue is full"
-                                                    : "deadline passed before a worker was free");
+    auto id = request.has_id ? std::optional<std::uint64_t>(request.id) : std::nullopt;
+    switch (decision.outcome) {
+        case Outcome::Overloaded: return wire_error_json(id, "overloaded", "request queue is full");
+        case Outcome::Expired:
+            return wire_error_json(id, "expired", "deadline passed before a worker was free");
+        case Outcome::Error: return wire_error_json(id, "internal", decision.error);
+        case Outcome::Permit:
+        case Outcome::Deny: break;
     }
     std::string out = "{";
     append_id(out, request.has_id, request.id);

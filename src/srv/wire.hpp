@@ -88,11 +88,11 @@ std::optional<WireRequest> parse_wire_request(std::string_view line, std::string
                                               std::optional<std::uint64_t>* id_out = nullptr);
 
 // Renders the reply to a decision request: an outcome object for
-// Permit/Deny, a structured error object for Overloaded/Expired.
+// Permit/Deny, a structured error object for Overloaded/Expired/Error.
 std::string wire_decision_json(const WireRequest& request, const Decision& decision);
 
 // Renders a structured error reply (`code` is one of the stable error
-// codes from docs/PROTOCOL.md: bad_request, overloaded, expired).
+// codes from docs/PROTOCOL.md: bad_request, overloaded, expired, internal).
 std::string wire_error_json(std::optional<std::uint64_t> id, std::string_view code,
                             std::string_view message);
 

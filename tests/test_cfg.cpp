@@ -129,6 +129,23 @@ TEST(Earley, HandlesNestedNullables) {
     EXPECT_FALSE(recognizes(g, tokenize("x x x x end")));
 }
 
+TEST(Earley, EmptyCompletionWhileItsChartListGrows) {
+    // Completing `n -> epsilon` at position 0 advances the twenty
+    // `y -> n "ti"` items that `s -> y` predicted after `n` was predicted,
+    // appending them to the position-0 list the completion is scanning
+    // (past a capacity doubling: ASan reports the old scan's
+    // use-after-free).
+    std::string text = "s -> n \"x\" | y\nn -> epsilon\ny ->";
+    for (int i = 0; i < 20; ++i) text += (i ? " | n \"t" : " n \"t") + std::to_string(i) + "\"";
+    auto g = Grammar::parse(text);
+    for (int i = 0; i < 20; ++i) {
+        auto trees = parse_trees(g, tokenize("t" + std::to_string(i)));
+        ASSERT_EQ(trees.size(), 1u) << i;
+        EXPECT_EQ(trees[0].to_string(), "(s (y (n) t" + std::to_string(i) + "))");
+    }
+    EXPECT_TRUE(recognizes(g, tokenize("x")));
+}
+
 TEST(Earley, ParseTreeStructure) {
     auto g = Grammar::parse(kPolicyGrammar);
     auto trees = parse_trees(g, tokenize("permit admin"));

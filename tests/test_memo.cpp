@@ -1,10 +1,13 @@
 // The grounding memo (asg/memo.hpp): memo-on results must be identical to
-// the plain instantiate + ground + solve path, entries must invalidate
-// lazily on an epoch (model version) bump, the soundness gate must reject
-// annotated heads, and the sharded table must survive concurrent use with
-// concurrent epoch bumps (the TSan job runs this binary).
+// the plain instantiate + ground + solve path (on hand-written and on
+// randomly generated grammars), parse roots must retain only their verdict,
+// entries must invalidate lazily on an epoch (model version) bump, the
+// soundness gate must reject annotated heads, and the sharded table must
+// survive concurrent use with concurrent epoch bumps (the TSan job runs
+// this binary).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "asg/memo.hpp"
 #include "asp/parser.hpp"
 #include "asp/solver.hpp"
+#include "util/rng.hpp"
 
 namespace agenp::asg {
 namespace {
@@ -196,6 +200,220 @@ TEST(Memo, TinyBudgetEvictsButStaysCorrect) {
     MemoStats stats = memo.stats();
     EXPECT_GT(stats.evictions, 0u);
     EXPECT_LE(stats.bytes, 512u * 1u);  // per-shard budget holds
+}
+
+TEST(Memo, RootMissRetainsOnlyItsVerdict) {
+    // Distinct roots over one shared child: once the child's fragment is
+    // memoized, every new root is a miss whose composed program goes to
+    // the solver and is dropped; the memo keeps only the root's verdict.
+    constexpr int kRoots = 16;
+    std::string text;
+    for (int i = 0; i <= kRoots; ++i) {
+        text += "request -> \"w" + std::to_string(i) +
+                "\" task { :- requires(L)@2, maxloa(M), L > M. }\n";
+    }
+    text += "task -> \"patrol\" { requires(2). }\n";
+    auto g = AnswerSetGrammar::parse(text);
+    auto ctx = asp::parse_program("maxloa(3).");
+    GroundingMemo memo;
+    MembershipOptions options;
+    options.memo = &memo;
+    ASSERT_TRUE(in_language(g, tokenize("w0 patrol"), ctx, options));  // memoizes the child
+
+    // A verdict-only entry's charge (its shape plus the entry overhead),
+    // measured on an empty memo with a key of the roots' shape.
+    GroundingMemo reference;
+    GroundingMemo::Key shaped;
+    cfg::subtree_shape(cfg::parse_trees(g.grammar(), tokenize("w1 patrol")).front(), shaped.shape);
+    reference.attach_verdict(shaped, true);
+    const std::uint64_t verdict_entry = reference.stats().bytes;
+    ASSERT_GT(verdict_entry, 0u);
+
+    MemoStats before = memo.stats();
+    for (int i = 1; i <= kRoots; ++i) {
+        ASSERT_TRUE(in_language(g, tokenize("w" + std::to_string(i) + " patrol"), ctx, options));
+    }
+    MemoStats after = memo.stats();
+    EXPECT_EQ(after.misses - before.misses, std::uint64_t{kRoots});  // roots only
+    EXPECT_EQ(after.entries - before.entries, std::uint64_t{kRoots});
+    EXPECT_LE(after.bytes - before.bytes, kRoots * verdict_entry);
+}
+
+TEST(Memo, RootOfOneQueryIsTheNextQuerysChild) {
+    // s -> "x" s | "x": the root of "x x" is the child subtree of "x x x".
+    // A root's verdict-only entry is a fragment miss for the next query,
+    // and the fragment then stored under that key keeps the verdict.
+    auto g = AnswerSetGrammar::parse(R"(
+        s -> "x" s { n(N) :- n(M)@2, N = M + 1. :- n(N), N > 3. }
+        s -> "x" { n(1). }
+    )");
+    GroundingMemo memo;
+    MembershipOptions options;
+    options.memo = &memo;
+    std::vector<std::string> texts;
+    for (std::string t = "x"; texts.size() < 5; t += " x") texts.push_back(t);
+    for (int pass = 0; pass < 2; ++pass) {
+        std::uint64_t sat_hits = memo.stats().sat_hits;
+        for (const auto& t : texts) {
+            EXPECT_EQ(in_language(g, tokenize(t), {}, options), in_language(g, tokenize(t), {}))
+                << "pass " << pass << " '" << t << "'";
+        }
+        // Pass 0 solves every root; pass 1 answers each from its verdict.
+        EXPECT_EQ(memo.stats().sat_hits - sat_hits, pass == 0 ? 0u : texts.size());
+    }
+}
+
+// --- randomized memo-vs-plain differential ---
+
+constexpr const char* kTerminals[] = {"a", "b", "c"};
+
+struct Production {
+    std::size_t lhs = 0;
+    std::vector<int> body;  // nonterminal index, or -1 - t for terminal t
+};
+
+// A production symbol as grammar text: a quoted terminal or a nonterminal.
+std::string symbol(int sym) {
+    if (sym < 0) return std::string("\"") + kTerminals[-1 - sym] + "\"";
+    return sym == 0 ? "s" : "n" + std::to_string(sym);
+}
+
+// One production's annotation: facts, rules reading child atoms (`p(X)@i`)
+// with arithmetic and comparison builtins, constraints (some on the
+// context's r/1) and an even negation loop; `annotated_head` adds a head
+// deriving into a child's namespace, which the memo's gate must refuse.
+std::string random_annotation(util::Rng& rng, const Production& production, bool annotated_head) {
+    std::vector<std::size_t> kids;  // 1-based positions of nonterminal children
+    for (std::size_t i = 0; i < production.body.size(); ++i) {
+        if (production.body[i] >= 0) kids.push_back(i + 1);
+    }
+    auto k = [&] { return std::to_string(rng.uniform(0, 3)); };
+    auto kid = [&] { return std::to_string(rng.choice(kids)); };
+    std::string out;
+    for (std::int64_t r = rng.uniform(1, 4); r > 0; --r) {
+        switch (rng.uniform(0, kids.empty() ? 3 : 9)) {
+            case 0: out += "p(" + k() + "). "; break;
+            case 1: out += "q(" + k() + "). "; break;
+            case 2: out += ":- p(X), q(X). "; break;
+            case 3: out += "t :- not u. u :- not t. :- t, q(" + k() + "). "; break;
+            case 4: out += "p(X) :- p(X)@" + kid() + ". "; break;
+            case 5: out += "p(N) :- p(M)@" + kid() + ", N = M + 1. "; break;
+            case 6: out += "q(X) :- p(X)@" + kid() + ", X > " + k() + ". "; break;
+            case 7: out += ":- p(X)@" + kid() + ", r(X). "; break;
+            case 8: out += ":- q(X)@" + kid() + ", q(Y)@" + kid() + ", X != Y. "; break;
+            default: out += "ok :- q(X)@" + kid() + ". :- not ok, p(" + k() + "). "; break;
+        }
+    }
+    if (annotated_head && !kids.empty()) out += "q(" + k() + ")@" + kid() + ". ";
+    return out;
+}
+
+// "s" plus up to three more nonterminals over a/b/c, each with one to three
+// productions of up to three symbols: recursive, epsilon and ambiguous
+// productions all occur. One grammar in five gets annotated heads.
+std::vector<Production> random_grammar(util::Rng& rng, std::string& text) {
+    std::int64_t nonterminals = rng.uniform(1, 4);
+    bool annotated_heads = rng.bernoulli(0.2);
+    std::vector<Production> productions;
+    for (std::int64_t lhs = 0; lhs < nonterminals; ++lhs) {
+        for (std::int64_t alt = rng.uniform(1, 3); alt > 0; --alt) {
+            Production production{static_cast<std::size_t>(lhs), {}};
+            for (std::int64_t n = rng.uniform(0, 3); n > 0; --n) {
+                std::int64_t sym = rng.bernoulli(0.5) ? -1 - rng.uniform(0, 2)
+                                                      : rng.uniform(0, nonterminals - 1);
+                production.body.push_back(static_cast<int>(sym));
+            }
+            text += symbol(static_cast<int>(lhs)) + " ->";
+            if (production.body.empty()) text += " epsilon";
+            for (int sym : production.body) text += " " + symbol(sym);
+            text += " { " + random_annotation(rng, production, annotated_heads) + "}\n";
+            productions.push_back(std::move(production));
+        }
+    }
+    return productions;
+}
+
+// Appends a random derivation of `nt` to `out`; false when it ran too deep
+// or past six tokens (Earley over a long string of a highly ambiguous
+// grammar costs seconds and tests nothing more).
+bool derive(util::Rng& rng, const std::vector<Production>& productions, std::size_t nt, int depth,
+            std::string& out) {
+    if (depth > 6 || std::count(out.begin(), out.end(), ' ') > 6) return false;
+    std::vector<const Production*> options;
+    for (const auto& production : productions) {
+        if (production.lhs == nt) options.push_back(&production);
+    }
+    for (int sym : rng.choice(options)->body) {
+        if (sym < 0) {
+            out += std::string(kTerminals[-1 - sym]) + " ";
+        } else if (!derive(rng, productions, static_cast<std::size_t>(sym), depth + 1, out)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+std::string random_context(util::Rng& rng) {
+    std::string out;
+    for (int k = 0; k <= 3; ++k) {
+        if (rng.bernoulli(0.4)) out += "r(" + std::to_string(k) + "). ";
+    }
+    if (rng.bernoulli(0.3)) out += "p(" + std::to_string(rng.uniform(0, 3)) + "). ";
+    if (rng.bernoulli(0.3)) out += "q(X) :- r(X). ";
+    return out;
+}
+
+TEST(Memo, RandomGrammarsAgreeWithPlainMembership) {
+    // Every case is decided without a memo, with a fresh (cold) memo, with
+    // one memo shared across the grammar's cases on a first and a second
+    // (warm) pass, and with a 512-byte memo that evicts constantly.
+    util::Rng rng(15);
+    std::size_t gated = 0, accepted = 0, rejected = 0;
+    for (int grammar_index = 0; grammar_index < 120; ++grammar_index) {
+        std::string text;
+        std::vector<Production> productions = random_grammar(rng, text);
+        auto g = AnswerSetGrammar::parse(text);
+        std::vector<asp::Program> contexts = {asp::parse_program(random_context(rng)),
+                                              asp::parse_program(random_context(rng))};
+        std::vector<std::string> strings;
+        for (int i = 0; i < 6; ++i) {
+            std::string s;
+            if (i % 2 == 1 || !derive(rng, productions, 0, 0, s)) {
+                s.clear();
+                for (std::int64_t n = rng.uniform(0, 4); n > 0; --n) {
+                    s += std::string(kTerminals[rng.uniform(0, 2)]) + " ";
+                }
+            }
+            strings.push_back(s);
+        }
+        GroundingMemo shared;
+        GroundingMemo tiny({.capacity_bytes = 512, .shards = 1});
+        for (int pass = 0; pass < 2; ++pass) {
+            for (std::size_t c = 0; c < contexts.size(); ++c) {
+                for (const auto& s : strings) {
+                    MembershipResult plain = check_membership(g, tokenize(s), contexts[c]);
+                    (plain.in_language ? accepted : rejected) += 1;
+                    GroundingMemo cold;
+                    for (GroundingMemo* memo : {&cold, &shared, &tiny}) {
+                        MembershipOptions options;
+                        options.memo = memo;
+                        MembershipResult via =
+                            check_membership(g, tokenize(s), contexts[c], options);
+                        EXPECT_EQ(via.in_language, plain.in_language)
+                            << "grammar " << grammar_index << " pass " << pass << " context " << c
+                            << " '" << s << "'\n" << text;
+                        EXPECT_EQ(via.resource_limited, plain.resource_limited)
+                            << "grammar " << grammar_index << " '" << s << "'";
+                    }
+                }
+            }
+        }
+        if (shared.stats().gate_fallbacks > 0) ++gated;
+    }
+    // The generator reaches every path it aims at.
+    EXPECT_GT(gated, 0u);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(Memo, ClearEmptiesTheTable) {

@@ -229,6 +229,35 @@ TEST(DecisionService, DeadlineExpiresWhileQueued) {
     EXPECT_EQ(service.snapshot_stats().expired, 1u);
 }
 
+TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
+    // "big" derives two atoms against a one-atom grounding limit, so its
+    // membership check throws asp::GroundingError; "small" fits the limit.
+    framework::AmsOptions ams_options;
+    ams_options.membership.grounding.max_atoms = 1;
+    framework::AutonomousManagedSystem ams(
+        "limits",
+        asg::AnswerSetGrammar::parse("request -> \"big\" { a. b. }\nrequest -> \"small\" { a. }\n"),
+        ilp::HypothesisSpace{}, ams_options);
+    DecisionService service(ams, service_options(1));
+
+    Decision failed = service.submit(cfg::tokenize("big")).get();
+    EXPECT_EQ(failed.outcome, Outcome::Error);
+    EXPECT_EQ(failed.monitor_index, Decision::kNoIndex);
+    WireRequest request;
+    request.has_id = true;
+    request.id = 7;
+    EXPECT_EQ(wire_decision_json(request, failed),
+              R"({"id":7,"error":"internal","message":"grounding exceeded max_atoms limit"})");
+
+    // The one worker survived and decides the next request.
+    EXPECT_EQ(service.submit(cfg::tokenize("small")).get().outcome, Outcome::Permit);
+    ServiceStats stats = service.snapshot_stats();
+    EXPECT_EQ(stats.errors, 1u);
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.cache.insertions, 1u);          // the failure was not cached
+    EXPECT_EQ(ams.monitor().history().size(), 1u);  // nor recorded in the monitor
+}
+
 TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(2));
