@@ -572,6 +572,14 @@ LearnResult learn(const LearningTask& task, const LearnOptions& options) {
     LearnResult result = options.allow_fast_path && task.space.constraints_only()
                              ? FastPathLearner(task, options).run()
                              : GeneralLearner(task, options).run();
+    if (result.stats.world_cap_hit) {
+        // The fast path judged some example on only its first
+        // max_worlds_per_example answer sets, so its answer is unverified
+        // (Definition 3 quantifies over all of them). The general path
+        // checks full membership; it has no noise tolerance.
+        result = GeneralLearner(task, options).run();
+        result.stats.world_cap_hit = true;
+    }
     publish_stats(result);
     return result;
 }

@@ -11,7 +11,9 @@
 //    side constraints.
 //  - General path: CEGIS over a growing relevant-example set with an inner
 //    iterative-deepening subset search; coverage checks run full ASG
-//    membership with the hypothesis spliced in.
+//    membership with the hypothesis spliced in. It also reruns any task
+//    on which the fast path met an example with more answer sets than it
+//    enumerates, since the fast path's answer is then unverified.
 #pragma once
 
 #include "asg/membership.hpp"
@@ -24,7 +26,7 @@ class SearchGuidance;  // ilp/guidance.hpp
 struct LearnOptions {
     int max_rules = 4;        // hypothesis cardinality bound (general path)
     int max_cost = 24;        // total-cost bound
-    std::size_t max_worlds_per_example = 32;  // answer sets enumerated per parse tree (fast path)
+    std::size_t max_worlds_per_example = 32;  // answer sets enumerated per example (fast path)
     bool allow_fast_path = true;
     std::size_t search_budget = 5'000'000;  // branch-and-bound node budget
     // Noise tolerance (fast path only): when > 0, each example may be
@@ -46,7 +48,9 @@ struct LearnStats {
     std::size_t pruned_branches = 0;   // candidates skipped by the cost bound
     std::size_t cegis_iterations = 0;  // general path only
     bool used_fast_path = false;
-    bool world_cap_hit = false;  // some example had more answer sets than enumerated
+    // The fast path met an example with more answer sets than it
+    // enumerates; the result then comes from the general path.
+    bool world_cap_hit = false;
 };
 
 struct LearnResult {

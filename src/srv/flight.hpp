@@ -32,8 +32,8 @@ struct FlightRecord {
     std::uint64_t id = 0;      // request id; monotone in record order
     std::uint64_t client = 0;  // transport connection id; 0 = in-process
     std::uint64_t model_version = 0;
-    std::uint64_t queue_us = 0;  // submit -> worker dequeue
-    std::uint64_t solve_us = 0;  // verdict: cache probe, plus the PDP on a miss
+    std::uint64_t queue_us = 0;  // enqueue -> worker dequeue; 0 for a hit answered in submit()
+    std::uint64_t solve_us = 0;  // verdict: the cache probe on a hit, the PDP on a miss
     std::uint64_t total_us = 0;  // submit -> completion
     std::uint8_t outcome = 0;    // srv::Outcome, narrowed
     bool cache_hit = false;

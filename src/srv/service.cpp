@@ -62,14 +62,14 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
                                               SubmitOptions submit_options) {
     Task task;
     task.tokens = std::move(request);
-    task.enqueued_ns = obs::monotonic_ns();
+    task.submitted_ns = obs::monotonic_ns();
     std::chrono::microseconds timeout = submit_options.timeout;
     if (timeout.count() <= 0) timeout = options_.default_timeout;
     // A timeout too large to represent means no deadline.
     constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
     auto timeout_us = static_cast<std::uint64_t>(std::max<std::int64_t>(timeout.count(), 0));
-    task.deadline_ns = timeout_us > 0 && timeout_us < (kNoDeadline - task.enqueued_ns) / 1000
-                           ? task.enqueued_ns + timeout_us * 1000
+    task.deadline_ns = timeout_us > 0 && timeout_us < (kNoDeadline - task.submitted_ns) / 1000
+                           ? task.submitted_ns + timeout_us * 1000
                            : kNoDeadline;
     task.trace_id = options_.id_offset +
                     (submitted_.fetch_add(1, std::memory_order_relaxed) + 1) * options_.id_stride;
@@ -86,7 +86,7 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
             task.trace->set_client(task.client_id);
             // The root spans threads: it opens here, so the whole tree
             // nests under it, and closes in maybe_capture().
-            task.trace->begin_span(obs::PhaseId::SrvRequest, task.enqueued_ns);
+            task.trace->begin_span(obs::PhaseId::SrvRequest, task.submitted_ns);
         }
     }
     auto future = task.promise.get_future();
@@ -94,9 +94,11 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
         static obs::Counter& requests = obs::metrics().counter("srv.requests");
         requests.add(1);
     }
+    if (answer_if_cached(task)) return future;
 
     std::size_t depth = 0;
     bool rejected = false;
+    task.enqueued_ns = obs::monotonic_ns();
     {
         util::MutexLock lock(queue_mu_);
         if (stopping_ || queue_.size() >= options_.queue_capacity) {
@@ -124,6 +126,43 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
     }
     queue_cv_.notify_one();
     return future;
+}
+
+// The hit path: a request whose verdict is cached completes here, on the
+// submitting thread, with no queue hand-off and no worker wakeup. Returns
+// false when the request must be queued: probed (context and key kept for
+// the worker) after a miss, unprobed while an adoption holds the model
+// lock or the service is stopping.
+bool DecisionService::answer_if_cached(Task& task) {
+    if (!options_.use_cache || stopping_.load(std::memory_order_acquire)) return false;
+    // Never wait out an adoption: a learn holds the write lock for up to a
+    // second, and the submitting thread may be the transport's event loop.
+    if (!state_mu_.try_lock_shared()) return false;
+    Decision decision;
+    std::optional<bool> permitted;
+    std::optional<std::string> error;
+    {
+        obs::PhaseTimesScope phase_scope(&task.phases);
+        obs::TraceContextScope trace_scope(task.trace.get());
+        try {
+            permitted = verdict(task, decision, /*cached_only=*/true);
+        } catch (const std::exception& e) {
+            error = e.what();
+        }
+    }
+    state_mu_.unlock_shared();
+    if (!permitted && !error) return false;
+    // Answered without queueing: the request's queue wait is zero.
+    obs::record_phase(obs::PhaseId::SrvQueueWait, task.submitted_ns, task.submitted_ns,
+                      &task.phases, task.trace.get());
+    if (error) {
+        fail(decision, task, std::move(*error));
+    } else {
+        complete(decision, task, *permitted);
+    }
+    task.promise.set_value(decision);
+    if (task.on_complete) task.on_complete(decision);
+    return true;
 }
 
 std::vector<std::future<Decision>> DecisionService::submit_batch(
@@ -238,7 +277,7 @@ void DecisionService::maybe_capture(Task& task, std::uint64_t end_ns, std::uint6
 
 void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
     std::uint64_t end_ns = obs::monotonic_ns();
-    obs::record_phase(obs::PhaseId::SrvRequest, task.enqueued_ns, end_ns, &task.phases, nullptr);
+    obs::record_phase(obs::PhaseId::SrvRequest, task.submitted_ns, end_ns, &task.phases, nullptr);
     decision.outcome = outcome;
     decision.latency_us = task.phases.us(obs::PhaseId::SrvRequest);
     decision.trace_id = task.trace_id;
@@ -280,6 +319,89 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
     maybe_capture(task, end_ns, decision.latency_us);
 }
 
+// Gathers the request's context and, with the cache on, builds its key and
+// looks it up under the model version in force. On a hit the probe is the
+// request's whole verdict step, so it also feeds srv.solve.
+std::optional<bool> DecisionService::probe(Task& task) {
+    {
+        obs::Phase phase(obs::PhaseId::SrvContext);
+        task.context = ams_.pip().gather();
+    }
+    task.probed = true;
+    if (!options_.use_cache) return std::nullopt;
+    std::uint64_t start_ns = obs::monotonic_ns();
+    std::optional<bool> hit;
+    {
+        obs::Phase phase(obs::PhaseId::SrvCacheProbe);
+        task.key = DecisionCache::make_key(task.tokens, task.context);
+        hit = cache_.lookup(task.key, ams_.model_version());
+    }
+    if (hit) {
+        obs::record_phase(obs::PhaseId::SrvSolve, start_ns, obs::monotonic_ns(), &task.phases,
+                          task.trace.get());
+    }
+    return hit;
+}
+
+// One decision under the shared model lock: the probe (unless submit()
+// already made it), the PDP and the cache insert on a miss, then the PEP
+// and the monitor record. With `cached_only` it stops at a miss and
+// returns nullopt, leaving the probed task for a worker.
+std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, bool cached_only) {
+    std::optional<bool> permitted;
+    if (!task.probed) permitted = probe(task);
+    decision.model_version = ams_.model_version();
+    if (permitted) {
+        decision.cache_hit = true;
+    } else if (cached_only) {
+        return std::nullopt;
+    } else {
+        // A miss's verdict step: the PDP (the context and key may come
+        // from submit(), under an older hold of the lock; the model
+        // version is the one in force now).
+        obs::Phase phase(obs::PhaseId::SrvSolve);
+        permitted = ams_.decide(task.tokens, task.context);
+        if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);
+    }
+    ams_.pep().enforce(task.tokens, *permitted);
+
+    framework::DecisionRecord record;
+    record.request = task.tokens;
+    record.context = std::move(task.context);
+    record.permitted = *permitted;
+    record.model_version = decision.model_version;
+    {
+        obs::Phase phase(obs::PhaseId::SrvMonitor);
+        obs::ProfiledMutexLock monitor(monitor_mu_);
+        decision.monitor_index = ams_.monitor().record(std::move(record));
+    }
+    return permitted;
+}
+
+void DecisionService::complete(Decision& decision, Task& task, bool permitted) {
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    (permitted ? permitted_ : denied_).fetch_add(1, std::memory_order_relaxed);
+    if (obs::metrics_enabled()) {
+        auto& m = obs::metrics();
+        static obs::Counter& hits = m.counter("srv.cache_hits");
+        static obs::Counter& misses = m.counter("srv.cache_misses");
+        static obs::Counter& decisions = m.counter("srv.decisions");
+        decisions.add(1);
+        (decision.cache_hit ? hits : misses).add(1);
+    }
+    finish(decision, task, permitted ? Outcome::Permit : Outcome::Deny);
+}
+
+void DecisionService::fail(Decision& decision, Task& task, std::string error) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::metrics_enabled()) {
+        static obs::Counter& errors = obs::metrics().counter("srv.errors");
+        errors.add(1);
+    }
+    decision.error = std::move(error);
+    finish(decision, task, Outcome::Error);
+}
+
 Decision DecisionService::process(Task& task) {
     std::uint64_t dequeued_ns = obs::monotonic_ns();
     obs::record_phase(obs::PhaseId::SrvQueueWait, task.enqueued_ns, dequeued_ns, &task.phases,
@@ -301,75 +423,18 @@ Decision DecisionService::process(Task& task) {
         return decision;
     }
 
-    bool permitted = false;
+    std::optional<bool> permitted;
     try {
         obs::ProfiledReadLock state(state_mu_);
-        asp::Program context;
-        {
-            obs::Phase phase(obs::PhaseId::SrvContext);
-            context = ams_.pip().gather();
-        }
-        decision.model_version = ams_.model_version();
-
-        {
-            // The verdict step of every request: a cache probe, and the
-            // PDP on a miss.
-            obs::Phase phase(obs::PhaseId::SrvSolve);
-            if (options_.use_cache) {
-                CacheKey key = DecisionCache::make_key(task.tokens, context);
-                std::optional<bool> hit;
-                {
-                    obs::Phase probe(obs::PhaseId::SrvCacheProbe);
-                    hit = cache_.lookup(key, decision.model_version);
-                }
-                if (hit) {
-                    permitted = *hit;
-                    decision.cache_hit = true;
-                } else {
-                    permitted = ams_.decide(task.tokens, context);
-                    cache_.insert(key, decision.model_version, permitted);
-                }
-            } else {
-                permitted = ams_.decide(task.tokens, context);
-            }
-        }
-        ams_.pep().enforce(task.tokens, permitted);
-
-        framework::DecisionRecord record;
-        record.request = task.tokens;
-        record.context = std::move(context);
-        record.permitted = permitted;
-        record.model_version = decision.model_version;
-        {
-            obs::Phase phase(obs::PhaseId::SrvMonitor);
-            obs::ProfiledMutexLock monitor(monitor_mu_);
-            decision.monitor_index = ams_.monitor().record(std::move(record));
-        }
+        permitted = verdict(task, decision, /*cached_only=*/false);
     } catch (const std::exception& e) {
         // Fails this request only; unwinding released the model lock, and
         // a throw from the verdict step skipped the cache insert and the
         // monitor record.
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) {
-            static obs::Counter& errors = obs::metrics().counter("srv.errors");
-            errors.add(1);
-        }
-        decision.error = e.what();
-        finish(decision, task, Outcome::Error);
+        fail(decision, task, e.what());
         return decision;
     }
-
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    (permitted ? permitted_ : denied_).fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-        auto& m = obs::metrics();
-        static obs::Counter& hits = m.counter("srv.cache_hits");
-        static obs::Counter& misses = m.counter("srv.cache_misses");
-        static obs::Counter& decisions = m.counter("srv.decisions");
-        decisions.add(1);
-        (decision.cache_hit ? hits : misses).add(1);
-    }
-    finish(decision, task, permitted ? Outcome::Permit : Outcome::Deny);
+    complete(decision, task, *permitted);
     return decision;
 }
 

@@ -3,36 +3,51 @@
 //
 // Architecture:
 //
-//   submit() ──▶ bounded MPMC queue ──▶ fixed thread pool ──▶ Decision
-//                (reject Overloaded       │ cache lookup (srv/cache.hpp)
-//                 when full)              │ miss: PDP membership solve
-//                                         ▼
-//                                  DecisionMonitor (ring-bounded history,
-//                                  feeds the PAdaP feedback loop)
+//   submit() ── cache hit ──────────────────────────────────────▶ Decision
+//      │        (answered on the caller's thread: context, key,   ▲
+//      │         probe, PEP, monitor, flight/audit/trace)         │
+//      └─ miss ──▶ bounded MPMC queue ──▶ fixed thread pool ──────┘
+//                  (reject Overloaded      │ PDP membership solve,
+//                   when full)             │ cache insert
+//                                          ▼
+//                                   DecisionMonitor (ring-bounded history,
+//                                   feeds the PAdaP feedback loop)
+//
+// submit() probes the decision cache (srv/cache.hpp) itself. A hit is
+// answered before submit() returns: it queues no work, wakes no worker and
+// is neither Overloaded nor Expired. A miss is queued with the context and
+// key submit() already built, so the worker only runs the PDP. With
+// use_cache off every request goes to a worker, which gathers the context.
 //
 // Locking discipline:
-//  - `state_mu_` (ProfiledSharedMutex "srv.model"): workers take it shared
-//    while reading the model/context/policy repository and running the
-//    PEP; update_model() takes it exclusive, so model adoption never races
-//    a decision. PIP sources and the PEP effector run under the shared
-//    lock from multiple workers concurrently and must themselves be
-//    thread-safe.
+//  - `state_mu_` (ProfiledSharedMutex "srv.model"): decisions take it
+//    shared while reading the model/context/policy repository and running
+//    the PEP; update_model() takes it exclusive, so model adoption never
+//    races a decision. submit() only try-locks it: while an adoption holds
+//    it (a learn can take a second) the request is queued unprobed, and the
+//    worker decides it after the adoption. PIP sources and the PEP effector
+//    therefore run concurrently on workers and on submitting threads (for
+//    TCP, the event loop) and must be thread-safe; a source that blocks
+//    stalls the thread that submitted.
 //  - `monitor_mu_` (ProfiledMutex "srv.monitor"): serializes
 //    DecisionMonitor record/feedback (short critical section; the
 //    expensive membership solve happens outside it).
 //  - `queue_mu_` (util::Mutex): protects the request queue and the
 //    in-flight count; pairs with the workers' condition variable.
 //
-// Backpressure: submit() never blocks. When the queue is at capacity the
-// request is rejected immediately with Outcome::Overloaded — the caller
-// learns it must shed load, rather than every caller slowing down.
-// Deadlines: a request whose deadline passes while queued is answered
-// Outcome::Expired without paying for a solve. Failures: a decision whose
-// evaluation throws (e.g. asp::GroundingError on a blown grounding limit)
-// is answered Outcome::Error; the worker goes on to the next request.
+// Backpressure: submit() never blocks. When the queue is at capacity a
+// request that missed the cache is rejected immediately with
+// Outcome::Overloaded — the caller learns it must shed load, rather than
+// every caller slowing down. Deadlines: a queued request whose deadline
+// passes before a worker picks it up is answered Outcome::Expired without
+// paying for a solve. Failures: a decision whose evaluation throws (e.g.
+// asp::GroundingError on a blown grounding limit) is answered
+// Outcome::Error; the worker goes on to the next request.
 //
 // Observability (DESIGN.md section 7): every request gets a monotone id
-// and an obs::PhaseTimes array that every obs::Phase on the worker feeds.
+// and an obs::PhaseTimes array that every obs::Phase feeds, on the
+// submitting thread and on the worker. Each per-request phase is fed once
+// per request, hit or miss; an inline hit's srv.queue_wait is 0.
 // A summary of each request (outcome, queue/solve/total latency from that
 // array, cache hit, model version) lands in a lock-free FlightRecorder
 // ring and the audit log. When request tracing is configured
@@ -48,6 +63,8 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -109,8 +126,8 @@ struct ServiceOptions {
 enum class Outcome {
     Permit,
     Deny,
-    Overloaded,  // rejected at submit: queue full or service stopping
-    Expired,     // deadline passed before a worker picked the request up
+    Overloaded,  // rejected at submit: cache miss with the queue full, or service stopping
+    Expired,     // queued, and the deadline passed before a worker picked it up
     Error,       // evaluating the request threw; nothing cached or monitored
 };
 
@@ -122,7 +139,7 @@ struct Decision {
     Outcome outcome = Outcome::Deny;
     bool cache_hit = false;
     std::uint64_t model_version = 0;
-    std::uint64_t latency_us = 0;  // submit -> completion, queue wait included
+    std::uint64_t latency_us = 0;  // submit -> completion, queue wait (if queued) included
     // Request id: monotone per service, correlates the decision with its
     // flight record and any captured trace.
     std::uint64_t trace_id = 0;
@@ -169,8 +186,10 @@ public:
 
     // Per-submit options for callers that need more than a deadline (the
     // TCP transport and the router). `on_complete` is invoked exactly once
-    // — from the completing worker thread, or inline in submit() for an
-    // immediate Overloaded rejection — after the future has been resolved.
+    // after the future has been resolved: inline in submit() for a cache
+    // hit or an immediate Overloaded rejection, otherwise from the worker
+    // that completed the request. The deadline applies only to a request
+    // that is queued.
     // `client_id` tags the request's flight record and trace with the
     // transport connection it arrived on (0 = not connection-bound).
     struct SubmitOptions {
@@ -179,8 +198,10 @@ public:
         std::function<void(const Decision&)> on_complete;
     };
 
-    // Enqueues one request; the future resolves to its Decision. Never
-    // blocks: a full queue resolves the future immediately as Overloaded.
+    // Answers one request from the cache, or enqueues it; the future
+    // resolves to its Decision (already resolved on return for a hit).
+    // Never waits for a worker or an adoption: a miss meeting a full queue
+    // resolves the future immediately as Overloaded.
     std::future<Decision> submit(cfg::TokenString request,
                                  std::chrono::microseconds timeout = std::chrono::microseconds{0});
     std::future<Decision> submit(cfg::TokenString request, SubmitOptions submit_options);
@@ -224,18 +245,30 @@ private:
     struct Task {
         cfg::TokenString tokens;
         std::promise<Decision> promise;
-        std::uint64_t enqueued_ns = 0;  // obs::monotonic_ns() at submit
-        std::uint64_t deadline_ns = 0;  // UINT64_MAX = none
+        std::uint64_t submitted_ns = 0;  // obs::monotonic_ns() at submit
+        std::uint64_t enqueued_ns = 0;   // when queued; srv.queue_wait starts here
+        std::uint64_t deadline_ns = 0;   // UINT64_MAX = none
         std::uint64_t trace_id = 0;
         std::uint64_t client_id = 0;  // transport connection id; 0 = none
         std::function<void(const Decision&)> on_complete;
         // Null unless tracing this request; span 0 is the srv.request root.
         std::unique_ptr<obs::TraceContext> trace;
         obs::PhaseTimes phases;
+        // Filled by probe(): the gathered context and, with the cache on,
+        // its key. A task submit() probed reaches the worker as a miss.
+        bool probed = false;
+        asp::Program context;
+        CacheKey key;
     };
 
+    bool answer_if_cached(Task& task);
     void worker_loop();
     Decision process(Task& task);
+    std::optional<bool> probe(Task& task) REQUIRES_SHARED(state_mu_);
+    std::optional<bool> verdict(Task& task, Decision& decision, bool cached_only)
+        REQUIRES_SHARED(state_mu_);
+    void complete(Decision& decision, Task& task, bool permitted);
+    void fail(Decision& decision, Task& task, std::string error);
     void finish(Decision& decision, Task& task, Outcome outcome);
     void maybe_capture(Task& task, std::uint64_t end_ns, std::uint64_t total_us);
 
@@ -255,7 +288,9 @@ private:
     util::CondVar drain_cv_;  // drain(): queue empty and idle
     std::deque<Task> queue_ GUARDED_BY(queue_mu_);
     std::size_t in_flight_ GUARDED_BY(queue_mu_) = 0;
-    bool stopping_ GUARDED_BY(queue_mu_) = false;
+    // Written under queue_mu_ (the workers wait on it); submit() reads it
+    // without the lock before answering a hit inline.
+    std::atomic<bool> stopping_{false};
 
     mutable util::Mutex traces_mu_;
     std::deque<CapturedTrace> captured_ GUARDED_BY(traces_mu_);

@@ -114,9 +114,10 @@ void set_nodelay(int fd) {
 }  // namespace
 
 // One accepted socket. The loop thread owns fd / read_buf / write_buf /
-// flags; worker completion callbacks only touch the outbox (under
-// outbox_mu) and the pending counter. The callback holds a shared_ptr, so
-// a Connection outlives its socket until the last in-flight reply lands.
+// flags; completion callbacks (on a worker, or inline on the loop thread
+// for a cache hit) only touch the outbox (under outbox_mu) and the pending
+// counter. The callback holds a shared_ptr, so a Connection outlives its
+// socket until the last in-flight reply lands.
 struct TcpServer::Connection {
     int fd = -1;
     std::uint64_t id = 0;
@@ -142,6 +143,9 @@ struct TcpServer::Impl {
     int wake_w = -1;
     std::uint16_t port = 0;
     std::thread loop;
+    // Set by run() before it reads a request; completion callbacks compare
+    // against it (workers see it through the queue hand-off).
+    std::thread::id loop_thread;
     std::atomic<bool> stopping{false};
     util::Mutex shutdown_mu;
     bool shut_down GUARDED_BY(shutdown_mu) = false;
@@ -318,7 +322,10 @@ struct TcpServer::Impl {
                     if (!conn->closed) conn->outbox.push_back(std::move(reply));
                 }
                 conn->pending.fetch_sub(1, std::memory_order_release);
-                wake();
+                // A reply completed on the loop thread (a cache hit, or an
+                // immediate Overloaded) is flushed by this same loop pass;
+                // only a worker's completion has to wake the loop.
+                if (std::this_thread::get_id() != loop_thread) wake();
             });
         if (!result.deferred) conn->pending.fetch_sub(1, std::memory_order_relaxed);
         if (result.bad_request) {
@@ -504,6 +511,7 @@ struct TcpServer::Impl {
     }
 
     void run() {
+        loop_thread = std::this_thread::get_id();
         std::vector<pollfd> pfds;
         std::vector<std::shared_ptr<Connection>> polled;
         while (!stopping.load(std::memory_order_acquire)) {

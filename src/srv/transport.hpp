@@ -3,12 +3,17 @@
 //
 // TcpServer is a single-threaded poll(2) event loop in front of an
 // AmsRouter. The loop thread owns every socket: it accepts, reads,
-// frames newline-delimited requests, and writes replies. Decisions
-// themselves run on the router's worker pools — the loop never blocks on
-// a solve. A worker's completion callback serializes the reply, drops it
-// into the connection's outbox under a small mutex, and wakes the loop
-// through a self-pipe; the loop moves outboxes into per-connection write
-// buffers and flushes them with non-blocking writes.
+// frames newline-delimited requests, and writes replies. It answers cache
+// hits itself: DecisionService::submit() completes a hit on the calling
+// thread, so the loop runs the hit's context gather, cache probe, PEP,
+// monitor record and audit write. Misses run on the router's worker pools
+// — the loop never blocks on a solve, and never waits out a model
+// adoption (submit() then queues the request). Every completion callback
+// serializes the reply and drops it into the connection's outbox under a
+// small mutex; only a worker's completion also wakes the loop through the
+// self-pipe, since one on the loop thread is picked up by the same loop
+// pass. The loop moves outboxes into per-connection write buffers and
+// flushes them with non-blocking writes.
 //
 // Robustness rules (each has a counter in TransportStats and a
 // `srv.conn.*` metric):
@@ -60,8 +65,8 @@ struct DispatchResult {
 //   `!...`  -> control(line); replied immediately (may be multi-line)
 //   `{...}` -> wire request: ping answers immediately, a decision is
 //              submitted to the router and `reply` is called exactly once
-//              with the serialized response (possibly from a worker
-//              thread, possibly inline for an immediate rejection)
+//              with the serialized response (from a worker thread, or
+//              inline for a cache hit or an immediate rejection)
 //   other   -> Text mode: deferred plain-text outcome-name reply;
 //              Json mode: immediate bad_request error
 // Empty lines produce neither a deferred nor an immediate reply. Invalid

@@ -278,6 +278,38 @@ TEST(Learner, MultipleConstraintsWhenOneCannotCover) {
     EXPECT_TRUE(rules.contains(":- b."));
 }
 
+TEST(Learner, WorldCapHitFallsBackToTheGeneralPath) {
+    // "x" has 2^6 = 64 answer sets, more than the fast path enumerates
+    // (max_worlds_per_example = 32). Every one holds c1 or d1, so
+    // rejecting "x" takes both ":- c1." and ":- d1."; judged on its first
+    // 32 answer sets alone, ":- c1." looks sufficient.
+    std::string annotation;
+    for (int i = 1; i <= 6; ++i) {
+        std::string c = "c" + std::to_string(i);
+        std::string d = "d" + std::to_string(i);
+        annotation += " " + c + " :- not " + d + ". " + d + " :- not " + c + ".";
+    }
+    LearningTask task;
+    task.initial = asg::AnswerSetGrammar::parse("s -> \"x\" {" + annotation +
+                                                " }\ns -> \"y\" { }\n");
+    ModeBias bias;
+    for (int i = 1; i <= 6; ++i) {
+        bias.body.push_back(ModeAtom("c" + std::to_string(i), {}));
+        bias.body.push_back(ModeAtom("d" + std::to_string(i), {}));
+    }
+    bias.max_body_atoms = 1;
+    task.space = generate_space(bias, {0});
+    task.negative.emplace_back(tokenize("x"), asp::Program{});
+    task.positive.emplace_back(tokenize("y"), asp::Program{});
+    auto result = learn(task);
+    ASSERT_TRUE(result.found) << result.failure_reason;
+    EXPECT_TRUE(result.stats.world_cap_hit);
+    EXPECT_EQ(result.cost, 2);
+    auto learned = task.initial.with_rules(result.hypothesis);
+    EXPECT_FALSE(asg::in_language(learned, tokenize("x"), asp::Program{}));
+    EXPECT_TRUE(asg::in_language(learned, tokenize("y"), asp::Program{}));
+}
+
 TEST(Learner, RespectsAnswerSetSemanticsOnNegatives) {
     // The base annotation has two answer sets ({p} and {q}); rejecting the
     // string requires killing BOTH, which single constraint ":- p." cannot.

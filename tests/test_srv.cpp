@@ -191,12 +191,15 @@ TEST(DecisionService, SubmitBatchAndDrain) {
 }
 
 TEST(DecisionService, BackpressureRejectsWhenQueueFull) {
-    auto ams = make_demo_ams(2, /*context_weight=*/0);
-    // One slow worker + a 2-deep queue: flooding must shed load.
+    auto ams = make_demo_ams(64, /*context_weight=*/0);
+    // One slow worker + a 2-deep queue: flooding must shed load. Distinct
+    // requests, so every one misses the cache and is queued work.
     ams.pep().set_effector([](const cfg::TokenString&, bool) { std::this_thread::sleep_for(2ms); });
     DecisionService service(ams, service_options(1, /*queue_capacity=*/2));
     std::vector<std::future<Decision>> futures;
-    for (int i = 0; i < 64; ++i) futures.push_back(service.submit(cfg::tokenize("do task_0")));
+    for (int i = 0; i < 64; ++i) {
+        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i))));
+    }
     std::size_t overloaded = 0, decided = 0;
     for (auto& f : futures) {
         Decision d = f.get();
@@ -283,6 +286,131 @@ TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
     EXPECT_TRUE(again.cache_hit);
     EXPECT_FALSE(again.permitted());
     EXPECT_GE(service.cache().stats().invalidations, 1u);
+}
+
+TEST(DecisionService, CacheHitCompletesInsideSubmit) {
+    auto ams = make_demo_ams(2, /*context_weight=*/0);
+    DecisionService service(ams, service_options(1));
+    Decision miss = service.submit(cfg::tokenize("do task_0")).get();
+    ASSERT_FALSE(miss.cache_hit);
+
+    // The hit is answered on this thread: the future is resolved and
+    // on_complete has run before submit() returns.
+    std::atomic<bool> completed{false};
+    std::atomic<bool> on_caller{false};
+    DecisionService::SubmitOptions submit_options;
+    submit_options.on_complete = [&, caller = std::this_thread::get_id()](const Decision&) {
+        on_caller.store(std::this_thread::get_id() == caller);
+        completed.store(true);
+    };
+    std::future<Decision> future =
+        service.submit(cfg::tokenize("do task_0"), std::move(submit_options));
+    EXPECT_TRUE(completed.load());
+    EXPECT_TRUE(on_caller.load());
+    ASSERT_EQ(future.wait_for(0s), std::future_status::ready);
+    EXPECT_EQ(service.queue_depth(), 0u);
+
+    Decision hit = future.get();
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_TRUE(hit.permitted());
+    EXPECT_EQ(hit.model_version, miss.model_version);
+    // Still monitored and flight-recorded like a worker's decision.
+    EXPECT_EQ(hit.monitor_index, miss.monitor_index + 1);
+    ASSERT_EQ(ams.monitor().total_recorded(), 2u);
+    EXPECT_TRUE(ams.monitor().history().back().permitted);
+    std::optional<FlightRecord> record;
+    for (const FlightRecord& r : service.flight().snapshot()) {
+        if (r.id == hit.trace_id) record = r;
+    }
+    ASSERT_TRUE(record.has_value());
+    EXPECT_TRUE(record->cache_hit);
+    EXPECT_EQ(record->outcome, static_cast<std::uint8_t>(Outcome::Permit));
+    EXPECT_EQ(record->queue_us, 0u);
+
+    ServiceStats stats = service.snapshot_stats();
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.cache.hits, 1u);
+    EXPECT_EQ(stats.cache.misses, 1u);
+    EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(DecisionService, HitDuringAdoptionQueuesInsteadOfBlocking) {
+    auto ams = make_demo_ams(2, /*context_weight=*/0);
+    DecisionService service(ams, service_options(1));
+    Decision before = service.submit(cfg::tokenize("do task_0")).get();
+
+    // Park an adoption inside the model write lock. The park ends by
+    // itself after 5 s, so a submit that waited for the lock fails the
+    // timing check below instead of hanging the test.
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::thread adopter([&] {
+        service.update_model([&] {
+            entered.set_value();
+            (void)released.wait_for(5s);
+            ams.representations().store(ams.model(), "adoption under test");
+        });
+    });
+    entered.get_future().wait();
+
+    auto start = std::chrono::steady_clock::now();
+    std::future<Decision> future = service.submit(cfg::tokenize("do task_0"));
+    auto submit_time = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(submit_time, 2s);
+    // Queued, not answered: the worker needs the model lock too.
+    EXPECT_EQ(future.wait_for(0s), std::future_status::timeout);
+    release.set_value();
+    adopter.join();
+
+    Decision after = future.get();
+    EXPECT_EQ(after.model_version, before.model_version + 1);
+    EXPECT_FALSE(after.cache_hit);  // the old version's entry is stale
+    EXPECT_TRUE(after.permitted());
+}
+
+TEST(DecisionService, HitIsAnsweredWhenQueueIsFull) {
+    auto ams = make_demo_ams(4, /*context_weight=*/0);
+    // task_1 parks the one worker inside the PEP until released (or for
+    // 10 s, so a failed assertion cannot leave the destructor waiting).
+    std::promise<void> parked;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    ams.pep().set_effector([&parked, released](const cfg::TokenString& request, bool) {
+        if (cfg::detokenize(request) != "do task_1") return;
+        parked.set_value();
+        (void)released.wait_for(10s);
+    });
+    auto service = std::make_unique<DecisionService>(ams, service_options(1, /*queue_capacity=*/1));
+    DecisionService* running = service.get();
+    ASSERT_TRUE(running->submit(cfg::tokenize("do task_0")).get().permitted());
+
+    std::future<Decision> slow = running->submit(cfg::tokenize("do task_1"));
+    parked.get_future().wait();
+    std::future<Decision> queued = running->submit(cfg::tokenize("do task_2"));
+    EXPECT_EQ(running->queue_depth(), 1u);
+    // The queue is full: another miss is shed, the cached request is not.
+    EXPECT_EQ(running->submit(cfg::tokenize("do task_3")).get().outcome, Outcome::Overloaded);
+    std::future<Decision> hit = running->submit(cfg::tokenize("do task_0"));
+    ASSERT_EQ(hit.wait_for(0s), std::future_status::ready);
+    Decision answered = hit.get();
+    EXPECT_EQ(answered.outcome, Outcome::Permit);
+    EXPECT_TRUE(answered.cache_hit);
+
+    // Once the service is stopping (its destructor waits for the parked
+    // worker), even a cached request is refused.
+    std::thread stopper([&service] { service.reset(); });
+    Outcome outcome = Outcome::Permit;
+    for (int i = 0; i < 5000 && outcome != Outcome::Overloaded; ++i) {
+        outcome = running->submit(cfg::tokenize("do task_0")).get().outcome;
+        if (outcome != Outcome::Overloaded) std::this_thread::sleep_for(1ms);
+    }
+    EXPECT_EQ(outcome, Outcome::Overloaded);
+    release.set_value();
+    stopper.join();
+    // The stopping service still finishes the work it had accepted.
+    EXPECT_EQ(slow.get().outcome, Outcome::Permit);
+    EXPECT_EQ(queued.get().outcome, Outcome::Permit);
 }
 
 TEST(DecisionService, CacheOffEquivalence) {
@@ -672,7 +800,9 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
     // One Phase measurement feeds every surface: a captured trace's
     // queue-wait and solve spans, the flight record and the audit line
     // report the same microseconds, and every per-request phase histogram
-    // counts each request once, cache hit or miss.
+    // counts each request once, cache hit or miss. The second round is
+    // submitted after the first drained, so every request in it is a hit
+    // answered inside submit().
     constexpr obs::PhaseId kPerRequest[] = {
         obs::PhaseId::SrvRequest, obs::PhaseId::SrvQueueWait,  obs::PhaseId::SrvContext,
         obs::PhaseId::SrvSolve,   obs::PhaseId::SrvCacheProbe, obs::PhaseId::SrvMonitor};
@@ -681,7 +811,8 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
 
     std::string audit_path = std::string(::testing::TempDir()) + "/agenp_srv_consistency.ndjson";
     std::remove(audit_path.c_str());
-    constexpr std::size_t kRequests = 16;
+    constexpr std::size_t kPerRound = 16;
+    constexpr std::size_t kRequests = 2 * kPerRound;
     std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> audited;  // id -> queue, solve
     std::map<std::uint64_t, FlightRecord> flights;
     std::vector<CapturedTrace> captured;
@@ -693,12 +824,20 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
         options.trace.max_captured = kRequests;
         options.audit = &audit;
         DecisionService service(ams, options);
-        std::vector<std::future<Decision>> futures;
-        for (std::size_t i = 0; i < kRequests; ++i) {
-            futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+        for (int round = 0; round < 2; ++round) {
+            std::vector<std::future<Decision>> futures;
+            for (std::size_t i = 0; i < kPerRound; ++i) {
+                futures.push_back(
+                    service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+            }
+            for (auto& f : futures) {
+                Decision d = f.get();
+                if (round == 1) {
+                    EXPECT_TRUE(d.cache_hit) << d.trace_id;
+                }
+            }
+            service.drain();
         }
-        for (auto& f : futures) f.get();
-        service.drain();
         for (const FlightRecord& r : service.flight().snapshot()) flights[r.id] = r;
         captured = service.captured_traces();
     }
@@ -792,17 +931,19 @@ TEST(Wire, ValidatesUtf8) {
 
 // --- AmsRouter --------------------------------------------------------------
 
-// Factory handing each replica its own demo AMS; `solve_delay` attaches a
-// PIP source that sleeps, making every cache miss measurably slow.
+// Factory handing each replica its own demo AMS; `miss_delay` attaches a
+// PEP effector that sleeps. The PEP runs where the verdict was reached: on
+// a worker after a cache miss, on the submitting thread for a hit. Tests
+// that pass a delay therefore send distinct requests, so every request
+// misses and each sleep holds a worker.
 AmsRouter::AmsFactory demo_factory(std::size_t distinct = 6,
-                                   std::chrono::milliseconds solve_delay = 0ms) {
-    return [distinct, solve_delay] {
+                                   std::chrono::milliseconds miss_delay = 0ms) {
+    return [distinct, miss_delay] {
         auto ams = std::make_unique<framework::AutonomousManagedSystem>(
             make_demo_ams(distinct, /*context_weight=*/0));
-        if (solve_delay.count() > 0) {
-            ams->pip().add_source("slow", [solve_delay] {
-                std::this_thread::sleep_for(solve_delay);
-                return asp::Program{};
+        if (miss_delay.count() > 0) {
+            ams->pep().set_effector([miss_delay](const cfg::TokenString&, bool) {
+                std::this_thread::sleep_for(miss_delay);
             });
         }
         return ams;
@@ -851,12 +992,19 @@ TEST(AmsRouter, OutcomesMatchSingleServiceAcrossReplicas) {
 }
 
 TEST(AmsRouter, FallbackSpillsWhenPrimarySaturated) {
-    // One worker per replica, queue room for one waiter, and a solve slow
-    // enough that repeats of one request pile up on their affinity replica.
-    AmsRouter router(demo_factory(2, 30ms), router_options(2, 1, 1));
-    auto tokens = cfg::tokenize("do task_0");
+    // One worker per replica, queue room for one waiter, and misses slow
+    // enough that distinct requests sharing one affinity replica pile up
+    // there.
+    AmsRouter router(demo_factory(32, 30ms), router_options(2, 1, 1));
+    std::size_t primary = router.replica_for(cfg::tokenize("do task_0"));
+    std::vector<cfg::TokenString> requests;
+    for (std::size_t i = 0; i < 32 && requests.size() < 8; ++i) {
+        auto tokens = cfg::tokenize("do task_" + std::to_string(i));
+        if (router.replica_for(tokens) == primary) requests.push_back(std::move(tokens));
+    }
+    ASSERT_EQ(requests.size(), 8u);
     std::vector<std::future<Decision>> futures;
-    for (int i = 0; i < 8; ++i) futures.push_back(router.submit(tokens));
+    for (auto& tokens : requests) futures.push_back(router.submit(std::move(tokens)));
     for (auto& f : futures) (void)f.get();
     router.drain();
     RouterStats stats = router.snapshot_stats();
@@ -1265,19 +1413,20 @@ TEST(Transport, IdleConnectionsAreReaped) {
 }
 
 TEST(Transport, IdleTimerNeverDropsAnInFlightReply) {
-    // Every solve outlasts the idle timeout, so each completion reaches
-    // the idle check with an aged connection. The pending counter covers
-    // the solve itself; the outbox must also be checked (a reply parked
-    // there after the pending decrement, before the loop's next service
-    // pass, would otherwise be discarded by an idle close).
-    AmsRouter router(demo_factory(6, 50ms), router_options(1, 1));
+    // Every request is a distinct miss whose completion outlasts the idle
+    // timeout, so each completion reaches the idle check with an aged
+    // connection. The pending counter covers the decision itself; the
+    // outbox must also be checked (a reply parked there after the pending
+    // decrement, before the loop's next service pass, would otherwise be
+    // discarded by an idle close).
+    AmsRouter router(demo_factory(12, 50ms), router_options(1, 1));
     TransportOptions options;
     options.idle_timeout = std::chrono::milliseconds{25};
     TcpServer server(router, options);
     TcpClient client("127.0.0.1", server.port());
     for (std::size_t i = 0; i < 12; ++i) {
         client.send_line("{\"id\":" + std::to_string(i) + ",\"decide\":\"do task_" +
-                         std::to_string(i % 6) + "\"}");
+                         std::to_string(i) + "\"}");
         auto reply = client.recv_line(std::chrono::milliseconds{10000});
         ASSERT_TRUE(reply.has_value()) << "reply " << i << " dropped by idle close";
         EXPECT_NE(reply->find("\"id\":" + std::to_string(i)), std::string::npos) << *reply;
@@ -1310,16 +1459,18 @@ TEST(Transport, PingReportsReplicasAndModelVersion) {
 }
 
 TEST(Transport, GracefulShutdownDrainsInFlightReplies) {
-    // Slow solves so requests are genuinely in flight when shutdown lands.
-    AmsRouter router(demo_factory(2, 50ms), router_options(1, 1, 64));
+    // Slow, distinct misses so requests are genuinely in flight when
+    // shutdown lands.
+    AmsRouter router(demo_factory(3, 50ms), router_options(1, 1, 64));
     TcpServer server(router, TransportOptions{});
     TcpClient client("127.0.0.1", server.port());
     const std::size_t n = 3;
     for (std::size_t i = 0; i < n; ++i) {
-        client.send_line("{\"id\":" + std::to_string(i) + ",\"decide\":\"do task_0\"}");
+        client.send_line("{\"id\":" + std::to_string(i) + ",\"decide\":\"do task_" +
+                         std::to_string(i) + "\"}");
     }
     // Give the loop time to read and dispatch all three lines, then stop
-    // the server while the worker is still solving.
+    // the server while the worker is still deciding them.
     std::this_thread::sleep_for(30ms);
     std::thread stopper([&server] { server.shutdown(); });
     std::size_t replies = 0;
