@@ -36,7 +36,7 @@ public:
                      std::string_view help = {});
     void add_gauge(std::string_view name, const MetricLabels& labels, std::int64_t value,
                    std::string_view help = {});
-    // Floating-point gauge (windowed rates, EWMA costs). Distinctly named
+    // Floating-point gauge (windowed rates and quantiles). Distinctly named
     // rather than overloaded so integral arguments never become ambiguous.
     void add_gauge_d(std::string_view name, const MetricLabels& labels, double value,
                      std::string_view help = {});

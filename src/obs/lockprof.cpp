@@ -17,7 +17,7 @@ namespace {
 std::atomic<bool> g_lock_profiling_enabled{true};
 
 // Order checking is a debugging aid: on by default only when asserts
-// are, so release servers and bench_serve never pay for it unless asked.
+// are, so release servers never pay for it unless asked.
 std::atomic<bool> g_lock_order_checking{
 #ifdef NDEBUG
     false

@@ -43,8 +43,7 @@
 //
 // Unranked names are exempt (util::Mutex internals are invisible here —
 // they are plain capabilities, not profiled locks). The checker defaults
-// to on in debug builds (!NDEBUG) and off otherwise; bench_serve turns
-// it off explicitly so release numbers measure the production config.
+// to on in debug builds (!NDEBUG) and off otherwise.
 #pragma once
 
 #include <mutex>

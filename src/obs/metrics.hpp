@@ -14,10 +14,10 @@
 //     BENCH_*_JSON lines the benchmarks emit.
 //
 // Conventions: metric names are dot-separated (`asp.solver.decisions`);
-// histograms that record durations carry a `_us` suffix and observe
-// microseconds. Per-instance dimensions (replica, shard, lock) are labels,
-// not name segments, so exporters can aggregate across them — see
-// metric_key() and the labeled registry overloads.
+// a histogram that records durations names its unit in its suffix
+// (`phase_ns` observes nanoseconds). Per-instance dimensions (replica,
+// shard, lock) are labels, not name segments, so exporters can aggregate
+// across them — see metric_key() and the labeled registry overloads.
 #pragma once
 
 #include <atomic>
@@ -30,8 +30,8 @@
 namespace agenp::obs {
 
 // Global kill switch. Defaults to enabled; disabling makes the flush
-// helpers and obs::Phase's histogram and cost sinks no-ops (call sites
-// that cache Counter& still pay one relaxed add — near-zero either way).
+// helpers and obs::Phase's histogram sink no-ops (call sites that cache
+// Counter& still pay one relaxed add — near-zero either way).
 bool metrics_enabled();
 void set_metrics_enabled(bool enabled);
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <string>
 
-#include "obs/costtable.hpp"
 #include "obs/reqtrace.hpp"
 
 namespace agenp::obs {
@@ -15,10 +14,7 @@ thread_local PhaseTimes* t_phase_times = nullptr;
 void feed(PhaseId id, std::uint64_t start_ns, std::uint64_t end_ns, bool metrics,
           PhaseTimes* times) {
     std::uint64_t elapsed_ns = end_ns > start_ns ? end_ns - start_ns : 0;
-    if (metrics) {
-        phase_histogram(id).observe(elapsed_ns / 1000);
-        costs().cell(id).observe(elapsed_ns);
-    }
+    if (metrics) phase_histogram(id).observe(elapsed_ns);
     if (times != nullptr) times->ns[phase_index(id)] += elapsed_ns;
 }
 
@@ -32,7 +28,7 @@ Histogram& phase_histogram(PhaseId id) {
     std::atomic<Histogram*>& slot = histograms[phase_index(id)];
     Histogram* histogram = slot.load(std::memory_order_acquire);
     if (histogram == nullptr) {
-        histogram = &metrics().histogram("phase_us", {{"phase", std::string(phase_name(id))}});
+        histogram = &metrics().histogram("phase_ns", {{"phase", std::string(phase_name(id))}});
         slot.store(histogram, std::memory_order_release);
     }
     return *histogram;

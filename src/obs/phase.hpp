@@ -2,18 +2,18 @@
 // of model adoption (DESIGN.md section 7).
 //
 // A Phase scope reads the monotonic clock at entry and at exit and feeds
-// the elapsed nanoseconds to up to four sinks:
-//   1. the phase's histogram, `phase_us{phase="<name>"}` in the process
-//      registry (microsecond buckets);
-//   2. the phase's EWMA cost cell in obs::costs() (nanosecond totals);
-//   3. the thread's per-request PhaseTimes, when the serving layer
+// the elapsed nanoseconds, untruncated, to up to three sinks:
+//   1. the phase's histogram, `phase_ns{phase="<name>"}` in the process
+//      registry — `/metrics`, and through the rolling window the
+//      `/statz` costs and windowed latency, read it;
+//   2. the thread's per-request PhaseTimes, when the serving layer
 //      installed one — the flight record and the audit line read their
 //      queue and solve times from it;
-//   4. the thread's TraceContext (reqtrace.hpp), when the request is
+//   3. the thread's TraceContext (reqtrace.hpp), when the request is
 //      traced — the span opens at entry, so nested phases become children.
-// Sinks 1 and 2 are fixed arrays indexed by PhaseId: no string lookup and
-// no registration lock on the hot path. With metrics disabled and neither
-// a PhaseTimes nor a trace installed, a Phase reads no clock.
+// Sink 1 is a fixed array indexed by PhaseId: no string lookup and no
+// registration lock on the hot path. With metrics disabled and neither a
+// PhaseTimes nor a trace installed, a Phase reads no clock.
 #pragma once
 
 #include <array>
@@ -119,7 +119,7 @@ public:
 
 private:
     PhaseId id_;
-    bool metrics_;  // sinks 1 and 2, decided at entry
+    bool metrics_;  // sink 1, decided at entry
     PhaseTimes* times_;
     TraceContext* trace_;
     std::size_t span_ = 0;

@@ -89,8 +89,9 @@ private:
 };
 
 // Background thread that ticks a RollingWindow once per bucket interval
-// and runs an optional extra callback (serve uses it to advance the cost
-// table's frequency EWMA). Joined on destruction.
+// and runs an optional extra callback after each tick (srv::Server runs
+// its periodic work there: the window line and the snapshot). Joined on
+// destruction.
 class WindowTicker {
 public:
     explicit WindowTicker(RollingWindow& window, std::function<void()> on_tick = {});

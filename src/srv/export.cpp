@@ -1,11 +1,12 @@
 #include "srv/export.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
-#include "obs/costtable.hpp"
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
 
 namespace agenp::srv {
 
@@ -15,6 +16,13 @@ namespace {
 constexpr std::chrono::seconds kWindowSpans[] = {std::chrono::seconds(10),
                                                  std::chrono::seconds(60),
                                                  std::chrono::seconds(300)};
+// The span `/statz` costs cover.
+constexpr std::chrono::seconds kCostSpan{60};
+
+// The registry key of a phase's histogram.
+std::string phase_key(obs::PhaseId id) {
+    return obs::metric_key("phase_ns", {{"phase", std::string(obs::phase_name(id))}});
+}
 
 const char* span_name(std::chrono::seconds span) {
     switch (span.count()) {
@@ -54,11 +62,9 @@ std::string store_status_json(const store::StoreStatus& status) {
     return out;
 }
 
-}  // namespace
-
-WindowedServeStats windowed_serve_stats(const obs::RollingWindow& window,
-                                        std::chrono::seconds span) {
-    obs::WindowDelta delta = window.window(span);
+// Windowed SLO stats over one delta (see windowed_serve_stats).
+WindowedServeStats serve_stats_over(const obs::WindowDelta& delta) {
+    static const std::string kRequestKey = phase_key(obs::PhaseId::SrvRequest);
     WindowedServeStats stats;
     stats.seconds = delta.seconds;
     stats.complete = delta.complete;
@@ -68,13 +74,20 @@ WindowedServeStats windowed_serve_stats(const obs::RollingWindow& window,
     if (hits + misses > 0) {
         stats.hit_rate = static_cast<double>(hits) / static_cast<double>(hits + misses);
     }
-    if (const obs::Histogram::Snapshot* latency = delta.histogram("srv.latency_us");
+    if (const obs::Histogram::Snapshot* latency = delta.histogram(kRequestKey);
         latency != nullptr) {
-        stats.p50_us = latency->quantile(0.5);
-        stats.p95_us = latency->quantile(0.95);
-        stats.p99_us = latency->quantile(0.99);
+        stats.p50_us = latency->quantile(0.5) / 1000.0;
+        stats.p95_us = latency->quantile(0.95) / 1000.0;
+        stats.p99_us = latency->quantile(0.99) / 1000.0;
     }
     return stats;
+}
+
+}  // namespace
+
+WindowedServeStats windowed_serve_stats(const obs::RollingWindow& window,
+                                        std::chrono::seconds span) {
+    return serve_stats_over(window.window(span));
 }
 
 std::string windowed_serve_stats_json(const WindowedServeStats& stats) {
@@ -85,6 +98,30 @@ std::string windowed_serve_stats_json(const WindowedServeStats& stats) {
                   stats.seconds, stats.complete ? "true" : "false", stats.requests_per_s,
                   stats.hit_rate, stats.p50_us, stats.p95_us, stats.p99_us);
     return buf;
+}
+
+std::vector<PhaseCost> phase_costs(const obs::WindowDelta& delta) {
+    std::vector<PhaseCost> costs;
+    costs.reserve(obs::kPhaseCount);
+    for (std::size_t i = 0; i < obs::kPhaseCount; ++i) {
+        auto id = static_cast<obs::PhaseId>(i);
+        PhaseCost& cost = costs.emplace_back();
+        cost.check = std::string(obs::phase_name(id));
+        const obs::Histogram::Snapshot* ns = delta.histogram(phase_key(id));
+        if (ns == nullptr) continue;
+        double sum_us = static_cast<double>(ns->sum) / 1000.0;
+        cost.calls = ns->count;
+        cost.mean_us = sum_us / static_cast<double>(ns->count);
+        if (delta.seconds > 0.0) {
+            cost.hz = static_cast<double>(ns->count) / delta.seconds;
+            cost.us_per_s = sum_us / delta.seconds;
+        }
+    }
+    std::sort(costs.begin(), costs.end(), [](const PhaseCost& a, const PhaseCost& b) {
+        if (a.us_per_s != b.us_per_s) return a.us_per_s > b.us_per_s;
+        return a.check < b.check;
+    });
+    return costs;
 }
 
 std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
@@ -137,14 +174,28 @@ std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
     if (window != nullptr) {
         out += ",\"window\":{";
         bool first = true;
+        std::vector<PhaseCost> costs;
         for (std::chrono::seconds span : kWindowSpans) {
             if (!first) out += ",";
             first = false;
+            obs::WindowDelta delta = window->window(span);
             out += std::string("\"") + span_name(span) +
-                   "\":" + windowed_serve_stats_json(windowed_serve_stats(*window, span));
+                   "\":" + windowed_serve_stats_json(serve_stats_over(delta));
+            if (span == kCostSpan) costs = phase_costs(delta);
         }
-        out += "}";
-        out += ",\"costs\":" + obs::costs().render_json();
+        out += "},\"costs\":[";
+        for (std::size_t i = 0; i < costs.size(); ++i) {
+            const PhaseCost& cost = costs[i];
+            char row[256];
+            std::snprintf(row, sizeof(row),
+                          "%s{\"check\":\"%s\",\"calls\":%llu,\"mean_us\":%.3f,\"hz\":%.3f,"
+                          "\"us_per_s\":%.3f}",
+                          i > 0 ? "," : "", cost.check.c_str(),
+                          static_cast<unsigned long long>(cost.calls), cost.mean_us, cost.hz,
+                          cost.us_per_s);
+            out += row;
+        }
+        out += "]";
     }
     out += "}";
     return out;
@@ -241,17 +292,6 @@ obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
                                    "Windowed p95 request latency by span");
             exposition.add_gauge_d("window.latency_p99_us", labels, ws.p99_us,
                                    "Windowed p99 request latency by span");
-        }
-        for (const obs::CostEntry& entry : obs::costs().snapshot()) {
-            obs::MetricLabels labels{{"check", entry.check}};
-            exposition.add_counter("cost.calls", labels, entry.calls,
-                                   "Observed calls by phase");
-            exposition.add_gauge_d("cost.ewma_us", labels, entry.ewma_us,
-                                   "EWMA per-call cost in microseconds by phase");
-            exposition.add_gauge_d("cost.frequency_hz", labels, entry.frequency_hz,
-                                   "EWMA call frequency by phase");
-            exposition.add_gauge_d("cost.us_per_s", labels, entry.us_per_s,
-                                   "Expected wall-time share (ewma_us x hz) by phase");
         }
     }
     return exposition;

@@ -1,6 +1,5 @@
 // Closed-loop load generator for the decision service (DESIGN.md section
-// 8), plus the built-in demo serving domain used by `agenp loadgen` and
-// bench/bench_serve.
+// 8), plus the built-in demo serving domain used by `agenp loadgen`.
 //
 // Closed loop: each client thread submits one request, waits for its
 // decision, then issues the next — so offered load adapts to service

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/build.hpp"
-#include "obs/costtable.hpp"
 #include "obs/export/http.hpp"
 #include "obs/prof.hpp"
 #include "srv/export.hpp"
@@ -133,8 +132,8 @@ Server::Server(const AmsRouter::AmsFactory& factory, ServerOptions options, std:
     }
 
     // One bucket per second over the process registry, shared by /statz,
-    // the exposition and the periodic window line; each tick also
-    // advances the cost table's frequency EWMA and runs the periodic work.
+    // the exposition and the periodic window line; each tick also runs
+    // the periodic work.
     ticker_ = std::make_unique<obs::WindowTicker>(window_, [this] { on_tick(); });
 
     // TCP before metrics, so a script that waits for the metrics line can
@@ -286,7 +285,6 @@ std::string Server::snapshot() {
 
 // Runs on the ticker thread once per one-second bucket.
 void Server::on_tick() {
-    obs::costs().tick();
     ++ticks_;
     if (options_.stats_every_s > 0 && ticks_ % options_.stats_every_s == 0) {
         // What happened over the last period — req/s, hit rate, latency

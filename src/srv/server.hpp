@@ -1,7 +1,6 @@
 // srv::Server: one `agenp serve` process as an object (DESIGN.md section
-// 10, "Server lifecycle"). The CLI, the tests and bench_serve all drive
-// this class, so the path that is tested and measured is the path that
-// runs.
+// 10, "Server lifecycle"). The CLI and the tests both drive this class,
+// so the path that is tested is the path that runs.
 //
 // The server owns everything around the AmsRouter: the decision audit
 // log, the `--state-dir` state store with its WAL hook on the cache, the

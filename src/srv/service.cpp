@@ -281,10 +281,6 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
     decision.outcome = outcome;
     decision.latency_us = task.phases.us(obs::PhaseId::SrvRequest);
     decision.trace_id = task.trace_id;
-    if (obs::metrics_enabled()) {
-        static obs::Histogram& latency = obs::metrics().histogram("srv.latency_us");
-        latency.observe(decision.latency_us);
-    }
     FlightRecord record;
     record.id = task.trace_id;
     record.client = task.client_id;

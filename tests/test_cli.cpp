@@ -210,9 +210,9 @@ TEST(Run, StatsFlagDumpsNonzeroTelemetry) {
         EXPECT_NE(text.find(metric), std::string::npos) << metric;
     }
     // Per-phase AGENP latency histograms are present.
-    for (const char* hist : {"phase_us{phase=\"agenp.padap.adapt\"}",
-                             "phase_us{phase=\"agenp.prep.refresh\"}",
-                             "phase_us{phase=\"agenp.pdp.decide\"}"}) {
+    for (const char* hist : {"phase_ns{phase=\"agenp.padap.adapt\"}",
+                             "phase_ns{phase=\"agenp.prep.refresh\"}",
+                             "phase_ns{phase=\"agenp.pdp.decide\"}"}) {
         EXPECT_NE(text.find(hist), std::string::npos) << hist;
     }
 }

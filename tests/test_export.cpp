@@ -13,6 +13,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,7 +25,10 @@
 #include "obs/export/exposition.hpp"
 #include "obs/export/http.hpp"
 #include "obs/metrics.hpp"
+#include "obs/phase.hpp"
+#include "obs/window.hpp"
 #include "srv/audit.hpp"
+#include "srv/export.hpp"
 #include "srv/server.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
@@ -363,6 +367,80 @@ TEST(AuditLogTest, SamplingKeepsEveryNth) {
 }
 
 // ---------------------------------------------------------------------------
+// /statz costs: the phase_ns histograms read through the rolling window.
+
+TEST(ServeStats, CostsComeFromThePhaseHistograms) {
+    namespace obs = agenp::obs;
+    using agenp::srv::PhaseCost;
+    using agenp::srv::phase_costs;
+    constexpr std::uint64_t kSolveCalls = 40;
+    constexpr std::uint64_t kSolveNs = 2'500'700;
+    constexpr std::uint64_t kProbeCalls = 1000;
+    constexpr std::uint64_t kProbeNs = 400;  // well under a microsecond
+
+    obs::RollingWindow window(obs::metrics());
+    // Before the first bucket the window is empty: every row reads 0.
+    for (const PhaseCost& cost : phase_costs(window.window_at(std::chrono::seconds(60), 0))) {
+        EXPECT_EQ(cost.calls, 0U) << cost.check;
+        EXPECT_EQ(cost.mean_us, 0.0) << cost.check;
+        EXPECT_EQ(cost.hz, 0.0) << cost.check;
+        EXPECT_EQ(cost.us_per_s, 0.0) << cost.check;
+    }
+
+    auto sum_ns = [](obs::PhaseId id) { return obs::phase_histogram(id).snapshot().sum; };
+    const std::uint64_t solve_before = sum_ns(obs::PhaseId::AspSolve);
+    const std::uint64_t probe_before = sum_ns(obs::PhaseId::SrvCacheProbe);
+    window.tick_at(1'000);  // bucket 0 at t = 1 s
+    for (std::uint64_t i = 0; i < kSolveCalls; ++i) {
+        obs::record_phase(obs::PhaseId::AspSolve, 0, kSolveNs, nullptr, nullptr);
+    }
+    for (std::uint64_t i = 0; i < kProbeCalls; ++i) {
+        obs::record_phase(obs::PhaseId::SrvCacheProbe, 0, kProbeNs, nullptr, nullptr);
+    }
+    const double solve_us =
+        static_cast<double>(sum_ns(obs::PhaseId::AspSolve) - solve_before) / 1000.0;
+    const double probe_us =
+        static_cast<double>(sum_ns(obs::PhaseId::SrvCacheProbe) - probe_before) / 1000.0;
+    ASSERT_EQ(solve_us, static_cast<double>(kSolveCalls * kSolveNs) / 1000.0);
+    ASSERT_EQ(probe_us, static_cast<double>(kProbeCalls * kProbeNs) / 1000.0);
+
+    // Read at t = 11 s: a 10 s window over the 60 s span.
+    obs::WindowDelta delta = window.window_at(std::chrono::seconds(60), 11'000);
+    ASSERT_EQ(delta.seconds, 10.0);
+    std::vector<PhaseCost> costs = phase_costs(delta);
+
+    // One row per phase, ranked by wall-time share, ties by name.
+    ASSERT_EQ(costs.size(), obs::kPhaseCount);
+    std::set<std::string> names;
+    for (const PhaseCost& cost : costs) names.insert(cost.check);
+    EXPECT_EQ(names, std::set<std::string>(obs::kPhaseNames.begin(), obs::kPhaseNames.end()));
+    for (std::size_t i = 1; i < costs.size(); ++i) {
+        const PhaseCost& a = costs[i - 1];
+        const PhaseCost& b = costs[i];
+        EXPECT_TRUE(a.us_per_s > b.us_per_s || (a.us_per_s == b.us_per_s && a.check < b.check))
+            << a.check << " before " << b.check;
+    }
+    ASSERT_EQ(costs[0].check, "asp.solve");
+    ASSERT_EQ(costs[1].check, "srv.cache_probe");
+
+    // Each driven row is its histogram's window delta, untruncated.
+    const PhaseCost& solve = costs[0];
+    EXPECT_EQ(solve.calls, kSolveCalls);
+    EXPECT_DOUBLE_EQ(solve.mean_us * static_cast<double>(solve.calls), solve_us);
+    EXPECT_DOUBLE_EQ(solve.us_per_s * delta.seconds, solve_us);
+    EXPECT_DOUBLE_EQ(solve.hz, static_cast<double>(kSolveCalls) / delta.seconds);
+    const PhaseCost& probe = costs[1];
+    EXPECT_EQ(probe.calls, kProbeCalls);
+    EXPECT_DOUBLE_EQ(probe.mean_us, 0.4);  // not truncated to 0
+    EXPECT_DOUBLE_EQ(probe.mean_us * static_cast<double>(probe.calls), probe_us);
+    EXPECT_DOUBLE_EQ(probe.us_per_s * delta.seconds, probe_us);
+    for (std::size_t i = 2; i < costs.size(); ++i) {
+        EXPECT_EQ(costs[i].calls, 0U) << costs[i].check;
+        EXPECT_EQ(costs[i].us_per_s, 0.0) << costs[i].check;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Live serve-process tests: the srv::Server `agenp serve` runs.
 
 TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
@@ -374,8 +452,8 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     ASSERT_NE(metrics_port, 0);
 
     // Answer 20 requests on the stdin front end, then scrape while the
-    // server is alive: the latency histogram and the cost-table cells
-    // only exist once traffic was processed.
+    // server is alive: the srv.* phase histograms only exist once traffic
+    // was processed.
     std::string input;
     for (int i = 0; i < 20; ++i) input += "do patrol\n";
     std::istringstream in(input);
@@ -397,14 +475,19 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_FALSE(samples.empty());
     EXPECT_NE(metrics->body.find("agenp_srv_up 1"), std::string::npos);
     EXPECT_NE(metrics->body.find("agenp_srv_draining 0"), std::string::npos);
-    EXPECT_NE(metrics->body.find("# TYPE agenp_srv_latency_us histogram"), std::string::npos);
+    EXPECT_NE(metrics->body.find("# TYPE agenp_phase_ns histogram"), std::string::npos);
+    EXPECT_NE(metrics->body.find("agenp_phase_ns_count{phase=\"srv.request\"}"),
+              std::string::npos);
+    EXPECT_NE(metrics->body.find("agenp_phase_ns_count{phase=\"srv.cache_probe\"}"),
+              std::string::npos);
+    // One histogram per phase: no second latency histogram, no cost table.
+    EXPECT_EQ(metrics->body.find("agenp_srv_latency_us"), std::string::npos);
+    EXPECT_EQ(metrics->body.find("_cost_"), std::string::npos);
 
-    // Windowed families and the cost table ride on the same exposition.
+    // Windowed families ride on the same exposition.
     EXPECT_NE(metrics->body.find("agenp_window_requests_per_s"), std::string::npos);
     EXPECT_NE(metrics->body.find("agenp_window_latency_p95_us"), std::string::npos);
     EXPECT_NE(metrics->body.find("span=\"60s\""), std::string::npos);
-    EXPECT_NE(metrics->body.find("agenp_cost_ewma_us"), std::string::npos);
-    EXPECT_NE(metrics->body.find("check=\"srv.cache_probe\""), std::string::npos);
 
     // Grounding-memo gauges/counters (asg/memo.hpp) export alongside the
     // decision-cache families.
@@ -421,7 +504,22 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_NE(stats->find("memo"), nullptr);
     EXPECT_NE(stats->find("locks"), nullptr);
     EXPECT_NE(stats->find("window"), nullptr);
-    EXPECT_NE(stats->find("costs"), nullptr);
+    const agenp::srv::JsonValue* costs = stats->find("costs");
+    ASSERT_NE(costs, nullptr);
+    // The 60s window starts at the server's first bucket, before the 20
+    // requests, so the srv.request row counts exactly them.
+    ASSERT_EQ(costs->array.size(), agenp::obs::kPhaseCount);
+    bool request_row = false;
+    for (const agenp::srv::JsonValue& row : costs->array) {
+        for (const char* key : {"check", "calls", "mean_us", "hz", "us_per_s"}) {
+            ASSERT_NE(row.find(key), nullptr) << key;
+        }
+        if (row.find("check")->string != "srv.request") continue;
+        request_row = true;
+        EXPECT_EQ(row.find("calls")->as_uint(), 20U);
+        EXPECT_GT(row.find("mean_us")->number, 0.0);
+    }
+    EXPECT_TRUE(request_row);
     EXPECT_NE(statz->body.find("\"10s\":{"), std::string::npos);
     EXPECT_NE(statz->body.find("\"p95_us\":"), std::string::npos);
     EXPECT_NE(statz->body.find("\"hit_rate\":"), std::string::npos);

@@ -2,6 +2,8 @@
 // document is replayed verbatim against a live `agenp serve --listen`
 // server (the srv::Server `agenp serve` runs, real TCP socket). If the shipped behavior
 // drifts from the spec, this test fails — and names the drifting line.
+// A deterministic mutation fuzzer then feeds the wire parsers damaged
+// versions of the same request lines.
 //
 // Transcript conventions (defined in the document itself):
 //   C:  a line the client sends
@@ -13,8 +15,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -27,6 +34,19 @@
 
 namespace agenp::srv {
 namespace {
+
+// Every bad_request message parse_wire_request can produce, each with a
+// line that produces it. PROTOCOL.md's catalogue lists exactly these.
+const std::pair<const char*, const char*> kBadRequestCatalogue[] = {
+    {"[1,2,3]", "line is not a JSON object"},
+    {R"({"id":"seven","decide":"do patrol"})", "field 'id' must be a non-negative integer"},
+    {R"({"decide":"do patrol","op":"ping"})", "request cannot carry both 'decide' and 'op'"},
+    {R"({"decide":42})", "field 'decide' must be a string"},
+    {R"({"decide":""})", "field 'decide' must not be empty"},
+    {R"({"op":"reboot"})", "unknown op (supported: ping)"},
+    {"{}", "request needs a 'decide' or 'op' field"},
+    {R"({"decide":"x","timeout_ms":-1})", "field 'timeout_ms' must be a non-negative integer"},
+};
 
 std::string read_whole_file(const std::string& path) {
     std::ifstream in(path);
@@ -224,24 +244,158 @@ TEST(Protocol, ShippedExamplesRoundTripAgainstLiveServer) {
 // must not produce messages the catalogue misses (spot-checked via the
 // transcript above; here we pin the full list against parse_wire_request).
 TEST(Protocol, BadRequestCatalogueMatchesParser) {
-    const std::pair<const char*, const char*> cases[] = {
-        {"[1,2,3]", "line is not a JSON object"},
-        {R"({"id":"seven","decide":"do patrol"})", "field 'id' must be a non-negative integer"},
-        {R"({"decide":"do patrol","op":"ping"})", "request cannot carry both 'decide' and 'op'"},
-        {R"({"decide":42})", "field 'decide' must be a string"},
-        {R"({"decide":""})", "field 'decide' must not be empty"},
-        {R"({"op":"reboot"})", "unknown op (supported: ping)"},
-        {"{}", "request needs a 'decide' or 'op' field"},
-        {R"({"decide":"x","timeout_ms":-1})", "field 'timeout_ms' must be a non-negative integer"},
-    };
     const std::string doc = read_whole_file(std::string(AGENP_SOURCE_DIR) + "/docs/PROTOCOL.md");
-    for (const auto& [line, message] : cases) {
+    for (const auto& [line, message] : kBadRequestCatalogue) {
         std::string error;
         EXPECT_FALSE(srv::parse_wire_request(line, &error).has_value()) << line;
         EXPECT_EQ(error, message) << line;
         EXPECT_NE(doc.find(std::string("`") + message + "`"), std::string::npos)
             << "catalogue in PROTOCOL.md is missing: " << message;
     }
+}
+
+// --- mutation fuzzing ---------------------------------------------------------
+
+// Valid request lines the mutator starts from, next to every client line
+// of PROTOCOL.md's transcripts: escapes, surrogate pairs, exponents,
+// duplicate keys, nested extra fields and the largest exact id.
+const char* const kWireCorpus[] = {
+    R"({"decide":"do patrol"})",
+    R"({"id":0,"decide":"do strike","timeout_ms":250})",
+    R"({"id":9007199254740992,"op":"ping"})",
+    R"( { "decide" : "do\tpatrol" , "id" : 12 } )",
+    R"({"decide":"do patrol 😀 \ud83d\ude00","extra":[1,-2.5e3,true,false,null,{"a":{}}]})",
+    R"({"op":"ping","id":1e2,"timeout_ms":0.0})",
+    R"({"decide":"do patrol","decide":"do strike"})",
+    R"({"id":3,"decide":"\"quoted\" \\ back\/slash \b\f\n\r\t é \u00e9"})",
+};
+
+// Fragments worth splicing into JSON: structure, escapes, number edges,
+// literals, and bytes that are not UTF-8.
+const char* const kFragments[] = {
+    "{", "}", "[", "]", "\"", ":", ",", "\\", "\\u", "\\ud800", "\\udc00", "-", "0",
+    "1e999", "-0", ".5", "9007199254740993", "null", "true", "\xc3\xa9", "\xff", "\xed\xa0\x80",
+    "\n", " ",
+};
+
+// One mutant of `line`: one to three rounds of byte flips, inserts and
+// deletes, truncation, span duplication, splicing with another corpus
+// line, or wrapping in 70 '[' (past the parser's nesting cap).
+std::string mutate(std::string line, const std::vector<std::string>& corpus,
+                   std::mt19937_64& rng) {
+    auto pick = [&rng](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    for (std::size_t round = 0, rounds = 1 + pick(3); round < rounds; ++round) {
+        switch (pick(8)) {
+            case 0:
+                if (!line.empty()) line[pick(line.size())] ^= static_cast<char>(1U << pick(8));
+                break;
+            case 1: line.insert(pick(line.size() + 1), 1, static_cast<char>(pick(256))); break;
+            case 2:
+                line.insert(pick(line.size() + 1), kFragments[pick(std::size(kFragments))]);
+                break;
+            case 3:
+                if (!line.empty()) line.erase(pick(line.size()), 1 + pick(8));
+                break;
+            case 4: line.resize(pick(line.size() + 1)); break;
+            case 5:
+                if (!line.empty()) {
+                    std::size_t at = pick(line.size());
+                    line.insert(at, line.substr(at, 1 + pick(line.size() - at)));
+                }
+                break;
+            case 6: {
+                const std::string& other = corpus[pick(corpus.size())];
+                line = line.substr(0, pick(line.size() + 1)) + other.substr(pick(other.size() + 1));
+                break;
+            }
+            default: line = std::string(70, '[') + line + std::string(70, ']'); break;
+        }
+    }
+    return line;
+}
+
+// Runs one line through both parsers the transport runs. Returns whether
+// parse_wire_request accepted it; fails the test on any broken contract.
+bool check_line(const std::string& line) {
+    std::string json_error;
+    std::optional<JsonValue> json;
+    EXPECT_NO_THROW(json = parse_json(line, &json_error)) << line;
+    EXPECT_TRUE(json.has_value() || !json_error.empty()) << line;
+    (void)valid_utf8(line);
+
+    std::string error;
+    std::optional<std::uint64_t> id;
+    std::optional<WireRequest> request;
+    EXPECT_NO_THROW(request = parse_wire_request(line, &error, &id)) << line;
+    if (!request.has_value()) {
+        EXPECT_TRUE(std::any_of(std::begin(kBadRequestCatalogue), std::end(kBadRequestCatalogue),
+                                [&](const auto& entry) { return error == entry.second; }))
+            << "message outside the catalogue: '" << error << "' for " << line;
+        return false;
+    }
+    EXPECT_TRUE(error.empty()) << line;
+    EXPECT_TRUE(request->decide.empty() != request->op.empty()) << line;
+    if (request->has_id) {
+        EXPECT_EQ(id, request->id) << line;
+    }
+
+    // Both reply shapes read back: an outcome object, and an error object
+    // whose message echoes the request's own bytes.
+    Decision decision;
+    decision.outcome = Outcome::Permit;
+    decision.latency_us = 1;
+    decision.trace_id = 2;
+    std::string reply = wire_decision_json(*request, decision);
+    auto parsed = parse_json(reply);
+    EXPECT_TRUE(parsed.has_value() && parsed->is_object()) << reply;
+    if (parsed.has_value() && request->has_id) {
+        const JsonValue* echoed = parsed->find("id");
+        EXPECT_TRUE(echoed != nullptr && echoed->as_uint() == request->id) << reply;
+    }
+    decision.outcome = Outcome::Error;
+    decision.error = request->decide;
+    reply = wire_decision_json(*request, decision);
+    parsed = parse_json(reply);
+    EXPECT_TRUE(parsed.has_value() && parsed->is_object()) << reply;
+    if (parsed.has_value()) {
+        // An empty message (a ping's decide) is left out of the reply.
+        const JsonValue* message = parsed->find("message");
+        EXPECT_EQ(message == nullptr ? std::string() : message->string, request->decide) << reply;
+    }
+    return true;
+}
+
+TEST(Protocol, MutatedRequestLinesNeverBreakTheWireParsers) {
+    std::vector<std::string> corpus(std::begin(kWireCorpus), std::end(kWireCorpus));
+    const std::string doc = read_whole_file(std::string(AGENP_SOURCE_DIR) + "/docs/PROTOCOL.md");
+    for (const Step& step : transcript_steps(doc)) {
+        if (step.kind == Step::Kind::Send && step.text.front() != '!') corpus.push_back(step.text);
+    }
+    ASSERT_GE(corpus.size(), std::size(kWireCorpus) + 10);
+    for (const std::string& line : corpus) EXPECT_TRUE(parse_json(line).has_value()) << line;
+
+    // 20 fixed seeds x 1,000 mutants: the same 20,000 lines on every run.
+    constexpr std::uint64_t kSeeds = 20;
+    constexpr std::size_t kMutantsPerSeed = 1000;
+    std::size_t accepted = 0;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::mt19937_64 rng(seed);
+        for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
+            const std::string& base = corpus[rng() % corpus.size()];
+            if (check_line(mutate(base, corpus, rng))) ++accepted;
+            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", mutant " << i;
+        }
+    }
+    // Both sides of the parser are exercised.
+    EXPECT_GT(accepted, kSeeds * kMutantsPerSeed / 100);
+    EXPECT_LT(accepted, kSeeds * kMutantsPerSeed / 2);
+
+    // The nesting cap holds at the depth the wrapping mutation reaches.
+    std::string error;
+    EXPECT_FALSE(parse_json(std::string(70, '[') + "1" + std::string(70, ']'), &error).has_value());
+    EXPECT_EQ(error, "JSON nesting too deep");
 }
 
 }  // namespace

@@ -799,15 +799,18 @@ TEST(DecisionService, TracingOffAllocatesNoContexts) {
 TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
     // One Phase measurement feeds every surface: a captured trace's
     // queue-wait and solve spans, the flight record and the audit line
-    // report the same microseconds, and every per-request phase histogram
-    // counts each request once, cache hit or miss. The second round is
-    // submitted after the first drained, so every request in it is a hit
-    // answered inside submit().
+    // report the same microseconds, every per-request phase histogram
+    // counts each request once, cache hit or miss, and the srv.request
+    // histogram sums the untruncated nanoseconds the flight records
+    // truncate. The second round is submitted after the first drained,
+    // so every request in it is a hit answered inside submit().
     constexpr obs::PhaseId kPerRequest[] = {
         obs::PhaseId::SrvRequest, obs::PhaseId::SrvQueueWait,  obs::PhaseId::SrvContext,
         obs::PhaseId::SrvSolve,   obs::PhaseId::SrvCacheProbe, obs::PhaseId::SrvMonitor};
     std::vector<std::uint64_t> before;
     for (obs::PhaseId id : kPerRequest) before.push_back(obs::phase_histogram(id).snapshot().count);
+    const std::uint64_t request_ns_before =
+        obs::phase_histogram(obs::PhaseId::SrvRequest).snapshot().sum;
 
     std::string audit_path = std::string(::testing::TempDir()) + "/agenp_srv_consistency.ndjson";
     std::remove(audit_path.c_str());
@@ -872,6 +875,14 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
         EXPECT_EQ(obs::phase_histogram(kPerRequest[i]).snapshot().count, before[i] + kRequests)
             << obs::phase_name(kPerRequest[i]);
     }
+    // Each flight total_us is its request's nanoseconds truncated, so the
+    // histogram's sum lies within one microsecond per request above them.
+    std::uint64_t flight_total_us = 0;
+    for (const auto& [id, record] : flights) flight_total_us += record.total_us;
+    const std::uint64_t request_us =
+        (obs::phase_histogram(obs::PhaseId::SrvRequest).snapshot().sum - request_ns_before) / 1000;
+    EXPECT_GE(request_us, flight_total_us);
+    EXPECT_LT(request_us, flight_total_us + kRequests);
 }
 
 // --- wire protocol ----------------------------------------------------------
