@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "asg/instantiate.hpp"
-#include "obs/metrics.hpp"
 #include "util/strings.hpp"
 
 namespace agenp::asg {
@@ -251,14 +250,6 @@ MemoizedGrounding::MemoizedGrounding(GroundingMemo* memo, const AnswerSetGrammar
 MemoizedGrounding::~MemoizedGrounding() {
     if (local_hits_ == 0 && local_misses_ == 0) return;  // sat hits are hits
     memo_->record(local_hits_, local_misses_, local_sat_hits_);
-    if (!obs::metrics_enabled()) return;
-    auto& m = obs::metrics();
-    static obs::Counter& hits = m.counter("asg.memo.hits");
-    static obs::Counter& misses = m.counter("asg.memo.misses");
-    static obs::Counter& sat_hits = m.counter("asg.memo.sat_hits");
-    hits.add(local_hits_);
-    misses.add(local_misses_);
-    sat_hits.add(local_sat_hits_);
 }
 
 GroundingMemo::Key MemoizedGrounding::make_key(const cfg::ParseNode& node) const {

@@ -127,19 +127,18 @@ void Exposition::add_histogram(std::string_view name, const MetricLabels& labels
     family(name, 'h', help).samples.push_back(std::move(s));
 }
 
-void Exposition::append_registry(const MetricsRegistry& registry) {
-    MetricsSnapshot snap = registry.snapshot();
+void Exposition::append_snapshot(const MetricsSnapshot& snapshot) {
     std::string name;
     MetricLabels labels;
-    for (const auto& [key, value] : snap.counters) {
+    for (const auto& [key, value] : snapshot.counters) {
         if (!parse_metric_key(key, &name, &labels)) continue;
         add_counter(name, labels, value);
     }
-    for (const auto& [key, value] : snap.gauges) {
+    for (const auto& [key, value] : snapshot.gauges) {
         if (!parse_metric_key(key, &name, &labels)) continue;
         add_gauge(name, labels, value);
     }
-    for (const auto& [key, value] : snap.histograms) {
+    for (const auto& [key, value] : snapshot.histograms) {
         if (!parse_metric_key(key, &name, &labels)) continue;
         add_histogram(name, labels, value);
     }

@@ -1,11 +1,13 @@
 // Metric exposition: one enumeration of the process's telemetry rendered
 // for external consumers. An Exposition is a collected snapshot — callers
-// append instruments (usually via append_registry / append_locks, which
-// split metric_key() encodings back into base name + labels) and then
-// render the whole set as Prometheus text exposition format 0.0.4 (the
-// `/metrics` pull path).
+// append samples (usually via append_snapshot / append_locks, which split
+// metric_key() encodings back into base name + labels) and then render
+// the whole set as Prometheus text exposition format 0.0.4 (the
+// `/metrics` pull path). The serving layer appends one MetricsSnapshot
+// that lists the registry's instruments next to the counts its objects
+// keep (srv::serve_metrics).
 //
-// Name mapping: registry names are dot-separated (`srv.conn.accepted`);
+// Name mapping: metric names are dot-separated (`srv.conn.accepted`);
 // Prometheus output prefixes `agenp_` and maps dots to underscores
 // (`agenp_srv_conn_accepted_total`), which is always charset-valid because
 // registration asserts valid_metric_name().
@@ -43,10 +45,11 @@ public:
     void add_histogram(std::string_view name, const MetricLabels& labels,
                        const Histogram::Snapshot& snapshot, std::string_view help = {});
 
-    // Appends every instrument in `registry`, splitting labeled keys with
-    // parse_metric_key (keys that fail to parse are skipped — they cannot
-    // exist for registrations that passed the debug assert).
-    void append_registry(const MetricsRegistry& registry);
+    // Appends every entry of `snapshot` (a registry's snapshot(), or any
+    // list in its shape), splitting labeled keys with parse_metric_key
+    // (keys that fail to parse are skipped — they cannot exist for
+    // registrations that passed the debug assert).
+    void append_snapshot(const MetricsSnapshot& snapshot);
 
     // Appends per-lock acquisition/contention counters and the wait-time
     // histogram, with the lock name as a `lock` label.

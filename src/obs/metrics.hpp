@@ -18,6 +18,13 @@
 // (`phase_ns` observes nanoseconds). Per-instance dimensions (replica,
 // shard, lock) are labels, not name segments, so exporters can aggregate
 // across them — see metric_key() and the labeled registry overloads.
+//
+// Scope: the registry holds what no per-instance object owns — the
+// library counters (asp.*, cfg.*, asg.membership.*, ilp.*, agenp.*) and
+// the phase_ns histograms. A serving event is counted once, by the object
+// it happens in (srv::ServiceStats, srv::TransportStats, ...); the
+// serving layer lists those next to this registry's snapshot in one
+// MetricsSnapshot (srv::serve_metrics) instead of counting them twice.
 #pragma once
 
 #include <atomic>
@@ -31,7 +38,8 @@ namespace agenp::obs {
 
 // Global kill switch. Defaults to enabled; disabling makes the flush
 // helpers and obs::Phase's histogram sink no-ops (call sites that cache
-// Counter& still pay one relaxed add — near-zero either way).
+// Counter& still pay one relaxed add — near-zero either way). Serving
+// counts are not registry instruments and are kept regardless.
 bool metrics_enabled();
 void set_metrics_enabled(bool enabled);
 
@@ -108,7 +116,7 @@ bool valid_label_key(std::string_view key);
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
 // Canonical registry key for a (name, labels) pair:
-//   srv.router.queue_depth{replica="0"}
+//   srv.replica.queue_depth{replica="0"}
 // Unlabeled metrics use the bare name. Label values are escaped like JSON
 // strings (\" \\ \n), so the encoding round-trips.
 std::string metric_key(std::string_view name, const MetricLabels& labels);

@@ -1,6 +1,7 @@
 #include "obs/window.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace agenp::obs {
 namespace {
@@ -54,8 +55,8 @@ double WindowDelta::rate(std::string_view key) const {
     return static_cast<double>(counter(key)) / seconds;
 }
 
-RollingWindow::RollingWindow(const MetricsRegistry& registry, WindowOptions options)
-    : registry_(registry), options_(options) {
+RollingWindow::RollingWindow(std::function<MetricsSnapshot()> source, WindowOptions options)
+    : source_(std::move(source)), options_(options) {
     options_.buckets = std::max<std::size_t>(options_.buckets, 2);
     ring_.resize(options_.buckets);
 }
@@ -63,7 +64,7 @@ RollingWindow::RollingWindow(const MetricsRegistry& registry, WindowOptions opti
 void RollingWindow::tick() { tick_at(monotonic_ms()); }
 
 void RollingWindow::tick_at(std::uint64_t now_ms) {
-    MetricsSnapshot snapshot = registry_.snapshot();
+    MetricsSnapshot snapshot = source_();
     util::MutexLock lock(mu_);
     Bucket& bucket = ring_[head_];
     bucket.at_ms = now_ms;
@@ -77,12 +78,13 @@ WindowDelta RollingWindow::window(std::chrono::seconds span) const {
 }
 
 WindowDelta RollingWindow::window_at(std::chrono::seconds span, std::uint64_t now_ms) const {
+    MetricsSnapshot live = source_();
     util::MutexLock lock(mu_);
-    return window_locked(span, now_ms);
+    return window_locked(span, now_ms, std::move(live));
 }
 
-WindowDelta RollingWindow::window_locked(std::chrono::seconds span,
-                                         std::uint64_t now_ms) const {
+WindowDelta RollingWindow::window_locked(std::chrono::seconds span, std::uint64_t now_ms,
+                                         MetricsSnapshot live) const {
     WindowDelta delta;
     // Base bucket: the newest capture at least `span` old — i.e. the
     // best available approximation of the state at (now - span). Fall
@@ -104,7 +106,6 @@ WindowDelta RollingWindow::window_locked(std::chrono::seconds span,
     if (base == nullptr) return delta;
 
     delta.seconds = static_cast<double>(now_ms - base->at_ms) / 1000.0;
-    MetricsSnapshot live = registry_.snapshot();
 
     auto base_counter = [&](const std::string& key) -> std::uint64_t {
         for (const auto& [name, value] : base->snapshot.counters) {

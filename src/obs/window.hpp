@@ -1,18 +1,20 @@
-// Rolling time-window aggregation over the cumulative metrics registry
-// (DESIGN.md section 7.5).
+// Rolling time-window aggregation over cumulative counts (DESIGN.md
+// section 7.5).
 //
-// Every instrument in MetricsRegistry is cumulative-since-process-start,
+// Every count a MetricsSnapshot carries is cumulative-since-process-start,
 // which is the right exposition shape for Prometheus but useless for "what
 // is the p95 over the last minute" on a server that has been up for a
-// week. RollingWindow fixes that without touching the instruments: a
-// ticker captures a full registry snapshot once per bucket interval into a
+// week. RollingWindow fixes that without touching the counters: a ticker
+// captures a full snapshot from its source once per bucket interval into a
 // fixed ring, and window(span) subtracts the bucket nearest `now - span`
 // from a fresh snapshot. Counter deltas become windowed rates; histogram
 // bucket-count deltas are themselves valid Histogram::Snapshots, so the
 // existing quantile() math yields windowed p50/p95/p99 for free.
 //
-// The cumulative MetricsSnapshot shape is unchanged — windows are a read
-// layer on top, not a new instrument kind.
+// The source is any function returning a MetricsSnapshot: a registry's
+// snapshot(), or the serving layer's enumeration of the counts its objects
+// keep (srv::serve_metrics). Windows are a read layer on top, not a new
+// instrument kind. The source is never called under the window's lock.
 #pragma once
 
 #include <atomic>
@@ -35,10 +37,10 @@ struct WindowOptions {
     std::size_t buckets = 301;
 };
 
-// The difference between a fresh registry snapshot and a historical
-// bucket. Missing-in-base keys (instruments registered mid-window) count
-// from zero; an instrument reset mid-window clamps to the live value
-// instead of going negative.
+// The difference between a fresh snapshot and a historical bucket.
+// Missing-in-base keys (instruments registered mid-window) count from
+// zero; an instrument reset mid-window clamps to the live value instead
+// of going negative.
 struct WindowDelta {
     double seconds = 0.0;   // wall time actually covered by the delta
     bool complete = false;  // false while the ring lacks `span` of history
@@ -54,7 +56,9 @@ struct WindowDelta {
 
 class RollingWindow {
 public:
-    explicit RollingWindow(const MetricsRegistry& registry, WindowOptions options = {});
+    // `source` is called once per tick and once per window() read, from
+    // whichever thread calls them.
+    explicit RollingWindow(std::function<MetricsSnapshot()> source, WindowOptions options = {});
 
     // Captures one bucket stamped with the monotonic clock. Call at the
     // bucket interval (WindowTicker does); extra calls just reduce bucket
@@ -78,10 +82,10 @@ private:
         bool valid = false;
     };
 
-    [[nodiscard]] WindowDelta window_locked(std::chrono::seconds span,
-                                            std::uint64_t now_ms) const REQUIRES(mu_);
+    [[nodiscard]] WindowDelta window_locked(std::chrono::seconds span, std::uint64_t now_ms,
+                                            MetricsSnapshot live) const REQUIRES(mu_);
 
-    const MetricsRegistry& registry_;
+    std::function<MetricsSnapshot()> source_;
     WindowOptions options_;
     mutable util::Mutex mu_;
     std::vector<Bucket> ring_ GUARDED_BY(mu_);

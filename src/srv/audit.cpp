@@ -63,10 +63,6 @@ void AuditLog::rotate_locked() {
     file_ = std::fopen(options_.path.c_str(), "ae");
     bytes_ = 0;
     ++rotations_;
-    if (obs::metrics_enabled()) {
-        static obs::Counter& rotations = obs::metrics().counter("srv.audit.rotations");
-        rotations.add(1);
-    }
 }
 
 void AuditLog::record(AuditEntry entry) {
@@ -78,10 +74,6 @@ void AuditLog::record(AuditEntry entry) {
     std::uint64_t seen = seen_++;
     if (options_.sample_every > 1 && seen % options_.sample_every != 0) {
         ++sampled_out_;
-        if (obs::metrics_enabled()) {
-            static obs::Counter& sampled = obs::metrics().counter("srv.audit.sampled_out");
-            sampled.add(1);
-        }
         return;
     }
     if (file_ != nullptr && bytes_ + line.size() > options_.max_bytes && bytes_ > 0) {
@@ -89,34 +81,17 @@ void AuditLog::record(AuditEntry entry) {
     }
     if (file_ == nullptr ||
         std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-        if (obs::metrics_enabled()) {
-            static obs::Counter& errors = obs::metrics().counter("srv.audit.write_errors");
-            errors.add(1);
-        }
+        ++write_errors_;
         return;
     }
     std::fflush(file_);
     bytes_ += line.size();
     ++recorded_;
-    if (obs::metrics_enabled()) {
-        static obs::Counter& records = obs::metrics().counter("srv.audit.records");
-        records.add(1);
-    }
 }
 
-std::uint64_t AuditLog::recorded() const {
+AuditStats AuditLog::stats() const {
     obs::ProfiledMutexLock lock(mutex_);
-    return recorded_;
-}
-
-std::uint64_t AuditLog::sampled_out() const {
-    obs::ProfiledMutexLock lock(mutex_);
-    return sampled_out_;
-}
-
-std::uint64_t AuditLog::rotations() const {
-    obs::ProfiledMutexLock lock(mutex_);
-    return rotations_;
+    return {recorded_, sampled_out_, rotations_, write_errors_};
 }
 
 }  // namespace agenp::srv

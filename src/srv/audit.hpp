@@ -10,7 +10,8 @@
 // and a fresh file starts, so a long-lived server holds at most ~2x
 // max_bytes of audit history. Sampling (`sample_every = N`) keeps every
 // Nth entry for deployments where full capture is too hot; the skipped
-// count is reported so the gap is visible.
+// count is reported so the gap is visible. The log is the only counter of
+// what it wrote: stats() is what `/metrics` exports as agenp_srv_audit_*.
 //
 // Thread safety: record() is called from worker threads and serializes
 // under a ProfiledMutex ("srv.audit"), so audit contention shows up in
@@ -47,6 +48,14 @@ struct AuditEntry {
     std::uint64_t solve_us = 0;
 };
 
+// What the log did since it opened.
+struct AuditStats {
+    std::uint64_t records = 0;      // lines written
+    std::uint64_t sampled_out = 0;  // entries skipped by sampling
+    std::uint64_t rotations = 0;
+    std::uint64_t write_errors = 0;  // entries lost to a failed open or write
+};
+
 // One audit entry as a single-line JSON object (no trailing newline).
 std::string audit_entry_json(const AuditEntry& entry);
 
@@ -64,9 +73,7 @@ public:
     // when the caller left it zero. Write errors are counted, not thrown.
     void record(AuditEntry entry);
 
-    [[nodiscard]] std::uint64_t recorded() const;
-    [[nodiscard]] std::uint64_t sampled_out() const;
-    [[nodiscard]] std::uint64_t rotations() const;
+    [[nodiscard]] AuditStats stats() const;
     [[nodiscard]] const AuditOptions& options() const { return options_; }
 
 private:
@@ -80,6 +87,7 @@ private:
     std::uint64_t recorded_ GUARDED_BY(mutex_) = 0;
     std::uint64_t sampled_out_ GUARDED_BY(mutex_) = 0;
     std::uint64_t rotations_ GUARDED_BY(mutex_) = 0;
+    std::uint64_t write_errors_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace agenp::srv

@@ -124,9 +124,8 @@ std::vector<PhaseCost> phase_costs(const obs::WindowDelta& delta) {
     return costs;
 }
 
-std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
-                             const store::StateStore* state, const obs::RollingWindow* window) {
-    RouterStats rs = router.snapshot_stats();
+std::string serve_stats_json(const ServeSources& sources, const obs::RollingWindow* window) {
+    RouterStats rs = sources.router.snapshot_stats();
     const ServiceStats& stats = rs.total;
     std::string out = "{";
     out += "\"submitted\":" + std::to_string(stats.submitted);
@@ -169,8 +168,10 @@ std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
                ",\"completed\":" + std::to_string(replica.service.completed) + "}";
     }
     out += "]";
-    if (server != nullptr) out += ",\"conn\":" + transport_stats_json(server->stats());
-    if (state != nullptr) out += ",\"store\":" + store_status_json(state->status());
+    if (sources.tcp != nullptr) out += ",\"conn\":" + transport_stats_json(sources.tcp->stats());
+    if (sources.state != nullptr) {
+        out += ",\"store\":" + store_status_json(sources.state->status());
+    }
     if (window != nullptr) {
         out += ",\"window\":{";
         bool first = true;
@@ -213,71 +214,95 @@ std::string healthz_json(const AmsRouter& router, bool draining) {
     return out;
 }
 
-obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
-                                 const store::StateStore* state,
+obs::MetricsSnapshot serve_metrics(const ServeSources& sources) {
+    obs::MetricsSnapshot out = obs::metrics().snapshot();
+    auto counter = [&out](std::string_view name, std::uint64_t value,
+                          const obs::MetricLabels& labels = {}) {
+        out.counters.emplace_back(obs::metric_key(name, labels), value);
+    };
+    auto gauge = [&out](std::string_view name, std::uint64_t value,
+                        const obs::MetricLabels& labels = {}) {
+        out.gauges.emplace_back(obs::metric_key(name, labels), static_cast<std::int64_t>(value));
+    };
+
+    RouterStats rs = sources.router.snapshot_stats();
+    const ServiceStats& total = rs.total;
+    counter("srv.requests", total.submitted);
+    counter("srv.decisions", total.completed);
+    counter("srv.permitted", total.permitted);
+    counter("srv.denied", total.denied);
+    counter("srv.overloaded", total.rejected_overload);
+    counter("srv.expired", total.expired);
+    counter("srv.errors", total.errors);
+    counter("srv.traces_captured", total.traces_captured);
+    counter("srv.cache_hits", total.cache.hits);
+    counter("srv.cache_misses", total.cache.misses);
+    gauge("srv.cache.entries", total.cache.entries);
+    gauge("srv.cache.bytes", total.cache.bytes);
+    counter("srv.cache.evictions", total.cache.evictions);
+    counter("srv.cache.invalidations", total.cache.invalidations);
+    counter("memo.hits", total.memo.hits);
+    counter("memo.misses", total.memo.misses);
+    counter("memo.sat_hits", total.memo.sat_hits);
+    gauge("memo.entries", total.memo.entries);
+    gauge("memo.bytes", total.memo.bytes);
+    counter("memo.evictions", total.memo.evictions);
+    counter("memo.invalidations", total.memo.invalidations);
+    counter("memo.gate_fallbacks", total.memo.gate_fallbacks);
+    gauge("srv.router.versions_agree", rs.versions_agree ? 1 : 0);
+    counter("srv.router.routed_affinity", rs.routed_affinity);
+    counter("srv.router.routed_fallback", rs.routed_fallback);
+    for (std::size_t i = 0; i < rs.replicas.size(); ++i) {
+        obs::MetricLabels replica{{"replica", std::to_string(i)}};
+        gauge("srv.replica.model_version", rs.replicas[i].model_version, replica);
+        gauge("srv.replica.queue_depth", rs.replicas[i].queue_depth, replica);
+    }
+    if (sources.tcp != nullptr) {
+        TransportStats conn = sources.tcp->stats();
+        counter("srv.conn.accepted", conn.accepted);
+        counter("srv.conn.closed", conn.closed);
+        gauge("srv.conn.active", conn.active);
+        counter("srv.conn.lines_in", conn.lines_in);
+        counter("srv.conn.bytes_in", conn.bytes_in);
+        counter("srv.conn.bytes_out", conn.bytes_out);
+        counter("srv.conn.bad_requests", conn.bad_requests);
+        counter("srv.conn.slow_disconnects", conn.slow_client_disconnects);
+        counter("srv.conn.idle_disconnects", conn.idle_disconnects);
+        counter("srv.conn.oversized_disconnects", conn.oversized_disconnects);
+    }
+    if (sources.audit != nullptr) {
+        AuditStats audit = sources.audit->stats();
+        counter("srv.audit.records", audit.records);
+        counter("srv.audit.sampled_out", audit.sampled_out);
+        counter("srv.audit.rotations", audit.rotations);
+        counter("srv.audit.write_errors", audit.write_errors);
+    }
+    if (sources.state != nullptr) {
+        store::StoreStatus status = sources.state->status();
+        counter("store.snapshots", status.snapshots_written);
+        counter("store.snapshot_failures", status.snapshot_failures);
+        out.gauges.emplace_back("store.snapshot_age_seconds", snapshot_age_s(status));
+        gauge("store.snapshot_bytes", status.snapshot_bytes);
+        gauge("store.snapshot_entries", status.snapshot_entries);
+        gauge("store.snapshot_policies", status.snapshot_policies);
+        counter("store.wal_appends", status.wal_appends);
+        gauge("store.wal_bytes", status.wal_bytes);
+        gauge("store.restored", status.restored ? 1 : 0);
+        counter("store.restored_entries", status.restored_entries);
+        counter("store.wal_replayed_entries", status.wal_replayed);
+        counter("store.wal_discarded_bytes", status.wal_discarded_bytes);
+    }
+    return out;
+}
+
+obs::Exposition serve_exposition(const ServeSources& sources, bool draining,
                                  const obs::RollingWindow* window) {
     obs::Exposition exposition;
-    exposition.append_registry(obs::metrics());
+    exposition.append_snapshot(serve_metrics(sources));
     exposition.append_locks(obs::locks());
-
-    RouterStats rs = router.snapshot_stats();
     exposition.add_gauge("srv.up", {}, 1, "1 while the serve process is alive");
     exposition.add_gauge("srv.draining", {}, draining ? 1 : 0,
                          "1 once graceful shutdown has started");
-    exposition.add_gauge("srv.router.model_version", {},
-                         static_cast<std::int64_t>(rs.model_version),
-                         "Model version on replica 0");
-    exposition.add_gauge("srv.router.versions_agree", {}, rs.versions_agree ? 1 : 0,
-                         "1 when every replica serves the same model version");
-    exposition.add_counter("srv.router.routed_affinity", {}, rs.routed_affinity,
-                           "Requests routed to their hash-affinity replica");
-    exposition.add_counter("srv.router.routed_fallback", {}, rs.routed_fallback,
-                           "Requests spilled to a fallback replica");
-    exposition.add_gauge("srv.cache.entries", {}, static_cast<std::int64_t>(rs.total.cache.entries),
-                         "Decision-cache entries across replicas");
-    exposition.add_gauge("srv.cache.bytes", {}, static_cast<std::int64_t>(rs.total.cache.bytes),
-                         "Decision-cache footprint in bytes across replicas");
-    exposition.add_counter("srv.cache.evictions", {}, rs.total.cache.evictions,
-                           "Decision-cache capacity evictions across replicas");
-    exposition.add_counter("srv.cache.invalidations", {}, rs.total.cache.invalidations,
-                           "Decision-cache version invalidations across replicas");
-    exposition.add_counter("memo.hits", {}, rs.total.memo.hits,
-                           "Grounding-memo fragment hits across replicas");
-    exposition.add_counter("memo.misses", {}, rs.total.memo.misses,
-                           "Grounding-memo fragment misses across replicas");
-    exposition.add_counter("memo.sat_hits", {}, rs.total.memo.sat_hits,
-                           "Grounding-memo verdict hits (solver skipped) across replicas");
-    exposition.add_gauge("memo.entries", {}, static_cast<std::int64_t>(rs.total.memo.entries),
-                         "Grounding-memo entries across replicas");
-    exposition.add_gauge("memo.bytes", {}, static_cast<std::int64_t>(rs.total.memo.bytes),
-                         "Grounding-memo footprint in bytes across replicas");
-    exposition.add_counter("memo.evictions", {}, rs.total.memo.evictions,
-                           "Grounding-memo capacity evictions across replicas");
-    exposition.add_counter("memo.invalidations", {}, rs.total.memo.invalidations,
-                           "Grounding-memo model-version invalidations across replicas");
-    exposition.add_counter("memo.gate_fallbacks", {}, rs.total.memo.gate_fallbacks,
-                           "Queries where the memoizability gate forced the slow path");
-    for (std::size_t i = 0; i < rs.replicas.size(); ++i) {
-        exposition.add_gauge("srv.replica.model_version", {{"replica", std::to_string(i)}},
-                             static_cast<std::int64_t>(rs.replicas[i].model_version),
-                             "Model version by replica");
-        exposition.add_gauge("srv.replica.queue_depth", {{"replica", std::to_string(i)}},
-                             static_cast<std::int64_t>(rs.replicas[i].queue_depth),
-                             "Instantaneous queue depth by replica");
-    }
-    if (state != nullptr) {
-        store::StoreStatus status = state->status();
-        exposition.add_gauge("store.snapshot_age_seconds", {}, snapshot_age_s(status),
-                             "Seconds since the last state snapshot (-1 before the first)");
-        exposition.add_gauge("store.snapshot_size_bytes", {},
-                             static_cast<std::int64_t>(status.snapshot_bytes),
-                             "Size of the last written or loaded snapshot");
-        exposition.add_gauge("store.snapshot_cache_entries", {},
-                             static_cast<std::int64_t>(status.snapshot_entries),
-                             "Cache entries in the last snapshot");
-        exposition.add_gauge("store.restored", {}, status.restored ? 1 : 0,
-                             "1 when this process warm-restarted from persisted state");
-    }
     if (window != nullptr) {
         for (std::chrono::seconds span : kWindowSpans) {
             WindowedServeStats ws = windowed_serve_stats(*window, span);
@@ -295,12 +320,6 @@ obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
         }
     }
     return exposition;
-}
-
-std::string serve_exposition_prometheus(const AmsRouter& router, bool draining,
-                                        const store::StateStore* state,
-                                        const obs::RollingWindow* window) {
-    return serve_exposition(router, draining, state, window).prometheus();
 }
 
 }  // namespace agenp::srv

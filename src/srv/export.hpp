@@ -3,13 +3,18 @@
 //   !stats / /statz / periodic reporter  -> serve_stats_json (one-line JSON)
 //   GET /healthz                         -> healthz_json (liveness + drain)
 //   GET /metrics  (Prometheus pull)      -> serve_exposition(...).prometheus()
+//   obs::RollingWindow (/statz "window", agenp_window_*) -> serve_metrics
 //
-// The exposition enumerates one obs::Exposition from three sources — the
-// process metrics registry (including the per-phase phase_ns histograms),
-// the lock-contention registry, and a RouterStats snapshot (model version,
-// divergence, routing, aggregated cache). serve_stats_json keeps its
-// original key set: it is the compatibility surface for `!stats` JSON
-// consumers and is not derived from the exposition.
+// Each serving event has one counter, kept by the object it happens in:
+// DecisionService (ServiceStats), its DecisionCache (CacheStats) and
+// grounding memo (MemoStats), the AmsRouter, the TcpServer
+// (TransportStats), the AuditLog (AuditStats) and the StateStore
+// (StoreStatus). serve_metrics reads them all, with the process registry
+// (library counters and the per-phase phase_ns histograms), into one
+// MetricsSnapshot; /metrics renders it and the rolling window ticks over
+// it, so both report the numbers /statz reads from the same structs.
+// serve_stats_json keeps its original key set: it is the compatibility
+// surface for `!stats` JSON consumers.
 #pragma once
 
 #include <chrono>
@@ -19,11 +24,35 @@
 
 #include "obs/export/exposition.hpp"
 #include "obs/window.hpp"
+#include "srv/audit.hpp"
 #include "srv/router.hpp"
 #include "srv/transport.hpp"
 #include "store/store.hpp"
 
 namespace agenp::srv {
+
+// The objects that keep the serving counts. Only the router is required;
+// a null pointer means that part is off (no TCP listener, no audit log,
+// no state dir).
+struct ServeSources {
+    const AmsRouter& router;
+    const TcpServer* tcp = nullptr;
+    const AuditLog* audit = nullptr;
+    const store::StateStore* state = nullptr;
+};
+
+// The one enumeration of every serving number, read when called: the
+// process registry's instruments plus, under their registry-style names,
+//   srv.{requests,decisions,permitted,denied,overloaded,expired,errors,
+//        traces_captured,cache_hits,cache_misses}   ServiceStats, CacheStats
+//   srv.cache.*, memo.*                             cache and memo footprint
+//   srv.router.{routed_affinity,routed_fallback,versions_agree}
+//   srv.replica.{model_version,queue_depth}{replica}
+//   srv.conn.*                                      TransportStats (tcp)
+//   srv.audit.{records,sampled_out,rotations,write_errors}   (audit)
+//   store.*                                         StoreStatus (state)
+// Hits and misses count cache lookups, as /statz "cache" does.
+obs::MetricsSnapshot serve_metrics(const ServeSources& sources);
 
 // Windowed SLO stats for one span, derived from the rolling window's
 // srv.requests / srv.cache_hits / srv.cache_misses deltas and the
@@ -57,38 +86,26 @@ std::vector<PhaseCost> phase_costs(const obs::WindowDelta& delta);
 
 // One-line JSON for `!stats`, `/statz`, and the periodic reporter: summed
 // service counters, cache, locks, router routing detail, per-replica rows,
-// and transport counters when serving TCP (`server` may be null). With a
-// StateStore attached (`--state-dir`) a "store" object rides along:
-// snapshot count/age/bytes/entries, WAL growth, and what restore() found.
-// With a rolling window attached, a "window" object with 10s/60s/300s
-// spans and a "costs" array (phase_costs over the same 60s delta as
-// window["60s"]) ride along too — all additions are new keys; the
-// original key set is unchanged.
-std::string serve_stats_json(const AmsRouter& router, const TcpServer* server,
-                             const store::StateStore* state = nullptr,
+// and transport counters when serving TCP. With a StateStore attached
+// (`--state-dir`) a "store" object rides along: snapshot
+// count/age/bytes/entries, WAL growth, and what restore() found. With a
+// rolling window attached, a "window" object with 10s/60s/300s spans and
+// a "costs" array (phase_costs over the same 60s delta as window["60s"])
+// ride along too — all additions are new keys; the original key set is
+// unchanged.
+std::string serve_stats_json(const ServeSources& sources,
                              const obs::RollingWindow* window = nullptr);
 
 // `/healthz` body: status ("ok" while serving, "draining" once shutdown
 // starts), replica count, model version agreement, total queue depth.
 std::string healthz_json(const AmsRouter& router, bool draining);
 
-// The one shared enumerator: process registry + lock profiles + router
-// snapshot (srv.up, srv.draining, srv.router.model_version,
-// srv.router.versions_agree, srv.router.routed_*, srv.cache.*), plus the
-// point-in-time store.* gauges (snapshot age/bytes/entries, wal bytes)
-// when a StateStore is attached — the store's own counters are already in
-// the process registry as agenp_store_*.
-// With a rolling window attached, the exposition additionally carries the
-// agenp_window_* families (requests_per_s, cache_hit_rate, latency
-// quantiles, labeled by span). Per-phase cost and rate need no family of
-// their own: they are rate(agenp_phase_ns_sum[1m]) and _count.
-obs::Exposition serve_exposition(const AmsRouter& router, bool draining,
-                                 const store::StateStore* state = nullptr,
+// serve_metrics, the lock profiles, srv.up and srv.draining, and — with
+// a rolling window attached — the agenp_window_* families
+// (requests_per_s, cache_hit_rate, latency quantiles, labeled by span).
+// Per-phase cost and rate need no family of their own: they are
+// rate(agenp_phase_ns_sum[1m]) and _count.
+obs::Exposition serve_exposition(const ServeSources& sources, bool draining,
                                  const obs::RollingWindow* window = nullptr);
-
-// Renders serve_exposition as Prometheus text exposition format 0.0.4.
-std::string serve_exposition_prometheus(const AmsRouter& router, bool draining,
-                                        const store::StateStore* state = nullptr,
-                                        const obs::RollingWindow* window = nullptr);
 
 }  // namespace agenp::srv

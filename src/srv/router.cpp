@@ -20,13 +20,6 @@ AmsRouter::AmsRouter(const AmsFactory& factory, RouterOptions options) {
         versions_.push_back(
             std::make_unique<std::atomic<std::uint64_t>>(ams_[i]->model_version()));
     }
-    if (obs::metrics_enabled()) {
-        depth_gauges_.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            depth_gauges_.push_back(&obs::metrics().gauge(
-                "srv.router.queue_depth", {{"replica", std::to_string(i)}}));
-        }
-    }
 }
 
 std::size_t AmsRouter::replica_for(const cfg::TokenString& request) const {
@@ -56,11 +49,7 @@ std::future<Decision> AmsRouter::submit(cfg::TokenString request,
     }
     (pick == primary ? routed_affinity_ : routed_fallback_)
         .fetch_add(1, std::memory_order_relaxed);
-    auto future = services_[pick]->submit(std::move(request), std::move(submit_options));
-    if (!depth_gauges_.empty()) {
-        depth_gauges_[pick]->set(static_cast<std::int64_t>(services_[pick]->queue_depth()));
-    }
-    return future;
+    return services_[pick]->submit(std::move(request), std::move(submit_options));
 }
 
 std::uint64_t AmsRouter::update_model(

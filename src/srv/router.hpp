@@ -15,6 +15,9 @@
 // from a rotating start so spill load spreads evenly; a request is only
 // rejected Overloaded when every replica is saturated. The
 // `routed_affinity` / `routed_fallback` counters make the split visible.
+// snapshot_stats() reads every other count, each replica's queue depth
+// included, from the replicas at the moment it is called; the router
+// keeps no copy of them (`/statz` and `/metrics` both read it).
 //
 // Request ids stay unique and globally ordered-ish across replicas:
 // replica i issues ids i + k*N (ServiceOptions id_offset/id_stride), so
@@ -34,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "srv/service.hpp"
 #include "store/snapshot.hpp"
 
@@ -154,7 +156,6 @@ private:
     std::atomic<std::uint64_t> routed_affinity_{0};
     std::atomic<std::uint64_t> routed_fallback_{0};
     std::atomic<std::size_t> rr_{0};  // rotating fallback scan start
-    std::vector<obs::Gauge*> depth_gauges_;  // srv.router.queue_depth.<i>; empty if metrics off
 };
 
 }  // namespace agenp::srv

@@ -1,10 +1,12 @@
 #include "srv/server.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <future>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 #include <vector>
 
 #include "obs/build.hpp"
@@ -32,6 +34,21 @@ RouterOptions with_sinks(RouterOptions options, AuditLog* audit, store::StateSto
     return options;
 }
 
+// Profiler arguments arrive from outside (a query string, a control
+// line), so a number must be the whole value and finite: "5abc" is not 5,
+// and a NaN duration must never reach sleep_for.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+    T value{};
+    const char* end = text.data() + text.size();
+    auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value)) return std::nullopt;
+    }
+    return value;
+}
+
 // Two-phase runtime profiling control. Control lines run on the transport
 // event loop, so `!prof` never blocks to collect: `start` arms the
 // sampler, traffic runs, `stop` disarms it and returns the folded report
@@ -42,7 +59,7 @@ std::string handle_prof_line(const std::vector<std::string>& words) {
     const std::string& verb = words.size() > 1 ? words[1] : "status";
     if (verb == "start") {
         obs::ProfilerOptions options;
-        if (words.size() > 2) options.hz = std::atoi(words[2].c_str());
+        if (words.size() > 2) options.hz = parse_number<int>(words[2]).value_or(0);
         if (options.hz < 1 || options.hz > 1000) return "usage: !prof start [hz 1..1000]";
         if (!profiler.start(options)) {
             return "profiler already running at " + std::to_string(profiler.hz()) + " Hz";
@@ -66,20 +83,20 @@ std::string handle_prof_line(const std::vector<std::string>& words) {
 // sampling itself).
 obs::HttpResponse profz(const obs::HttpRequest& request) {
     obs::HttpResponse response;
-    double seconds = 2.0;
-    int hz = 99;
+    std::optional<double> seconds = 2.0;
+    std::optional<int> hz = 99;
     if (std::string v = obs::http_query_param(request.query, "seconds"); !v.empty()) {
-        seconds = std::atof(v.c_str());
+        seconds = parse_number<double>(v);
     }
     if (std::string v = obs::http_query_param(request.query, "hz"); !v.empty()) {
-        hz = std::atoi(v.c_str());
+        hz = parse_number<int>(v);
     }
-    if (seconds <= 0.0 || seconds > 60.0 || hz < 1 || hz > 1000) {
+    if (!seconds || !hz || *seconds <= 0.0 || *seconds > 60.0 || *hz < 1 || *hz > 1000) {
         response.status = 400;
         response.body = "profz expects seconds in (0,60] and hz in [1,1000]\n";
         return response;
     }
-    obs::ProfileReport report = obs::CpuProfiler::instance().collect(seconds, hz);
+    obs::ProfileReport report = obs::CpuProfiler::instance().collect(*seconds, *hz);
     if (obs::http_query_param(request.query, "format") == "json") {
         response.content_type = "application/json";
         response.body = report.to_json() + "\n";
@@ -108,7 +125,7 @@ Server::Server(const AmsRouter::AmsFactory& factory, ServerOptions options, std:
                  ? nullptr
                  : std::make_unique<store::StateStore>(store::StoreOptions{options_.state_dir})),
       router_(factory, with_sinks(options_.router, audit_.get(), state_.get())),
-      window_(obs::metrics()) {
+      window_([this] { return serve_metrics(sources()); }) {
     // Warm restart: replay the last snapshot + WAL into the fresh router
     // before any traffic.
     if (state_ != nullptr) {
@@ -131,9 +148,9 @@ Server::Server(const AmsRouter::AmsFactory& factory, ServerOptions options, std:
         if (!report.warning.empty()) print("state restore warning: " + report.warning);
     }
 
-    // One bucket per second over the process registry, shared by /statz,
-    // the exposition and the periodic window line; each tick also runs
-    // the periodic work.
+    // One bucket per second over serve_metrics, shared by /statz, the
+    // exposition and the periodic window line; each tick also runs the
+    // periodic work.
     ticker_ = std::make_unique<obs::WindowTicker>(window_, [this] { on_tick(); });
 
     // TCP before metrics, so a script that waits for the metrics line can
@@ -239,8 +256,9 @@ obs::HttpResponse Server::http(const obs::HttpRequest& request) const {
     obs::HttpResponse response;
     if (request.path == "/metrics") {
         response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        response.body = serve_exposition_prometheus(
-            router_, draining_.load(std::memory_order_acquire), state_.get(), &window_);
+        response.body =
+            serve_exposition(sources(), draining_.load(std::memory_order_acquire), &window_)
+                .prometheus();
     } else if (request.path == "/healthz") {
         bool draining = draining_.load(std::memory_order_acquire);
         response.status = draining ? 503 : 200;
@@ -263,10 +281,11 @@ obs::HttpResponse Server::http(const obs::HttpRequest& request) const {
     return response;
 }
 
-std::string Server::stats_json() const {
-    return serve_stats_json(router_, tcp_view_.load(std::memory_order_acquire), state_.get(),
-                            &window_);
+ServeSources Server::sources() const {
+    return {router_, tcp_view_.load(std::memory_order_acquire), audit_.get(), state_.get()};
 }
+
+std::string Server::stats_json() const { return serve_stats_json(sources(), &window_); }
 
 // Writes a full snapshot and reports it in the one-line format shared by
 // `!snapshot`, the periodic snapshot and the on-drain snapshot.

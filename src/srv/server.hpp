@@ -46,6 +46,7 @@ class StateStore;
 namespace agenp::srv {
 
 class TcpServer;
+struct ServeSources;
 
 struct ServerOptions {
     RouterOptions router;
@@ -98,6 +99,8 @@ public:
 private:
     std::string control(std::string_view line);
     obs::HttpResponse http(const obs::HttpRequest& request) const;
+    // The server's counting objects, for serve_metrics and /statz.
+    ServeSources sources() const;
     std::string stats_json() const;
     std::string snapshot();
     void on_tick();

@@ -90,13 +90,8 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
         }
     }
     auto future = task.promise.get_future();
-    if (obs::metrics_enabled()) {
-        static obs::Counter& requests = obs::metrics().counter("srv.requests");
-        requests.add(1);
-    }
     if (answer_if_cached(task)) return future;
 
-    std::size_t depth = 0;
     bool rejected = false;
     task.enqueued_ns = obs::monotonic_ns();
     {
@@ -105,24 +100,15 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
             rejected = true;
         } else {
             queue_.push_back(std::move(task));
-            depth = queue_.size();
         }
     }
     if (rejected) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) {
-            static obs::Counter& overloaded = obs::metrics().counter("srv.overloaded");
-            overloaded.add(1);
-        }
         Decision decision;
         finish(decision, task, Outcome::Overloaded);
         task.promise.set_value(decision);
         if (task.on_complete) task.on_complete(decision);
         return future;
-    }
-    if (obs::metrics_enabled()) {
-        static obs::Gauge& queue_depth = obs::metrics().gauge("srv.queue_depth");
-        queue_depth.set(static_cast<std::int64_t>(depth));
     }
     queue_cv_.notify_one();
     return future;
@@ -266,10 +252,6 @@ void DecisionService::maybe_capture(Task& task, std::uint64_t end_ns, std::uint6
     }
     if (reason == nullptr) return;  // fast and unsampled: drop the tree
     traces_captured_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-        static obs::Counter& captured = obs::metrics().counter("srv.traces_captured");
-        captured.add(1);
-    }
     util::MutexLock lock(traces_mu_);
     captured_.push_back(CapturedTrace{reason, std::move(*task.trace)});
     while (captured_.size() > opts.max_captured) captured_.pop_front();
@@ -377,23 +359,11 @@ std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, boo
 void DecisionService::complete(Decision& decision, Task& task, bool permitted) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     (permitted ? permitted_ : denied_).fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-        auto& m = obs::metrics();
-        static obs::Counter& hits = m.counter("srv.cache_hits");
-        static obs::Counter& misses = m.counter("srv.cache_misses");
-        static obs::Counter& decisions = m.counter("srv.decisions");
-        decisions.add(1);
-        (decision.cache_hit ? hits : misses).add(1);
-    }
     finish(decision, task, permitted ? Outcome::Permit : Outcome::Deny);
 }
 
 void DecisionService::fail(Decision& decision, Task& task, std::string error) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-        static obs::Counter& errors = obs::metrics().counter("srv.errors");
-        errors.add(1);
-    }
     decision.error = std::move(error);
     finish(decision, task, Outcome::Error);
 }
@@ -411,10 +381,6 @@ Decision DecisionService::process(Task& task) {
 
     if (dequeued_ns >= task.deadline_ns) {
         expired_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) {
-            static obs::Counter& expired = obs::metrics().counter("srv.expired");
-            expired.add(1);
-        }
         finish(decision, task, Outcome::Expired);
         return decision;
     }

@@ -19,7 +19,6 @@
 
 #include "cfg/grammar.hpp"
 #include "obs/lockprof.hpp"
-#include "obs/metrics.hpp"
 #include "util/errors.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -166,33 +165,12 @@ struct TcpServer::Impl {
         std::atomic<std::uint64_t> oversized{0};
     } stats;
 
-    // Cached metric handles (null when metrics are disabled).
-    obs::Counter* m_accepted = nullptr;
-    obs::Counter* m_closed = nullptr;
-    obs::Counter* m_lines_in = nullptr;
-    obs::Counter* m_bad_requests = nullptr;
-    obs::Counter* m_slow = nullptr;
-    obs::Counter* m_idle = nullptr;
-    obs::Counter* m_oversized = nullptr;
-    obs::Gauge* m_active = nullptr;
-
     Impl(AmsRouter& router_in, TransportOptions options_in,
          std::function<std::string(std::string_view)> control_in)
         : router(router_in), options(std::move(options_in)), control(std::move(control_in)) {
         if (options.max_connections == 0) options.max_connections = 1;
         if (options.max_line_bytes == 0) options.max_line_bytes = kDefaultMaxLineBytes;
         if (options.max_write_buffer_bytes == 0) options.max_write_buffer_bytes = 1;
-        if (obs::metrics_enabled()) {
-            auto& m = obs::metrics();
-            m_accepted = &m.counter("srv.conn.accepted");
-            m_closed = &m.counter("srv.conn.closed");
-            m_lines_in = &m.counter("srv.conn.lines_in");
-            m_bad_requests = &m.counter("srv.conn.bad_requests");
-            m_slow = &m.counter("srv.conn.slow_disconnects");
-            m_idle = &m.counter("srv.conn.idle_disconnects");
-            m_oversized = &m.counter("srv.conn.oversized_disconnects");
-            m_active = &m.gauge("srv.conn.active");
-        }
     }
 
     ~Impl() {
@@ -255,9 +233,7 @@ struct TcpServer::Impl {
         ::close(conn->fd);
         conn->fd = -1;
         stats.closed.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t active = stats.active.fetch_sub(1, std::memory_order_relaxed) - 1;
-        if (m_closed != nullptr) m_closed->add(1);
-        if (m_active != nullptr) m_active->set(static_cast<std::int64_t>(active));
+        stats.active.fetch_sub(1, std::memory_order_relaxed);
     }
 
     void reap() {
@@ -273,7 +249,6 @@ struct TcpServer::Impl {
         conn->write_buf.push_back('\n');
         if (conn->write_buf.size() > options.max_write_buffer_bytes) {
             stats.slow.fetch_add(1, std::memory_order_relaxed);
-            if (m_slow != nullptr) m_slow->add(1);
             close_conn(conn);
         }
     }
@@ -301,7 +276,6 @@ struct TcpServer::Impl {
 
     void oversized(const std::shared_ptr<Connection>& conn) {
         stats.oversized.fetch_add(1, std::memory_order_relaxed);
-        if (m_oversized != nullptr) m_oversized->add(1);
         queue_output(conn,
                      wire_error_json(std::nullopt, "bad_request", "line exceeds maximum length"));
         conn->read_buf.clear();
@@ -311,7 +285,6 @@ struct TcpServer::Impl {
 
     void handle_line(const std::shared_ptr<Connection>& conn, std::string_view line) {
         stats.lines_in.fetch_add(1, std::memory_order_relaxed);
-        if (m_lines_in != nullptr) m_lines_in->add(1);
         if (line.empty()) return;
         conn->pending.fetch_add(1, std::memory_order_relaxed);
         DispatchResult result = dispatch_line(
@@ -328,10 +301,7 @@ struct TcpServer::Impl {
                 if (std::this_thread::get_id() != loop_thread) wake();
             });
         if (!result.deferred) conn->pending.fetch_sub(1, std::memory_order_relaxed);
-        if (result.bad_request) {
-            stats.bad_requests.fetch_add(1, std::memory_order_relaxed);
-            if (m_bad_requests != nullptr) m_bad_requests->add(1);
-        }
+        if (result.bad_request) stats.bad_requests.fetch_add(1, std::memory_order_relaxed);
         if (!result.immediate.empty()) queue_output(conn, result.immediate);
     }
 
@@ -400,9 +370,7 @@ struct TcpServer::Impl {
             conn->last_activity = std::chrono::steady_clock::now();
             conns.push_back(std::move(conn));
             stats.accepted.fetch_add(1, std::memory_order_relaxed);
-            std::uint64_t active = stats.active.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (m_accepted != nullptr) m_accepted->add(1);
-            if (m_active != nullptr) m_active->set(static_cast<std::int64_t>(active));
+            stats.active.fetch_add(1, std::memory_order_relaxed);
         }
     }
 
@@ -460,7 +428,6 @@ struct TcpServer::Impl {
             if (!outbox_empty) continue;
             if (now - conn->last_activity >= options.idle_timeout) {
                 stats.idle.fetch_add(1, std::memory_order_relaxed);
-                if (m_idle != nullptr) m_idle->add(1);
                 close_conn(conn);
             }
         }

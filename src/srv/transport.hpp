@@ -15,8 +15,8 @@
 // pass. The loop moves outboxes into per-connection write buffers and
 // flushes them with non-blocking writes.
 //
-// Robustness rules (each has a counter in TransportStats and a
-// `srv.conn.*` metric):
+// Robustness rules (each has a counter in TransportStats, exported as
+// `agenp_srv_conn_*` by srv::serve_metrics):
 //  - a line longer than max_line_bytes gets a bad_request reply and the
 //    connection is closed after the reply flushes;
 //  - a client that reads slower than it submits is disconnected when its

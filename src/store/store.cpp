@@ -7,7 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "store/framing.hpp"
 #include "util/errors.hpp"
@@ -84,14 +83,6 @@ RestoreResult StateStore::restore() {
     restored_entries_.store(out.data.entries.size(), std::memory_order_relaxed);
     wal_replayed_.store(out.wal_replayed, std::memory_order_relaxed);
     wal_discarded_bytes_.store(out.wal_discarded_bytes, std::memory_order_relaxed);
-
-    if (obs::metrics_enabled()) {
-        auto& m = obs::metrics();
-        m.counter("store.restores").add(1);
-        m.counter("store.restored_entries").add(out.data.entries.size());
-        m.counter("store.wal_replayed_entries").add(out.wal_replayed);
-        m.counter("store.wal_discarded_bytes").add(out.wal_discarded_bytes);
-    }
     return out;
 }
 
@@ -102,7 +93,6 @@ bool StateStore::save_snapshot(SnapshotData data, std::string* error) {
     std::string io_error;
     if (!atomic_write_file(snapshot_path(), bytes, &io_error)) {
         snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metrics_enabled()) obs::metrics().counter("store.snapshot_failures").add(1);
         if (error) *error = io_error;
         return false;
     }
@@ -117,13 +107,6 @@ bool StateStore::save_snapshot(SnapshotData data, std::string* error) {
     snapshot_bytes_.store(bytes.size(), std::memory_order_relaxed);
     snapshot_entries_.store(data.entries.size(), std::memory_order_relaxed);
     snapshot_policies_.store(data.policies.size(), std::memory_order_relaxed);
-    if (obs::metrics_enabled()) {
-        auto& m = obs::metrics();
-        m.counter("store.snapshots").add(1);
-        m.gauge("store.snapshot_bytes").set(static_cast<std::int64_t>(bytes.size()));
-        m.gauge("store.snapshot_entries").set(static_cast<std::int64_t>(data.entries.size()));
-        m.gauge("store.wal_bytes").set(0);
-    }
     return true;
 }
 
@@ -131,12 +114,7 @@ void StateStore::append_wal(const CacheEntryRecord& entry) {
     std::size_t written = wal_.append(entry);
     if (written == 0) return;
     wal_appends_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t total = wal_bytes_.fetch_add(written, std::memory_order_relaxed) + written;
-    if (obs::metrics_enabled()) {
-        auto& m = obs::metrics();
-        m.counter("store.wal_appends").add(1);
-        m.gauge("store.wal_bytes").set(static_cast<std::int64_t>(total));
-    }
+    wal_bytes_.fetch_add(written, std::memory_order_relaxed);
 }
 
 StoreStatus StateStore::status() const {

@@ -14,9 +14,9 @@
 // entries that the snapshot already contains, and cache restore is
 // idempotent, so recovery never depends on that ordering.
 //
-// Observability: store.snapshot / store.restore phases; store.* counters
-// and gauges in the process registry (exported as agenp_store_* by the
-// Prometheus exposition).
+// Observability: store.snapshot / store.restore phases. The store is the
+// only counter of what it did: status() is what `/statz` reports as
+// "store" and `/metrics` exports as agenp_store_* (srv::serve_metrics).
 #pragma once
 
 #include <atomic>

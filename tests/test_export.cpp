@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -29,6 +30,7 @@
 #include "obs/window.hpp"
 #include "srv/audit.hpp"
 #include "srv/export.hpp"
+#include "srv/loadgen.hpp"
 #include "srv/server.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
@@ -162,6 +164,85 @@ std::optional<agenp::obs::HttpResult> get(std::uint16_t port, const std::string&
     return agenp::obs::http_get("127.0.0.1", port, path, timeout);
 }
 
+// Checks a /metrics body against the /statz document scraped right after
+// it, once traffic has stopped: every serving family appears once and
+// equals the /statz field read from the same object, every queue-depth
+// sample reads 0, and the duplicate families are gone.
+void expect_idle_metrics_match_statz(const std::string& metrics,
+                                     const agenp::srv::JsonValue& statz) {
+    std::string error;
+    auto samples = parse_exposition(metrics, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    std::map<std::string, std::vector<double>> by_name;
+    for (const Sample& sample : samples) by_name[sample.name].push_back(sample.value);
+    auto expect_one = [&](const std::string& name, const agenp::srv::JsonValue& object,
+                          const char* field) {
+        const agenp::srv::JsonValue* value = object.find(field);
+        ASSERT_NE(value, nullptr) << field;
+        double want = value->type == agenp::srv::JsonValue::Type::Bool
+                          ? (value->boolean ? 1.0 : 0.0)
+                          : value->number;
+        auto it = by_name.find(name);
+        ASSERT_NE(it, by_name.end()) << name;
+        ASSERT_EQ(it->second.size(), 1U) << name;
+        EXPECT_EQ(it->second[0], want) << name << " vs /statz " << field;
+    };
+    expect_one("agenp_srv_requests_total", statz, "submitted");
+    expect_one("agenp_srv_decisions_total", statz, "completed");
+    expect_one("agenp_srv_permitted_total", statz, "permitted");
+    expect_one("agenp_srv_denied_total", statz, "denied");
+    expect_one("agenp_srv_overloaded_total", statz, "overloaded");
+    expect_one("agenp_srv_expired_total", statz, "expired");
+    expect_one("agenp_srv_errors_total", statz, "errors");
+    expect_one("agenp_srv_traces_captured_total", statz, "traces_captured");
+    const agenp::srv::JsonValue& cache = *statz.find("cache");
+    expect_one("agenp_srv_cache_hits_total", cache, "hits");
+    expect_one("agenp_srv_cache_misses_total", cache, "misses");
+    expect_one("agenp_srv_cache_entries", cache, "entries");
+    const agenp::srv::JsonValue& memo = *statz.find("memo");
+    for (const char* field : {"hits", "misses", "sat_hits", "evictions", "invalidations"}) {
+        expect_one(std::string("agenp_memo_") + field + "_total", memo, field);
+    }
+    if (const agenp::srv::JsonValue* conn = statz.find("conn"); conn != nullptr) {
+        for (const char* field : {"accepted", "closed", "lines_in", "bytes_in", "bytes_out",
+                                  "bad_requests", "idle_disconnects", "oversized_disconnects"}) {
+            expect_one(std::string("agenp_srv_conn_") + field + "_total", *conn, field);
+        }
+        expect_one("agenp_srv_conn_slow_disconnects_total", *conn, "slow_client_disconnects");
+        expect_one("agenp_srv_conn_active", *conn, "active");
+    }
+    if (const agenp::srv::JsonValue* store = statz.find("store"); store != nullptr) {
+        for (const char* field : {"snapshot_failures", "wal_appends", "restored_entries",
+                                  "wal_discarded_bytes"}) {
+            expect_one(std::string("agenp_store_") + field + "_total", *store, field);
+        }
+        for (const char* field : {"snapshot_bytes", "snapshot_entries", "wal_bytes", "restored"}) {
+            expect_one(std::string("agenp_store_") + field, *store, field);
+        }
+        expect_one("agenp_store_snapshots_total", *store, "snapshots");
+        expect_one("agenp_store_wal_replayed_entries_total", *store, "wal_replayed");
+    }
+
+    // Every queue-depth sample is read when scraped, so an idle server's
+    // read 0; the one family has a sample per replica.
+    EXPECT_EQ(statz.find("queue_depth")->as_uint(), 0U);
+    for (const Sample& sample : samples) {
+        if (sample.name.find("queue_depth") == std::string::npos) continue;
+        EXPECT_EQ(sample.value, 0.0) << sample.name << "{" << sample.labels << "}";
+    }
+    EXPECT_EQ(by_name["agenp_srv_replica_queue_depth"].size(),
+              statz.find("replicas")->array.size());
+
+    // One family per number: the duplicates are gone.
+    for (const char* gone :
+         {"agenp_srv_queue_depth", "agenp_srv_router_queue_depth", "agenp_srv_router_model_version",
+          "agenp_store_snapshot_size_bytes", "agenp_store_snapshot_cache_entries",
+          "agenp_store_restores_total"}) {
+        EXPECT_EQ(by_name.count(gone), 0U) << gone;
+    }
+    EXPECT_EQ(metrics.find("agenp_asg_memo_"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(ExpositionTest, RendersValidPrometheusText) {
@@ -218,7 +299,7 @@ TEST(ExpositionTest, RegistryLabelsSurviveRoundTrip) {
     auto& counter = agenp::obs::metrics().counter("test.export.labeled", {{"shard", "3"}});
     counter.add(9);
     agenp::obs::Exposition exposition;
-    exposition.append_registry(agenp::obs::metrics());
+    exposition.append_snapshot(agenp::obs::metrics().snapshot());
     std::string body = exposition.prometheus();
     EXPECT_NE(body.find("agenp_test_export_labeled_total{shard=\"3\"}"), std::string::npos);
 }
@@ -291,7 +372,7 @@ TEST(AuditLogTest, WritesOneValidJsonLinePerRecord) {
             entry.latency_us = 42;
             audit.record(std::move(entry));
         }
-        EXPECT_EQ(audit.recorded(), 3U);
+        EXPECT_EQ(audit.stats().records, 3U);
     }
     std::ifstream in(path);
     std::string line;
@@ -327,8 +408,8 @@ TEST(AuditLogTest, RotatesWhenSizeCapIsCrossed) {
         entry.strategy = "membership";
         audit.record(std::move(entry));
     }
-    EXPECT_GE(audit.rotations(), 1U);
-    EXPECT_EQ(audit.recorded(), 50U);
+    EXPECT_GE(audit.stats().rotations, 1U);
+    EXPECT_EQ(audit.stats().records, 50U);
     std::ifstream current(path);
     std::ifstream previous(rotated);
     EXPECT_TRUE(current.good());
@@ -361,8 +442,8 @@ TEST(AuditLogTest, SamplingKeepsEveryNth) {
         entry.outcome = "Deny";
         audit.record(std::move(entry));
     }
-    EXPECT_EQ(audit.recorded(), 5U);
-    EXPECT_EQ(audit.sampled_out(), 15U);
+    EXPECT_EQ(audit.stats().records, 5U);
+    EXPECT_EQ(audit.stats().sampled_out, 15U);
     std::remove(path.c_str());
 }
 
@@ -378,7 +459,7 @@ TEST(ServeStats, CostsComeFromThePhaseHistograms) {
     constexpr std::uint64_t kProbeCalls = 1000;
     constexpr std::uint64_t kProbeNs = 400;  // well under a microsecond
 
-    obs::RollingWindow window(obs::metrics());
+    obs::RollingWindow window([] { return obs::metrics().snapshot(); });
     // Before the first bucket the window is empty: every row reads 0.
     for (const PhaseCost& cost : phase_costs(window.window_at(std::chrono::seconds(60), 0))) {
         EXPECT_EQ(cost.calls, 0U) << cost.check;
@@ -456,6 +537,7 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     // was processed.
     std::string input;
     for (int i = 0; i < 20; ++i) input += "do patrol\n";
+    input += "!prof start 5abc\n";  // not wholly a number: the usage line
     std::istringstream in(input);
     server.serve_lines(in);
 
@@ -523,6 +605,11 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_NE(statz->body.find("\"10s\":{"), std::string::npos);
     EXPECT_NE(statz->body.find("\"p95_us\":"), std::string::npos);
     EXPECT_NE(statz->body.find("\"hit_rate\":"), std::string::npos);
+    expect_idle_metrics_match_statz(metrics->body, *stats);
+    // The window reads the counts /statz reads, and its 10s span still
+    // covers all 20 requests (one miss, then hits).
+    EXPECT_EQ(stats->find("cache")->find("hit_rate")->number, 0.95);
+    EXPECT_EQ(stats->find("window")->find("10s")->find("hit_rate")->number, 0.95);
 
     auto buildz = get(metrics_port, "/buildz");
     ASSERT_TRUE(buildz.has_value());
@@ -540,9 +627,13 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
     EXPECT_EQ(profz->status, 200);
     EXPECT_NE(profz->body.find("\"hz\":200"), std::string::npos);
     EXPECT_NE(profz->body.find("\"stacks\":["), std::string::npos);
-    auto bad = get(metrics_port, "/profz?seconds=900");
-    ASSERT_TRUE(bad.has_value());
-    EXPECT_EQ(bad->status, 400);
+    // Out of range, not a finite number, or not wholly a number: 400
+    // before any sampling starts.
+    for (const char* query : {"seconds=900", "seconds=nan", "seconds=inf", "hz=5abc"}) {
+        auto bad = get(metrics_port, std::string("/profz?") + query);
+        ASSERT_TRUE(bad.has_value()) << query;
+        EXPECT_EQ(bad->status, 400) << query;
+    }
 
     auto missing = get(metrics_port, "/nope");
     ASSERT_TRUE(missing.has_value());
@@ -551,6 +642,69 @@ TEST(ServeMetricsTest, LiveScrapeServesValidExpositionHealthzAndStatz) {
 
     server.drain();
     EXPECT_NE(out.str().find("Permit"), std::string::npos);
+    EXPECT_NE(out.str().find("usage: !prof start [hz 1..1000]"), std::string::npos) << out.str();
+}
+
+// Every request a distinct miss that holds the one worker for
+// `miss_delay` in the PEP effector, so a pipelined burst queues.
+agenp::srv::AmsRouter::AmsFactory slow_miss_factory(std::size_t distinct,
+                                                    std::chrono::milliseconds miss_delay) {
+    return [distinct, miss_delay] {
+        auto ams = std::make_unique<agenp::framework::AutonomousManagedSystem>(
+            agenp::srv::make_demo_ams(distinct, /*context_weight=*/0));
+        ams->pep().set_effector([miss_delay](const agenp::cfg::TokenString&, bool) {
+            std::this_thread::sleep_for(miss_delay);
+        });
+        return ams;
+    };
+}
+
+TEST(ServeMetricsTest, ScrapeAfterABurstWithExpiriesMatchesStatz) {
+    // Two ways /metrics can drift from /statz after a burst: a queue
+    // depth that stays at the burst's peak once the queue drains, and a
+    // miss count that leaves out the lookups of requests that expired.
+    constexpr int kRequests = 40;
+    const std::string dir = std::string(::testing::TempDir()) + "/agenp_burst_scrape";
+    const std::string audit_path = dir + ".ndjson";
+    std::remove(audit_path.c_str());
+    ServerOptions options;
+    options.router.service.threads = 1;
+    options.port = 0;
+    options.metrics_port = 0;
+    options.audit.path = audit_path;
+    options.state_dir = dir;
+    std::ostringstream out;
+    Server server(slow_miss_factory(kRequests, std::chrono::milliseconds(20)), options, out);
+    const std::uint16_t metrics_port = server.metrics_port();
+
+    agenp::srv::TcpClient client("127.0.0.1", server.port());
+    for (int i = 0; i < kRequests; ++i) {
+        std::string line = "{\"id\":" + std::to_string(i) + ",\"decide\":\"do task_" +
+                           std::to_string(i) + "\"";
+        if (i % 2 == 1) line += ",\"timeout_ms\":1";
+        client.send_line(line + "}");
+    }
+    for (int i = 0; i < kRequests; ++i) ASSERT_TRUE(client.recv_line().has_value()) << i;
+    server.router().drain();
+
+    auto metrics = get(metrics_port, "/metrics");
+    auto statz = get(metrics_port, "/statz");
+    ASSERT_TRUE(metrics.has_value() && statz.has_value());
+    auto stats = agenp::srv::parse_json(statz->body);
+    ASSERT_TRUE(stats.has_value()) << statz->body;
+    EXPECT_EQ(stats->find("submitted")->as_uint(), static_cast<std::uint64_t>(kRequests));
+    EXPECT_GT(stats->find("expired")->as_uint(), 0U);
+    EXPECT_EQ(stats->find("cache")->find("misses")->as_uint(),
+              static_cast<std::uint64_t>(kRequests));
+    expect_idle_metrics_match_statz(metrics->body, *stats);
+    EXPECT_NE(metrics->body.find("agenp_srv_audit_records_total " + std::to_string(kRequests)),
+              std::string::npos);
+
+    server.drain();
+    std::remove(audit_path.c_str());
+    std::remove((dir + "/snapshot.agenp").c_str());
+    std::remove((dir + "/wal.agenp").c_str());
+    ::rmdir(dir.c_str());
 }
 
 TEST(ServeMetricsTest, AuditLinesCorrelateWithFlightRecorderTraceIds) {

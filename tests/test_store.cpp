@@ -1,8 +1,9 @@
 // Persistence subsystem (DESIGN.md §11): record framing + CRC, snapshot
 // encode/decode, WAL append/replay, and the StateStore lifecycle —
 // including the corruption shapes a kill -9 leaves behind (torn tails,
-// half-written frames) and the refusal paths (newer format, missing
-// footer).
+// half-written frames), the refusal paths (newer format, missing
+// footer), and a seeded mutation fuzz of the decoders through a router
+// restore.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -11,9 +12,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "srv/loadgen.hpp"
+#include "srv/router.hpp"
 #include "store/framing.hpp"
 #include "store/snapshot.hpp"
 #include "store/store.hpp"
@@ -493,6 +500,247 @@ TEST(StateStoreTest, EmptyDirRestoreIsCleanColdStart) {
     EXPECT_EQ(result.data.entries.size(), 0u);
     EXPECT_TRUE(result.warning.empty());
     EXPECT_FALSE(store.status().restored);
+}
+
+// --- mutation fuzz ----------------------------------------------------------
+//
+// Snapshot and WAL bytes come back from disk, where a crash, a bad copy or
+// a stray write can damage them in any way. Fixed mt19937_64 seeds mutate
+// encoded snapshots and WAL files, both raw and re-framed with fresh CRCs
+// so the record decoders see damaged payloads and not only the CRC check.
+
+void put_u32_at(std::string& bytes, std::size_t pos, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) bytes[pos + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+}
+
+std::uint32_t get_u32_at(const std::string& bytes, std::size_t pos) {
+    Cursor c{bytes, pos};
+    std::uint32_t v = 0;
+    EXPECT_TRUE(get_u32(c, &v));
+    return v;
+}
+
+// A length field moved a little off its value, or far out of range.
+std::uint32_t edited_length(std::uint32_t length, std::mt19937_64& rng) {
+    constexpr std::uint32_t kFar[] = {0, 1, kMaxRecordPayload, kMaxRecordPayload + 1, 0xFFFFFFFFu};
+    switch (rng() % 3) {
+        case 0: return length + 1 + static_cast<std::uint32_t>(rng() % 4);
+        case 1: return length - 1 - static_cast<std::uint32_t>(rng() % 4);  // may wrap
+        default: return kFar[rng() % std::size(kFar)];
+    }
+}
+
+// One raw edit: a bit flip, an insert, a delete or a truncation.
+void edit_bytes(std::string& bytes, std::mt19937_64& rng) {
+    auto pick = [&](std::size_t n) { return n == 0 ? 0 : static_cast<std::size_t>(rng() % n); };
+    switch (rng() % 4) {
+        case 0:
+            if (!bytes.empty()) bytes[pick(bytes.size())] ^= static_cast<char>(1u << (rng() % 8));
+            break;
+        case 1:
+            bytes.insert(pick(bytes.size() + 1), 1 + rng() % 8, static_cast<char>(rng()));
+            break;
+        case 2:
+            if (!bytes.empty()) bytes.erase(pick(bytes.size()), 1 + rng() % 8);
+            break;
+        default:
+            bytes.resize(pick(bytes.size() + 1));
+            break;
+    }
+}
+
+std::string reframe(const std::vector<std::string>& payloads) {
+    std::string out;
+    for (const std::string& payload : payloads) append_record(out, payload);
+    return out;
+}
+
+// One mutant of a clean framed file.
+std::string mutate(const std::string& base, std::mt19937_64& rng) {
+    std::vector<std::string> payloads;
+    EXPECT_EQ(read_records(base, &payloads), base.size());
+    std::string out = base;
+    std::string& payload = payloads[rng() % payloads.size()];
+    switch (rng() % 5) {
+        case 0:  // raw bytes: the CRC catches these
+            for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) edit_bytes(out, rng);
+            return out;
+        case 1: {  // a frame's length field
+            std::vector<std::size_t> starts;
+            for (std::size_t at = 0; at < base.size(); at += 8 + get_u32_at(base, at)) {
+                starts.push_back(at);
+            }
+            std::size_t at = starts[rng() % starts.size()];
+            put_u32_at(out, at, edited_length(get_u32_at(out, at), rng));
+            return out;
+        }
+        case 2:  // a payload's bytes, under a fresh CRC
+            edit_bytes(payload, rng);
+            return reframe(payloads);
+        case 3:  // a length inside a payload, under a fresh CRC
+            if (payload.size() >= 4) {
+                std::size_t at = rng() % (payload.size() - 3);
+                put_u32_at(payload, at, edited_length(get_u32_at(payload, at), rng));
+            }
+            return reframe(payloads);
+        default: {  // whole records dropped, repeated or swapped
+            std::size_t i = rng() % payloads.size();
+            std::size_t j = rng() % payloads.size();
+            auto at = payloads.begin() + static_cast<std::ptrdiff_t>(i);
+            switch (rng() % 3) {
+                case 0:
+                    payloads.erase(at);
+                    break;
+                case 1:
+                    payloads.insert(at, std::string(payloads[j]));
+                    break;
+                default:
+                    std::swap(payloads[i], payloads[j]);
+                    break;
+            }
+            return reframe(payloads);
+        }
+    }
+}
+
+// decode_snapshot refuses with a reason, or returns exactly the records
+// its footer counts. Returns whether it decoded.
+bool check_snapshot(const std::string& bytes) {
+    SnapshotData data;
+    std::string error;
+    bool decoded = false;
+    EXPECT_NO_THROW(decoded = decode_snapshot(bytes, &data, &error));
+    if (!decoded) {
+        EXPECT_FALSE(error.empty());
+        return false;
+    }
+    std::vector<std::string> payloads;
+    read_records(bytes, &payloads);
+    Cursor footer{payloads.back()};
+    std::uint8_t tag = 0;
+    std::uint64_t policies = 0;
+    std::uint64_t entries = 0;
+    EXPECT_TRUE(get_u8(footer, &tag) && get_u64(footer, &policies) && get_u64(footer, &entries));
+    EXPECT_EQ(policies, data.policies.size());
+    EXPECT_EQ(entries, data.entries.size());
+    return true;
+}
+
+// replay_wal never throws, and every entry it returns re-encodes to a
+// payload that decodes equal.
+void check_wal(const std::string& path) {
+    WalReplay replay;
+    ASSERT_NO_THROW(replay = replay_wal(path));
+    for (const CacheEntryRecord& entry : replay.entries) {
+        CacheEntryRecord back;
+        ASSERT_TRUE(decode_cache_entry(encode_cache_entry(entry), &back));
+        EXPECT_EQ(back.text, entry.text);
+        EXPECT_EQ(back.model_version, entry.model_version);
+        EXPECT_EQ(back.permitted, entry.permitted);
+    }
+}
+
+// Models a mutant carried, by what restore_state did with them.
+struct ModelCounts {
+    int restored = 0;
+    int refused = 0;
+};
+
+// A warm restart from the damaged state never throws, and a model that
+// does not parse is reported and left unserved.
+void check_restore(const std::string& dir, srv::AmsRouter& router, ModelCounts& models) {
+    RestoreResult restored;
+    srv::StateRestoreReport report;
+    EXPECT_NO_THROW({
+        StateStore store(StoreOptions{dir});
+        restored = store.restore();
+        report = router.restore_state(restored.data);
+    });
+    const SnapshotData& data = restored.data;
+    if (data.model_version == 0 || data.model_text.empty()) return;
+    bool parses = true;
+    try {
+        (void)asg::AnswerSetGrammar::parse(data.model_text);
+    } catch (const std::exception&) {
+        parses = false;
+    }
+    EXPECT_EQ(report.model_restored, parses);
+    if (!parses) {
+        EXPECT_NE(report.warning.find("unparseable"), std::string::npos) << report.warning;
+    }
+    ++(report.model_restored ? models.restored : models.refused);
+}
+
+TEST(StateStoreTest, MutatedSnapshotsAndWalsNeverBreakRestore) {
+    TempDir dir;
+    const std::string snapshot_path = dir.file("snapshot.agenp");
+    const std::string wal_path = dir.file("wal.agenp");
+
+    // Snapshots: the sample, an empty one, one whose model parses, and
+    // one whose model text was cut short.
+    SnapshotData learned = sample_snapshot();
+    learned.model_text = srv::demo_grammar(4, 0).to_string();
+    for (int i = 0; i < 8; ++i) {
+        learned.entries.push_back({"do task_" + std::to_string(i) + "\x1fmaxloa(3).", 3, i % 2 == 0});
+    }
+    SnapshotData cut = learned;
+    cut.model_text.resize(cut.model_text.size() / 2);
+    const std::vector<std::string> snapshots = {
+        encode_snapshot(sample_snapshot()), encode_snapshot(SnapshotData{}),
+        encode_snapshot(learned), encode_snapshot(cut)};
+    // WALs: header only, and header plus entries.
+    std::vector<std::string> wals;
+    for (std::size_t entries : {0, 6}) {
+        std::remove(wal_path.c_str());
+        WalWriter writer;
+        std::string error;
+        ASSERT_TRUE(writer.open(wal_path, &error)) << error;
+        for (std::size_t i = 0; i < entries; ++i) {
+            writer.append({"do task_" + std::to_string(i) + "\x1f", i, i % 3 == 0});
+        }
+        writer.close();
+        wals.push_back(slurp(wal_path));
+    }
+
+    srv::RouterOptions options;
+    options.service.threads = 1;
+    srv::AmsRouter router(
+        [] {
+            return std::make_unique<framework::AutonomousManagedSystem>(srv::make_demo_ams(4, 0));
+        },
+        options);
+
+    // 16 fixed seeds: the same mutants on every run. replay_wal reads a
+    // file, so WAL mutants cost a write each and get fewer draws.
+    constexpr std::uint64_t kSeeds = 16;
+    constexpr int kSnapshotMutants = 1000;
+    constexpr int kWalMutants = 200;
+    constexpr int kRestoreMutants = 25;
+    int decoded = 0;
+    ModelCounts models;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::mt19937_64 rng(seed);
+        for (int i = 0; i < kSnapshotMutants; ++i) {
+            if (check_snapshot(mutate(snapshots[rng() % snapshots.size()], rng))) ++decoded;
+            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", snapshot " << i;
+        }
+        for (int i = 0; i < kWalMutants; ++i) {
+            dump(wal_path, mutate(wals[rng() % wals.size()], rng));
+            check_wal(wal_path);
+            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", wal " << i;
+        }
+        for (int i = 0; i < kRestoreMutants; ++i) {
+            dump(snapshot_path, mutate(snapshots[rng() % snapshots.size()], rng));
+            dump(wal_path, mutate(wals[rng() % wals.size()], rng));
+            check_restore(dir.path(), router, models);
+            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", restore " << i;
+        }
+    }
+    // Both sides of the decoder, and of the model restore, are exercised.
+    EXPECT_GT(decoded, kSeeds * kSnapshotMutants / 20);
+    EXPECT_LT(decoded, kSeeds * kSnapshotMutants / 2);
+    EXPECT_GT(models.restored, 0);
+    EXPECT_GT(models.refused, 0);
 }
 
 }  // namespace

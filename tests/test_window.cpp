@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,13 +27,16 @@ struct WindowFixture {
     obs::MetricsRegistry registry;
     obs::WindowOptions options;
     explicit WindowFixture(std::size_t buckets = 8) { options.buckets = buckets; }
+    std::function<obs::MetricsSnapshot()> source() {
+        return [this] { return registry.snapshot(); };
+    }
 };
 
 }  // namespace
 
 TEST(RollingWindow, EmptyWindowBeforeAnyTick) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::WindowDelta delta = window.window_at(seconds(10), 1000);
     EXPECT_FALSE(delta.complete);
     EXPECT_DOUBLE_EQ(delta.seconds, 0.0);
@@ -43,7 +47,7 @@ TEST(RollingWindow, EmptyWindowBeforeAnyTick) {
 
 TEST(RollingWindow, CounterDeltaAndRate) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     c.add(100);
     window.tick_at(0);
@@ -57,7 +61,7 @@ TEST(RollingWindow, CounterDeltaAndRate) {
 
 TEST(RollingWindow, PicksNewestBucketAtLeastSpanOld) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     // Buckets at t=0s (c=0), t=5s (c=10), t=10s (c=30).
     window.tick_at(0);
@@ -76,7 +80,7 @@ TEST(RollingWindow, PicksNewestBucketAtLeastSpanOld) {
 
 TEST(RollingWindow, BucketRotationEvictsOldestAcrossRingBoundary) {
     WindowFixture f(/*buckets=*/4);
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     // 10 ticks through a 4-slot ring: only t=6s..9s survive.
     for (int t = 0; t < 10; ++t) {
@@ -94,7 +98,7 @@ TEST(RollingWindow, BucketRotationEvictsOldestAcrossRingBoundary) {
 
 TEST(RollingWindow, WarmupFallsBackToOldestBucket) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     window.tick_at(1000);
     c.add(7);
@@ -108,7 +112,7 @@ TEST(RollingWindow, WarmupFallsBackToOldestBucket) {
 
 TEST(RollingWindow, HistogramDeltaQuantilesReflectOnlyTheWindow) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Histogram& h = f.registry.histogram("w.latency_us");
     // Old traffic: fast requests, outside the window.
     for (int i = 0; i < 1000; ++i) h.observe(4);
@@ -129,7 +133,7 @@ TEST(RollingWindow, HistogramDeltaQuantilesReflectOnlyTheWindow) {
 
 TEST(RollingWindow, EmptyWindowHistogramHasNoQuantiles) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Histogram& h = f.registry.histogram("w.latency_us");
     for (int i = 0; i < 50; ++i) h.observe(123);
     window.tick_at(0);
@@ -150,7 +154,7 @@ TEST(RollingWindow, EmptyWindowHistogramHasNoQuantiles) {
 
 TEST(RollingWindow, InstrumentRegisteredMidWindowCountsFromZero) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     window.tick_at(0);
     obs::Counter& late = f.registry.counter("w.late");
     late.add(9);
@@ -160,7 +164,7 @@ TEST(RollingWindow, InstrumentRegisteredMidWindowCountsFromZero) {
 
 TEST(RollingWindow, ResetClampsToLiveValueInsteadOfWrapping) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     c.add(1000);
     window.tick_at(0);
@@ -174,7 +178,7 @@ TEST(RollingWindow, WindowVsCumulativeConsistency) {
     // A window spanning the whole process lifetime must agree with the
     // cumulative registry exactly.
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     window.tick_at(0);  // before any traffic
     obs::Counter& c = f.registry.counter("w.requests");
     obs::Histogram& h = f.registry.histogram("w.latency_us");
@@ -197,7 +201,7 @@ TEST(RollingWindow, ConcurrentWritersAndTickers) {
     // Writers hammer instruments while a ticker rotates buckets and a
     // reader takes windows — the TSan CI job runs this for data races.
     WindowFixture f(/*buckets=*/16);
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     obs::Counter& c = f.registry.counter("w.requests");
     obs::Histogram& h = f.registry.histogram("w.latency_us");
     std::atomic<bool> stop{false};
@@ -230,7 +234,7 @@ TEST(RollingWindow, ConcurrentWritersAndTickers) {
 
 TEST(WindowTicker, TicksAndRunsCallback) {
     WindowFixture f;
-    obs::RollingWindow window(f.registry, f.options);
+    obs::RollingWindow window(f.source(), f.options);
     std::atomic<int> callbacks{0};
     {
         obs::WindowTicker ticker(window, [&] { callbacks.fetch_add(1); });
