@@ -52,7 +52,7 @@ public:
 
     // Pure decision under an explicit context snapshot: no PEP side effect,
     // no monitor record. The serving layer (src/srv) uses this so it can
-    // cache the result and record history under its own locks.
+    // cache the result; its history is its own flight ring and audit log.
     [[nodiscard]] bool decide(const cfg::TokenString& request, const asp::Program& context) const {
         return pdp_.decide(request, context, model(), policy_repo_);
     }

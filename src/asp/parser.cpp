@@ -1,6 +1,8 @@
 #include "asp/parser.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <limits>
 
 #include "util/strings.hpp"
 
@@ -62,7 +64,9 @@ private:
         std::size_t start = pos_;
         while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
         t.text = std::string(text_.substr(start, pos_ - start));
-        t.value = std::stoll(t.text);
+        auto value = util::parse_number<std::int64_t>(t.text);
+        if (!value) throw ParseError("integer " + t.text + " out of range at line " + std::to_string(line_));
+        t.value = *value;
         return t;
     }
 
@@ -184,6 +188,23 @@ private:
         return t.is_compound() && t.symbol().str() == ".." && t.args().size() == 2;
     }
 
+    // One statement expands into at most this many facts, so that
+    // `n(1..9223372036854775807).` is a parse error rather than a hang.
+    static constexpr std::uint64_t kMaxIntervalFacts = std::uint64_t{1} << 20;
+
+    // How many values `range` holds, saturating just past kMaxIntervalFacts;
+    // unsigned, so even the widest interval's span does not overflow.
+    static std::uint64_t interval_values(const Term& range, const Atom& atom) {
+        const Term& lo = range.args()[0];
+        const Term& hi = range.args()[1];
+        if (!lo.is_integer() || !hi.is_integer() || lo.int_value() > hi.int_value()) {
+            throw ParseError("bad interval bounds in " + atom.to_string());
+        }
+        auto span = static_cast<std::uint64_t>(hi.int_value()) -
+                    static_cast<std::uint64_t>(lo.int_value());
+        return std::min(span, kMaxIntervalFacts) + 1;
+    }
+
     static bool contains_range(const Term& t) {
         if (is_range(t)) return true;
         if (!t.is_compound()) return false;
@@ -218,20 +239,25 @@ private:
             return;
         }
         if (!rule.is_fact()) throw ParseError("'..' intervals are only allowed in facts");
+        std::uint64_t facts = 1;
+        for (const auto& a : rule.head->args) {
+            if (is_range(a) && (facts *= interval_values(a, *rule.head)) > kMaxIntervalFacts) {
+                throw ParseError("intervals expand past " + std::to_string(kMaxIntervalFacts) +
+                                 " facts in " + rule.head->to_string());
+            }
+        }
         expand_fact(prog, *rule.head, 0);
     }
 
     void expand_fact(Program& prog, const Atom& atom, std::size_t from) {
         for (std::size_t i = from; i < atom.args.size(); ++i) {
             if (!is_range(atom.args[i])) continue;
-            const auto& lo = atom.args[i].args()[0];
-            const auto& hi = atom.args[i].args()[1];
-            if (!lo.is_integer() || !hi.is_integer() || lo.int_value() > hi.int_value()) {
-                throw ParseError("bad interval bounds in " + atom.to_string());
-            }
-            for (std::int64_t v = lo.int_value(); v <= hi.int_value(); ++v) {
+            // Counting values, not comparing with hi, never steps past INT64_MAX.
+            std::uint64_t values = interval_values(atom.args[i], atom);
+            auto lo = static_cast<std::uint64_t>(atom.args[i].args()[0].int_value());
+            for (std::uint64_t k = 0; k < values; ++k) {
                 Atom instance = atom;
-                instance.args[i] = Term::integer(v);
+                instance.args[i] = Term::integer(static_cast<std::int64_t>(lo + k));
                 expand_fact(prog, instance, i + 1);
             }
             return;
@@ -297,8 +323,10 @@ private:
         if (is_punct("@")) {
             advance();
             if (cur_.kind != TokKind::Integer) fail("expected integer annotation after '@'");
+            if (cur_.value < 1 || cur_.value > std::numeric_limits<int>::max()) {
+                fail("annotation must be in 1..2147483647");
+            }
             atom.annotation = static_cast<int>(cur_.value);
-            if (atom.annotation < 1) fail("annotation must be >= 1");
             advance();
         }
         return atom;

@@ -4,9 +4,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
@@ -418,18 +418,25 @@ bool take_bool_flag(std::vector<std::string>& args, const std::string& flag) {
 }
 
 // Pulls `--flag N` out of an argument list into `value`, which keeps its
-// default when the flag is absent; `shift` scales (20: MiB to bytes).
+// default when the flag is absent. N must be a whole non-negative integer
+// that still fits `value` once scaled by `unit` (1 << 20: MiB to bytes).
 template <class T>
 void take_number(std::vector<std::string>& args, const std::string& flag, T& value,
-                 int shift = 0) {
+                 std::uint64_t unit = 1) {
     std::string text = take_flag(args, flag, "");
-    if (!text.empty()) value = static_cast<T>(std::stoull(text) << shift);
+    if (text.empty()) return;
+    const std::uint64_t max = static_cast<std::uint64_t>(std::numeric_limits<T>::max()) / unit;
+    std::optional<std::uint64_t> number = util::parse_number<std::uint64_t>(text);
+    if (!number || *number > max) {
+        throw CliError(flag + " expects an integer in 0.." + std::to_string(max) + ", got " + text);
+    }
+    value = static_cast<T>(*number * unit);
 }
 
 std::uint16_t parse_port(const std::string& text, const std::string& flag) {
-    unsigned long long port = std::stoull(text);
-    if (port > 65535) throw CliError(flag + " expects a port in 0..65535, got " + text);
-    return static_cast<std::uint16_t>(port);
+    std::optional<std::uint16_t> port = util::parse_number<std::uint16_t>(text);
+    if (!port) throw CliError(flag + " expects a port in 0..65535, got " + text);
+    return *port;
 }
 
 // Pulls `--flag PORT` out of an argument list; nullopt when absent.
@@ -497,11 +504,11 @@ private:
 
 void take_service_flags(std::vector<std::string>& args, srv::ServiceOptions& options) {
     take_number(args, "--threads", options.threads);
-    take_number(args, "--cache-mb", options.cache.capacity_bytes, 20);
+    take_number(args, "--cache-mb", options.cache.capacity_bytes, 1 << 20);
     options.use_cache = !take_bool_flag(args, "--no-cache");
     take_number(args, "--cache-shards", options.cache.shards);
     options.use_memo = !take_bool_flag(args, "--no-memo");
-    take_number(args, "--memo-mb", options.memo.capacity_bytes, 20);
+    take_number(args, "--memo-mb", options.memo.capacity_bytes, 1 << 20);
 }
 
 int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err) {
@@ -518,7 +525,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
         std::string trace_out = take_flag(args, "--trace-out", "");
         TelemetryScope telemetry(stats, trace_out, out);
         if (command == "solve") {
-            auto models = std::stoull(take_flag(args, "--models", "1"));
+            std::size_t models = 1;
+            take_number(args, "--models", models);
             if (args.size() != 1) throw CliError("usage: agenp solve <program.lp> [--models N]");
             return cmd_solve(args[0], models, out);
         }
@@ -532,7 +540,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
         }
         if (command == "generate") {
             auto context = take_flag(args, "--context", "");
-            auto max_strings = std::stoull(take_flag(args, "--max", "1000"));
+            std::size_t max_strings = 1000;
+            take_number(args, "--max", max_strings);
             if (args.size() != 1) throw CliError("usage: agenp generate <grammar.asg> [--context ctx.lp] [--max N]");
             return cmd_generate(args[0], context, max_strings, out);
         }
@@ -560,21 +569,14 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
             std::string context = take_flag(args, "--context", "");
             srv::ServiceOptions& service = serve.router.service;
             take_service_flags(args, service);
-            // Tail-capture knobs default from the environment; flags win.
-            // getenv is single-threaded startup here, before any worker
-            // exists, so concurrency-mt-unsafe does not apply.
-            const char* env_slow = std::getenv("AGENP_TRACE_SLOW_MS");  // NOLINT(concurrency-mt-unsafe)
-            const char* env_sample = std::getenv("AGENP_TRACE_SAMPLE");  // NOLINT(concurrency-mt-unsafe)
-            service.trace.slow_threshold_us =
-                std::stoull(take_flag(args, "--trace-slow-ms", env_slow ? env_slow : "0")) * 1000;
-            service.trace.sample_every =
-                std::stoull(take_flag(args, "--trace-sample", env_sample ? env_sample : "0"));
+            take_number(args, "--trace-slow-ms", service.trace.slow_threshold_us, 1000);
+            take_number(args, "--trace-sample", service.trace.sample_every);
             take_number(args, "--stats-every", serve.stats_every_s);
             serve.port = take_port(args, "--listen");
             take_number(args, "--replicas", serve.router.replicas);
             serve.metrics_port = take_port(args, "--metrics-listen");
             serve.audit.path = take_flag(args, "--audit-log", "");
-            take_number(args, "--audit-max-mb", serve.audit.max_bytes, 20);
+            take_number(args, "--audit-max-mb", serve.audit.max_bytes, 1 << 20);
             take_number(args, "--audit-sample", serve.audit.sample_every);
             serve.state_dir = take_flag(args, "--state-dir", "");
             take_number(args, "--snapshot-every", serve.snapshot_every_s);

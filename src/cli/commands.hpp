@@ -29,12 +29,10 @@
 // contention), `!flight` prints a FLIGHT_JSON line (the recent-request
 // ring), `!trace <file>` writes captured slow-request span trees as
 // Chrome trace JSON, `!snapshot` persists the serving state to the
-// `--state-dir` (SNAPSHOT_JSON reply). The tail-capture knobs default from the environment:
-// AGENP_TRACE_SLOW_MS (capture trees for requests slower than this) and
-// AGENP_TRACE_SAMPLE (also capture every Nth request); --trace-slow-ms /
-// --trace-sample override. --stats-every SEC prints a SERVE_WINDOW_JSON
-// line (rates and latency quantiles over the last SEC seconds) every SEC
-// seconds.
+// `--state-dir` (SNAPSHOT_JSON reply). --trace-slow-ms MS captures trees
+// for requests slower than MS, --trace-sample N also captures every Nth
+// request. --stats-every SEC prints a SERVE_WINDOW_JSON line (rates and
+// latency quantiles over the last SEC seconds) every SEC seconds.
 //
 // The learn-task file format is line-oriented with #section headers:
 //

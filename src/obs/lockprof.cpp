@@ -38,14 +38,13 @@ constexpr LockRankEntry kLockRanks[] = {
     {"srv.cache_shard", 20},  // DecisionCache shard locks, taken under srv.model
     {"asg.memo", 25},         // grounding-memo shards, taken under srv.model; never
                               // nested with srv.cache_shard (probe vs decide paths)
-    {"srv.monitor", 30},      // feedback monitor, taken under srv.model
     {"srv.audit", 40},        // audit log rotation/append
     {"srv.conn.outbox", 50},  // per-connection worker->loop handoff
     {"symbol.intern", 60},    // intern shards; interning happens under srv.model
 };
 
 // Per-thread stack of held ranked locks. Depth is tiny (the hierarchy is
-// seven names and nesting never exceeds three); a fixed array keeps the
+// six names and nesting never exceeds three); a fixed array keeps the
 // bookkeeping allocation-free.
 struct HeldLock {
     const void* mu;

@@ -34,9 +34,9 @@
 // order (DESIGN.md section 12):
 //
 //   rank  lock name         held while taking ->
-//     10  srv.model         srv.cache_shard, srv.monitor, symbol.intern
+//     10  srv.model         srv.cache_shard, asg.memo, symbol.intern
 //     20  srv.cache_shard   (leaf)
-//     30  srv.monitor       (leaf)
+//     25  asg.memo          (leaf)
 //     40  srv.audit         (leaf)
 //     50  srv.conn.outbox   (leaf)
 //     60  symbol.intern     (leaf)

@@ -34,7 +34,6 @@ enum class PhaseId : std::uint8_t {
     SrvContext,
     SrvCacheProbe,
     SrvSolve,
-    SrvMonitor,
     AmsHandleRequest,
     PdpDecide,
     PadapMaybeAdapt,
@@ -64,7 +63,6 @@ inline constexpr std::array<std::string_view, kPhaseCount> kPhaseNames{
     "srv.context",
     "srv.cache_probe",
     "srv.solve",
-    "srv.monitor",
     "agenp.ams.handle_request",
     "agenp.pdp.decide",
     "agenp.padap.maybe_adapt",

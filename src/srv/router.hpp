@@ -2,10 +2,10 @@
 // (DESIGN.md section 10).
 //
 // A single DecisionService serializes model updates against decisions on
-// one `srv.model` lock and funnels every monitor append through one
-// `srv.monitor` mutex. The router removes those single-instance ceilings
-// by running N independent AMS replicas, each wrapped in its own
-// DecisionService with its own cache, flight ring, and locks.
+// one `srv.model` lock and queues every miss for one worker pool. The
+// router removes those single-instance ceilings by running N independent
+// AMS replicas, each wrapped in its own DecisionService with its own
+// queue, cache, flight ring, and locks.
 //
 // Routing: requests are placed by a 64-bit FNV-1a hash of the request
 // text — the same request always lands on the same replica, so each

@@ -1,12 +1,9 @@
 #include "srv/server.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <fstream>
 #include <future>
 #include <istream>
 #include <ostream>
-#include <type_traits>
 #include <vector>
 
 #include "obs/build.hpp"
@@ -34,21 +31,6 @@ RouterOptions with_sinks(RouterOptions options, AuditLog* audit, store::StateSto
     return options;
 }
 
-// Profiler arguments arrive from outside (a query string, a control
-// line), so a number must be the whole value and finite: "5abc" is not 5,
-// and a NaN duration must never reach sleep_for.
-template <typename T>
-std::optional<T> parse_number(std::string_view text) {
-    T value{};
-    const char* end = text.data() + text.size();
-    auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (ec != std::errc{} || ptr != end) return std::nullopt;
-    if constexpr (std::is_floating_point_v<T>) {
-        if (!std::isfinite(value)) return std::nullopt;
-    }
-    return value;
-}
-
 // Two-phase runtime profiling control. Control lines run on the transport
 // event loop, so `!prof` never blocks to collect: `start` arms the
 // sampler, traffic runs, `stop` disarms it and returns the folded report
@@ -59,7 +41,7 @@ std::string handle_prof_line(const std::vector<std::string>& words) {
     const std::string& verb = words.size() > 1 ? words[1] : "status";
     if (verb == "start") {
         obs::ProfilerOptions options;
-        if (words.size() > 2) options.hz = parse_number<int>(words[2]).value_or(0);
+        if (words.size() > 2) options.hz = util::parse_number<int>(words[2]).value_or(0);
         if (options.hz < 1 || options.hz > 1000) return "usage: !prof start [hz 1..1000]";
         if (!profiler.start(options)) {
             return "profiler already running at " + std::to_string(profiler.hz()) + " Hz";
@@ -86,10 +68,10 @@ obs::HttpResponse profz(const obs::HttpRequest& request) {
     std::optional<double> seconds = 2.0;
     std::optional<int> hz = 99;
     if (std::string v = obs::http_query_param(request.query, "seconds"); !v.empty()) {
-        seconds = parse_number<double>(v);
+        seconds = util::parse_number<double>(v);
     }
     if (std::string v = obs::http_query_param(request.query, "hz"); !v.empty()) {
-        hz = parse_number<int>(v);
+        hz = util::parse_number<int>(v);
     }
     if (!seconds || !hz || *seconds <= 0.0 || *seconds > 60.0 || *hz < 1 || *hz > 1000) {
         response.status = 400;

@@ -164,11 +164,6 @@ void DecisionService::drain() {
     while (!(queue_.empty() && in_flight_ == 0)) drain_cv_.wait(queue_mu_);
 }
 
-bool DecisionService::give_feedback(std::size_t monitor_index, bool should_permit) {
-    obs::ProfiledMutexLock lock(monitor_mu_);
-    return ams_.give_feedback(monitor_index, should_permit);
-}
-
 void DecisionService::update_model(const std::function<void()>& fn) {
     obs::ProfiledWriteLock lock(state_mu_);
     fn();
@@ -322,9 +317,9 @@ std::optional<bool> DecisionService::probe(Task& task) {
 }
 
 // One decision under the shared model lock: the probe (unless submit()
-// already made it), the PDP and the cache insert on a miss, then the PEP
-// and the monitor record. With `cached_only` it stops at a miss and
-// returns nullopt, leaving the probed task for a worker.
+// already made it), the PDP and the cache insert on a miss, then the PEP.
+// With `cached_only` it stops at a miss and returns nullopt, leaving the
+// probed task for a worker.
 std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, bool cached_only) {
     std::optional<bool> permitted;
     if (!task.probed) permitted = probe(task);
@@ -342,17 +337,6 @@ std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, boo
         if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);
     }
     ams_.pep().enforce(task.tokens, *permitted);
-
-    framework::DecisionRecord record;
-    record.request = task.tokens;
-    record.context = std::move(task.context);
-    record.permitted = *permitted;
-    record.model_version = decision.model_version;
-    {
-        obs::Phase phase(obs::PhaseId::SrvMonitor);
-        obs::ProfiledMutexLock monitor(monitor_mu_);
-        decision.monitor_index = ams_.monitor().record(std::move(record));
-    }
     return permitted;
 }
 
@@ -391,8 +375,7 @@ Decision DecisionService::process(Task& task) {
         permitted = verdict(task, decision, /*cached_only=*/false);
     } catch (const std::exception& e) {
         // Fails this request only; unwinding released the model lock, and
-        // a throw from the verdict step skipped the cache insert and the
-        // monitor record.
+        // a throw from the verdict step skipped the cache insert.
         fail(decision, task, e.what());
         return decision;
     }

@@ -5,13 +5,14 @@
 //
 //   submit() ── cache hit ──────────────────────────────────────▶ Decision
 //      │        (answered on the caller's thread: context, key,   ▲
-//      │         probe, PEP, monitor, flight/audit/trace)         │
+//      │         probe, PEP, flight/audit/trace)                  │
 //      └─ miss ──▶ bounded MPMC queue ──▶ fixed thread pool ──────┘
-//                  (reject Overloaded      │ PDP membership solve,
-//                   when full)             │ cache insert
-//                                          ▼
-//                                   DecisionMonitor (ring-bounded history,
-//                                   feeds the PAdaP feedback loop)
+//                  (reject Overloaded      PDP membership solve, cache
+//                   when full)             insert, PEP, flight/audit/trace
+//
+// The served decision history is the flight ring plus the audit log: a
+// decision writes no AMS state, and the AMS's DecisionMonitor belongs to
+// the in-process PAdaP loop, which the service never runs.
 //
 // submit() probes the decision cache (srv/cache.hpp) itself. A hit is
 // answered before submit() returns: it queues no work, wakes no worker and
@@ -29,9 +30,6 @@
 //    therefore run concurrently on workers and on submitting threads (for
 //    TCP, the event loop) and must be thread-safe; a source that blocks
 //    stalls the thread that submitted.
-//  - `monitor_mu_` (ProfiledMutex "srv.monitor"): serializes
-//    DecisionMonitor record/feedback (short critical section; the
-//    expensive membership solve happens outside it).
 //  - `queue_mu_` (util::Mutex): protects the request queue and the
 //    in-flight count; pairs with the workers' condition variable.
 //
@@ -128,14 +126,12 @@ enum class Outcome {
     Deny,
     Overloaded,  // rejected at submit: cache miss with the queue full, or service stopping
     Expired,     // queued, and the deadline passed before a worker picked it up
-    Error,       // evaluating the request threw; nothing cached or monitored
+    Error,       // evaluating the request threw; nothing cached
 };
 
 std::string_view outcome_name(Outcome outcome);
 
 struct Decision {
-    static constexpr std::size_t kNoIndex = ~std::size_t{0};
-
     Outcome outcome = Outcome::Deny;
     bool cache_hit = false;
     std::uint64_t model_version = 0;
@@ -143,9 +139,6 @@ struct Decision {
     // Request id: monotone per service, correlates the decision with its
     // flight record and any captured trace.
     std::uint64_t trace_id = 0;
-    // Monitor sequence number for give_feedback(); kNoIndex when the
-    // request was not decided (Overloaded / Expired / Error).
-    std::size_t monitor_index = kNoIndex;
     std::string error;  // Error only: what the evaluation threw
 
     [[nodiscard]] bool permitted() const { return outcome == Outcome::Permit; }
@@ -210,10 +203,6 @@ public:
 
     // Blocks until every accepted request has completed.
     void drain();
-
-    // Forwards ground truth to the monitor (thread-safe); false when the
-    // index was evicted from the bounded history.
-    bool give_feedback(std::size_t monitor_index, bool should_permit);
 
     // Runs `fn` with exclusive access to the AMS — no decision in flight,
     // none starting. Use for adoption/import/refresh; decisions cached
@@ -281,7 +270,6 @@ private:
     FlightRecorder flight_;
 
     obs::ProfiledSharedMutex state_mu_{"srv.model"};
-    obs::ProfiledMutex monitor_mu_{"srv.monitor"};
 
     mutable util::Mutex queue_mu_;
     util::CondVar queue_cv_;  // workers: work available or stopping

@@ -6,7 +6,7 @@
 // frames newline-delimited requests, and writes replies. It answers cache
 // hits itself: DecisionService::submit() completes a hit on the calling
 // thread, so the loop runs the hit's context gather, cache probe, PEP,
-// monitor record and audit write. Misses run on the router's worker pools
+// flight record and audit write. Misses run on the router's worker pools
 // — the loop never blocks on a solve, and never waits out a model
 // adoption (submit() then queues the request). Every completion callback
 // serializes the reply and drops it into the connection's outbox under a

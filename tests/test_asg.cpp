@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <random>
 #include <set>
+#include <sstream>
+#include <typeinfo>
 
 #include "asg/asg.hpp"
 #include "asg/generate.hpp"
 #include "asg/instantiate.hpp"
 #include "asg/membership.hpp"
 #include "asp/parser.hpp"
+#include "mutate.hpp"
 
 namespace agenp::asg {
 namespace {
@@ -84,6 +91,99 @@ TEST(AsgParse, ToStringRoundTripsThroughParse) {
     auto reparsed = AnswerSetGrammar::parse(g.to_string());
     EXPECT_EQ(reparsed.production_count(), g.production_count());
     EXPECT_EQ(reparsed.to_string(), g.to_string());
+}
+
+// --- mutation fuzzing ---------------------------------------------------------
+
+// Integer literals past int64, at the top level and inside an annotation.
+const char* const kOutOfRangeLiterals[] = {
+    "p(99999999999999999999).",
+    "s -> \"x\" {\n    p(9223372036854775808).\n}\n",
+};
+
+// The mutator's starting texts: every policy in examples/policies, the
+// grammars above, ASP syntax the examples do not use, and the literals.
+std::vector<std::string> policy_corpus() {
+    std::vector<std::filesystem::path> files;
+    const std::string dir = std::string(AGENP_SOURCE_DIR) + "/examples/policies";
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() == ".asg" || entry.path().extension() == ".lp") {
+            files.push_back(entry.path());
+        }
+    }
+    std::sort(files.begin(), files.end());  // a seed always draws the same mutants
+    std::vector<std::string> corpus;
+    for (const auto& file : files) {
+        std::ifstream in(file);
+        std::ostringstream text;
+        text << in.rdbuf();
+        corpus.push_back(text.str());
+    }
+    corpus.insert(corpus.end(), {kAnBn, kTaskAsg,
+                                 "p(1..3, a). q(\"str\").\n"
+                                 "r(X) :- p(X, a), not q(X), X >= 2, Z = X * 2 + -1 / (X - 1).\n"
+                                 ":- r(X), X != 3.\n"});
+    corpus.insert(corpus.end(), std::begin(kOutOfRangeLiterals), std::end(kOutOfRangeLiterals));
+    return corpus;
+}
+
+// Fragments worth splicing into ASP and ASG text: structure, operators,
+// integer edges, and bytes that are not UTF-8.
+const char* const kPolicyFragments[] = {
+    ".", ",", ":-", "(", ")", "{", "}", "@", "@2", "..", "not ", "->", "|", "\"", "%", "#",
+    "epsilon", "X", "_", "-", "+", "*", "/", "!=", "<=", "0", "2147483648",
+    "9223372036854775807", "9223372036854775808", "99999999999999999999", "\xc3\xa9", "\xff",
+    "\n", " ",
+};
+
+const fuzz::Alphabet kPolicyAlphabet{kPolicyFragments, '(', ')'};
+
+// Runs one parser on `text`: it parses, or it throws one of the three
+// parse errors the CLI reports. Returns whether it parsed; any other
+// exception fails the test.
+template <class Parse>
+bool parses_or_rejects(const std::string& text, Parse parse) {
+    try {
+        parse(text);
+        return true;
+    } catch (const asp::ParseError&) {
+    } catch (const AsgError&) {
+    } catch (const cfg::GrammarError&) {
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "escaped as " << typeid(e).name() << " (" << e.what() << ") for:\n"
+                      << text;
+    }
+    return false;
+}
+
+TEST(ParserFuzz, MutatedPolicyTextParsesOrThrowsAParseError) {
+    const std::vector<std::string> corpus = policy_corpus();
+    ASSERT_GE(corpus.size(), 7u + 3u + std::size(kOutOfRangeLiterals));
+    for (const char* literal : kOutOfRangeLiterals) {
+        EXPECT_FALSE(parses_or_rejects(literal, asp::parse_program)) << literal;
+        EXPECT_FALSE(parses_or_rejects(literal, AnswerSetGrammar::parse)) << literal;
+    }
+
+    // 16 fixed seeds x 1,000 mutants, each through both parsers: the same
+    // texts on every run (and under the sanitizers, which run every ctest).
+    constexpr std::uint64_t kSeeds = 16;
+    constexpr std::size_t kMutantsPerSeed = 1000;
+    std::size_t programs = 0, grammars = 0;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::mt19937_64 rng(seed);
+        for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
+            const std::string& base = corpus[rng() % corpus.size()];
+            std::string text = fuzz::mutate(base, corpus, kPolicyAlphabet, rng);
+            programs += parses_or_rejects(text, asp::parse_program);
+            grammars += parses_or_rejects(text, AnswerSetGrammar::parse);
+            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", mutant " << i;
+        }
+    }
+    // Both sides of each parser are exercised.
+    EXPECT_GT(programs, kSeeds * kMutantsPerSeed / 100);
+    EXPECT_LT(programs, kSeeds * kMutantsPerSeed * 9 / 10);
+    EXPECT_GT(grammars, kSeeds * kMutantsPerSeed / 100);
+    EXPECT_LT(grammars, kSeeds * kMutantsPerSeed * 9 / 10);
 }
 
 TEST(Mangle, TraceFoldsIntoPredicateName) {

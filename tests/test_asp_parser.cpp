@@ -131,6 +131,26 @@ TEST(Parser, RejectsBackwardsInterval) {
     EXPECT_THROW(parse_program("n(5..2)."), ParseError);
 }
 
+TEST(Parser, RejectsIntervalsPastTheFactCap) {
+    EXPECT_EQ(parse_program("n(1..1024, 1..4).").size(), 4096u);
+    EXPECT_EQ(parse_program("n(9223372036854775806..9223372036854775807).").size(), 2u);
+    // Each of these would have expanded past any memory, or forever.
+    EXPECT_THROW(parse_program("n(1..1048577)."), ParseError);
+    EXPECT_THROW(parse_program("n(1..1024, 0..1024)."), ParseError);
+    EXPECT_THROW(parse_program("n(1..9223372036854775807)."), ParseError);
+}
+
+TEST(Parser, OutOfRangeIntegerIsAParseErrorWithItsLine) {
+    EXPECT_EQ(parse_program("p(9223372036854775807).").rules()[0].head->to_string(),
+              "p(9223372036854775807)");
+    try {
+        (void)parse_program("a.\nb.\np(99999999999999999999).");
+        FAIL() << "parsed an integer past int64";
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos) << e.what();
+    }
+}
+
 TEST(Parser, ErrorsOnUnterminatedRule) {
     EXPECT_THROW(parse_program("p(a)"), ParseError);
 }
@@ -150,6 +170,7 @@ TEST(Parser, ErrorsOnVariableHead) {
 TEST(Parser, ErrorsOnBadAnnotation) {
     EXPECT_THROW(parse_atom("p@0"), ParseError);
     EXPECT_THROW(parse_atom("p@x"), ParseError);
+    EXPECT_THROW(parse_atom("p@4294967297"), ParseError);  // not annotation 1
 }
 
 TEST(Parser, ParsesTermDirectly) {

@@ -431,6 +431,52 @@ TEST(Run, PortFlagsRejectValuesAbove65535) {
             << err.str();
         EXPECT_EQ(out.str().find("AGENP_LISTENING"), std::string::npos);
     }
+    // A port is the whole value, as for every numeric flag.
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"serve", "/nonexistent/p.asg", "--listen", "80abc"}, out, err), 2);
+    EXPECT_NE(err.str().find("--listen expects a port in 0..65535, got 80abc"), std::string::npos)
+        << err.str();
+}
+
+TEST(Run, NumericFlagsRejectTrailingTextSignsAndOverflow) {
+    // Each value once read as something else: "5abc" as 5 threads, "-1"
+    // as an allocation failure, and 2^44 MiB as 0 bytes (the shift
+    // wrapped, so the audit log rotated after every line). The grammar
+    // path does not exist, so a value that slipped through would fail
+    // later with "cannot read file" instead.
+    const std::pair<std::vector<std::string>, std::string> cases[] = {
+        {{"serve", "/nonexistent/p.asg", "--threads", "5abc"}, "--threads"},
+        {{"serve", "/nonexistent/p.asg", "--threads", "-1"}, "--threads"},
+        {{"serve", "/nonexistent/p.asg", "--replicas", "-1"}, "--replicas"},
+        {{"serve", "/nonexistent/p.asg", "--cache-mb", "99999999999999999999"}, "--cache-mb"},
+        {{"serve", "/nonexistent/p.asg", "--trace-slow-ms", "18446744073709552"},
+         "--trace-slow-ms"},
+        {{"serve", "/nonexistent/p.asg", "--trace-sample", "+3"}, "--trace-sample"},
+        {{"serve", "/nonexistent/p.asg", "--prof-hz", "99 "}, "--prof-hz"},
+        {{"loadgen", "--clients", "2x"}, "--clients"},
+        {{"solve", "/nonexistent/p.lp", "--models", "0x10"}, "--models"},
+        {{"generate", "/nonexistent/p.asg", "--max", "1.5"}, "--max"},
+    };
+    for (const auto& [args, flag] : cases) {
+        std::ostringstream out, err;
+        EXPECT_EQ(run(args, out, err), 2) << flag;
+        EXPECT_NE(err.str().find("error: " + flag + " expects an integer in 0.."),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(out.str().find("AGENP_LISTENING"), std::string::npos);
+    }
+    // The bound is the largest value whose MiB still fit the byte count.
+    std::ostringstream out, err;
+    EXPECT_EQ(run({"serve", "/nonexistent/p.asg", "--audit-max-mb", "17592186044416"}, out, err),
+              2);
+    EXPECT_NE(err.str().find("--audit-max-mb expects an integer in 0..17592186044415, got "
+                             "17592186044416"),
+              std::string::npos)
+        << err.str();
+    std::ostringstream out2, err2;
+    EXPECT_EQ(run({"serve", "/nonexistent/p.asg", "--audit-max-mb", "17592186044415"}, out2, err2),
+              2);
+    EXPECT_NE(err2.str().find("cannot read file"), std::string::npos) << err2.str();
 }
 
 TEST(ServiceFlags, ParseStraightIntoServiceOptions) {

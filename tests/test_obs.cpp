@@ -638,7 +638,7 @@ TEST(LockProf, SameNameAggregatesAcrossMutexes) {
 TEST(LockOrder, RankTableMatchesDesignDoc) {
     EXPECT_EQ(lock_rank_of("srv.model").rank, 10);
     EXPECT_EQ(lock_rank_of("srv.cache_shard").rank, 20);
-    EXPECT_EQ(lock_rank_of("srv.monitor").rank, 30);
+    EXPECT_EQ(lock_rank_of("asg.memo").rank, 25);
     EXPECT_EQ(lock_rank_of("srv.audit").rank, 40);
     EXPECT_EQ(lock_rank_of("srv.conn.outbox").rank, 50);
     EXPECT_EQ(lock_rank_of("symbol.intern").rank, 60);
@@ -650,17 +650,17 @@ TEST(LockOrder, SilentWhenHierarchyRespected) {
     set_lock_order_checking(true);
     ProfiledSharedMutex model("srv.model");
     ProfiledMutex shard("srv.cache_shard");
-    ProfiledMutex monitor("srv.monitor");
+    ProfiledMutex audit("srv.audit");
     {
-        // The real worker path: model (shared) -> cache shard -> monitor.
+        // Rising ranks under the model lock: a cache shard, then a leaf.
         ProfiledReadLock m(model);
         { ProfiledMutexLock s(shard); }
-        { ProfiledMutexLock mon(monitor); }
+        { ProfiledMutexLock a(audit); }
     }
     {
         // Unranked locks may interleave anywhere.
         ProfiledMutex local("test.lockprof.unranked");
-        ProfiledMutexLock mon(monitor);
+        ProfiledMutexLock a(audit);
         ProfiledMutexLock l(local);
     }
     set_lock_order_checking(prev);

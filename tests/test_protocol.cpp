@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "asp/parser.hpp"
+#include "mutate.hpp"
 #include "srv/server.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
@@ -278,43 +279,7 @@ const char* const kFragments[] = {
     "\n", " ",
 };
 
-// One mutant of `line`: one to three rounds of byte flips, inserts and
-// deletes, truncation, span duplication, splicing with another corpus
-// line, or wrapping in 70 '[' (past the parser's nesting cap).
-std::string mutate(std::string line, const std::vector<std::string>& corpus,
-                   std::mt19937_64& rng) {
-    auto pick = [&rng](std::size_t n) {
-        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-    };
-    for (std::size_t round = 0, rounds = 1 + pick(3); round < rounds; ++round) {
-        switch (pick(8)) {
-            case 0:
-                if (!line.empty()) line[pick(line.size())] ^= static_cast<char>(1U << pick(8));
-                break;
-            case 1: line.insert(pick(line.size() + 1), 1, static_cast<char>(pick(256))); break;
-            case 2:
-                line.insert(pick(line.size() + 1), kFragments[pick(std::size(kFragments))]);
-                break;
-            case 3:
-                if (!line.empty()) line.erase(pick(line.size()), 1 + pick(8));
-                break;
-            case 4: line.resize(pick(line.size() + 1)); break;
-            case 5:
-                if (!line.empty()) {
-                    std::size_t at = pick(line.size());
-                    line.insert(at, line.substr(at, 1 + pick(line.size() - at)));
-                }
-                break;
-            case 6: {
-                const std::string& other = corpus[pick(corpus.size())];
-                line = line.substr(0, pick(line.size() + 1)) + other.substr(pick(other.size() + 1));
-                break;
-            }
-            default: line = std::string(70, '[') + line + std::string(70, ']'); break;
-        }
-    }
-    return line;
-}
+const fuzz::Alphabet kJsonAlphabet{kFragments, '[', ']'};
 
 // Runs one line through both parsers the transport runs. Returns whether
 // parse_wire_request accepted it; fails the test on any broken contract.
@@ -384,7 +349,7 @@ TEST(Protocol, MutatedRequestLinesNeverBreakTheWireParsers) {
         std::mt19937_64 rng(seed);
         for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
             const std::string& base = corpus[rng() % corpus.size()];
-            if (check_line(mutate(base, corpus, rng))) ++accepted;
+            if (check_line(fuzz::mutate(base, corpus, kJsonAlphabet, rng))) ++accepted;
             if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", mutant " << i;
         }
     }
@@ -394,7 +359,10 @@ TEST(Protocol, MutatedRequestLinesNeverBreakTheWireParsers) {
 
     // The nesting cap holds at the depth the wrapping mutation reaches.
     std::string error;
-    EXPECT_FALSE(parse_json(std::string(70, '[') + "1" + std::string(70, ']'), &error).has_value());
+    EXPECT_FALSE(parse_json(std::string(fuzz::kWrapDepth, '[') + "1" +
+                                std::string(fuzz::kWrapDepth, ']'),
+                            &error)
+                     .has_value());
     EXPECT_EQ(error, "JSON nesting too deep");
 }
 

@@ -162,14 +162,12 @@ TEST(DecisionService, DecidesCorrectlyAndCaches) {
             Decision d = service.submit(cfg::tokenize("do task_" + std::to_string(i))).get();
             EXPECT_EQ(d.permitted(), demo_expected(i)) << "task_" << i;
             EXPECT_EQ(d.cache_hit, round == 1) << "task_" << i;
-            EXPECT_NE(d.monitor_index, Decision::kNoIndex);
         }
     }
     auto stats = service.snapshot_stats();
     EXPECT_EQ(stats.completed, 12u);
     EXPECT_EQ(stats.cache.hits, 6u);
     EXPECT_EQ(stats.cache.misses, 6u);
-    EXPECT_EQ(ams.monitor().history().size(), 12u);
 }
 
 TEST(DecisionService, SubmitBatchAndDrain) {
@@ -202,10 +200,8 @@ TEST(DecisionService, BackpressureRejectsWhenQueueFull) {
     }
     std::size_t overloaded = 0, decided = 0;
     for (auto& f : futures) {
-        Decision d = f.get();
-        if (d.outcome == Outcome::Overloaded) {
+        if (f.get().outcome == Outcome::Overloaded) {
             ++overloaded;
-            EXPECT_EQ(d.monitor_index, Decision::kNoIndex);
         } else {
             ++decided;
         }
@@ -228,7 +224,6 @@ TEST(DecisionService, DeadlineExpiresWhileQueued) {
     EXPECT_NE(blocker.get().outcome, Outcome::Expired);
     Decision d = doomed.get();
     EXPECT_EQ(d.outcome, Outcome::Expired);
-    EXPECT_EQ(d.monitor_index, Decision::kNoIndex);
     EXPECT_EQ(service.snapshot_stats().expired, 1u);
 }
 
@@ -245,7 +240,6 @@ TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
 
     Decision failed = service.submit(cfg::tokenize("big")).get();
     EXPECT_EQ(failed.outcome, Outcome::Error);
-    EXPECT_EQ(failed.monitor_index, Decision::kNoIndex);
     WireRequest request;
     request.has_id = true;
     request.id = 7;
@@ -257,8 +251,7 @@ TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
     ServiceStats stats = service.snapshot_stats();
     EXPECT_EQ(stats.errors, 1u);
     EXPECT_EQ(stats.completed, 1u);
-    EXPECT_EQ(stats.cache.insertions, 1u);          // the failure was not cached
-    EXPECT_EQ(ams.monitor().history().size(), 1u);  // nor recorded in the monitor
+    EXPECT_EQ(stats.cache.insertions, 1u);  // the failure was not cached
 }
 
 TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
@@ -314,10 +307,7 @@ TEST(DecisionService, CacheHitCompletesInsideSubmit) {
     EXPECT_TRUE(hit.cache_hit);
     EXPECT_TRUE(hit.permitted());
     EXPECT_EQ(hit.model_version, miss.model_version);
-    // Still monitored and flight-recorded like a worker's decision.
-    EXPECT_EQ(hit.monitor_index, miss.monitor_index + 1);
-    ASSERT_EQ(ams.monitor().total_recorded(), 2u);
-    EXPECT_TRUE(ams.monitor().history().back().permitted);
+    // Still flight-recorded like a worker's decision.
     std::optional<FlightRecord> record;
     for (const FlightRecord& r : service.flight().snapshot()) {
         if (r.id == hit.trace_id) record = r;
@@ -332,6 +322,25 @@ TEST(DecisionService, CacheHitCompletesInsideSubmit) {
     EXPECT_EQ(stats.cache.hits, 1u);
     EXPECT_EQ(stats.cache.misses, 1u);
     EXPECT_EQ(stats.queue_depth, 0u);
+}
+
+TEST(DecisionService, ServedDecisionsLeaveTheAmsMonitorEmpty) {
+    // The served history is the flight ring (and the audit log): neither a
+    // worker's miss nor an inline hit writes the AMS's PAdaP monitor.
+    auto ams = make_demo_ams(2, /*context_weight=*/0);
+    DecisionService service(ams, service_options(1));
+    Decision miss = service.submit(cfg::tokenize("do task_0")).get();
+    Decision hit = service.submit(cfg::tokenize("do task_0")).get();
+    ASSERT_FALSE(miss.cache_hit);
+    ASSERT_TRUE(hit.cache_hit);
+
+    EXPECT_EQ(ams.monitor().total_recorded(), 0u);
+    std::vector<FlightRecord> flight = service.flight().snapshot();
+    ASSERT_EQ(flight.size(), 2u);
+    EXPECT_EQ(flight[0].id, miss.trace_id);
+    EXPECT_FALSE(flight[0].cache_hit);
+    EXPECT_EQ(flight[1].id, hit.trace_id);
+    EXPECT_TRUE(flight[1].cache_hit);
 }
 
 TEST(DecisionService, HitDuringAdoptionQueuesInsteadOfBlocking) {
@@ -543,33 +552,6 @@ TEST(DecisionService, ConcurrentSubmittersAgainstOneCache) {
     auto stats = service.snapshot_stats();
     EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients) * kPerClient);
     EXPECT_GT(stats.cache.hits, 0u);
-}
-
-TEST(DecisionService, FeedbackFlowsToMonitorAndPAdaP) {
-    auto ams = make_demo_ams(4, /*context_weight=*/0);
-    DecisionService service(ams, service_options(2));
-    Decision d = service.submit(cfg::tokenize("do task_0")).get();
-    ASSERT_NE(d.monitor_index, Decision::kNoIndex);
-    EXPECT_TRUE(service.give_feedback(d.monitor_index, false));
-    EXPECT_FALSE(service.give_feedback(d.monitor_index + 1000, true));
-    ASSERT_TRUE(ams.monitor().observed_accuracy().has_value());
-    EXPECT_DOUBLE_EQ(*ams.monitor().observed_accuracy(), 0.0);
-}
-
-TEST(DecisionService, MonitorHistoryStaysBounded) {
-    framework::AmsOptions options;
-    options.monitor_capacity = 16;
-    framework::AutonomousManagedSystem ams("bounded", demo_grammar(2, 0),
-                                           ilp::HypothesisSpace{}, options);
-    ams.pip().add_source("env", [] { return asp::parse_program("maxloa(3)."); });
-    DecisionService service(ams, service_options(2));
-    std::vector<std::future<Decision>> futures;
-    for (int i = 0; i < 200; ++i) {
-        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 2))));
-    }
-    for (auto& f : futures) (void)f.get();
-    EXPECT_EQ(ams.monitor().history().size(), 16u);
-    EXPECT_EQ(ams.monitor().total_recorded(), 200u);
 }
 
 TEST(Loadgen, ReportIsConsistentAndJsonWellFormed) {
@@ -805,8 +787,8 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
     // truncate. The second round is submitted after the first drained,
     // so every request in it is a hit answered inside submit().
     constexpr obs::PhaseId kPerRequest[] = {
-        obs::PhaseId::SrvRequest, obs::PhaseId::SrvQueueWait,  obs::PhaseId::SrvContext,
-        obs::PhaseId::SrvSolve,   obs::PhaseId::SrvCacheProbe, obs::PhaseId::SrvMonitor};
+        obs::PhaseId::SrvRequest, obs::PhaseId::SrvQueueWait, obs::PhaseId::SrvContext,
+        obs::PhaseId::SrvSolve, obs::PhaseId::SrvCacheProbe};
     std::vector<std::uint64_t> before;
     for (obs::PhaseId id : kPerRequest) before.push_back(obs::phase_histogram(id).snapshot().count);
     const std::uint64_t request_ns_before =
