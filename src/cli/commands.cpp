@@ -46,6 +46,19 @@ asp::Comparison::Op parse_op(const std::string& word) {
     throw CliError("unknown comparison op '" + word + "' (use lt le gt ge eq ne)");
 }
 
+// A learn-task number: all of `digits` must be a decimal int, or the error
+// names the directive and the word the digits came from.
+int parse_int(std::string_view digits, const std::string& directive, const std::string& word) {
+    if (auto value = util::parse_number<int>(digits)) return *value;
+    throw CliError(directive + " expects an integer, got '" + word + "'");
+}
+
+// The one integer argument of a `#bias` directive such as `max_body 2`.
+int directive_int(const std::vector<std::string>& words) {
+    if (words.size() != 2) throw CliError(words[0] + " needs exactly one integer");
+    return parse_int(words[1], words[0], words[1]);
+}
+
 // `body pred var(t) const(p) term @2 neg` -> ModeAtom.
 ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t from) {
     if (from >= words.size()) throw CliError("mode atom needs a predicate");
@@ -56,7 +69,7 @@ ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t
         if (w == "neg") {
             atom.allow_negated = true;
         } else if (!w.empty() && w[0] == '@') {
-            atom.annotation = std::stoi(w.substr(1));
+            atom.annotation = parse_int(std::string_view(w).substr(1), words[0] + " annotation", w);
         } else if (util::starts_with(w, "var(") && w.back() == ')') {
             atom.args.push_back(ilp::ArgSpec::var(w.substr(4, w.size() - 5)));
         } else if (util::starts_with(w, "const(") && w.back() == ')') {
@@ -104,13 +117,13 @@ ilp::HypothesisSpace parse_bias(const std::vector<std::string>& lines,
                 bias.constants[asp::Symbol(words[1])].push_back(asp::parse_term(words[i]));
             }
         } else if (kind == "max_body") {
-            bias.max_body_atoms = std::stoi(words.at(1));
+            bias.max_body_atoms = directive_int(words);
         } else if (kind == "min_body") {
-            bias.min_body_atoms = std::stoi(words.at(1));
+            bias.min_body_atoms = directive_int(words);
         } else if (kind == "max_vars") {
-            bias.max_vars = std::stoi(words.at(1));
+            bias.max_vars = directive_int(words);
         } else if (kind == "max_comparisons") {
-            bias.max_comparisons = std::stoi(words.at(1));
+            bias.max_comparisons = directive_int(words);
         } else {
             throw CliError("unknown bias directive '" + kind + "'");
         }
@@ -151,7 +164,9 @@ ilp::LearningTask parse_task_file(std::string_view text) {
     if (sections.contains("targets")) {
         targets.clear();
         for (const auto& line : sections["targets"]) {
-            for (const auto& w : util::split_ws(line)) targets.push_back(std::stoi(w));
+            for (const auto& w : util::split_ws(line)) {
+                targets.push_back(parse_int(w, "#targets", w));
+            }
         }
     }
     task.space = parse_bias(sections["bias"], targets);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "asp/ground_program.hpp"
 #include "asp/substitution.hpp"
 #include "ilp/guidance.hpp"
 #include "obs/metrics.hpp"
@@ -23,26 +24,34 @@ std::string LearnResult::hypothesis_to_string() const {
 namespace {
 
 using asg::Trace;
+using util::Symbol;
 
 // ---------------------------------------------------------------------------
 // Fast path: constraint-only hypothesis spaces.
 // ---------------------------------------------------------------------------
 
-// One answer set of the base program for one parse tree, indexed for joins.
+// Every atom of every world of one learn, interned once; the GroundProgram
+// serves only as the atom table.
+using AtomTable = asp::GroundProgram;
+using asp::AtomId;
+
+// One answer set of the base program for one parse tree: its atom ids,
+// sorted by predicate for joins, plus a membership bitset over atom ids.
 struct World {
     std::size_t tree_index = 0;
-    std::unordered_set<asp::Atom> atoms;
-    std::unordered_map<util::Symbol, std::vector<asp::Atom>> by_pred;
+    std::vector<AtomId> atoms;
+    std::vector<std::uint64_t> bits;
 
-    void add(const asp::Atom& a) {
-        atoms.insert(a);
-        by_pred[a.predicate].push_back(a);
+    [[nodiscard]] bool holds(AtomId id) const {
+        auto word = static_cast<std::size_t>(id) / 64;
+        return word < bits.size() && ((bits[word] >> (id % 64)) & 1U) != 0;
     }
 };
 
 struct TreeInfo {
-    // production index -> traces of nodes using it
-    std::unordered_map<int, std::vector<Trace>> nodes;
+    // production -> its nodes in depth-first order, as indexes into the
+    // learner's distinct traces of that production
+    std::unordered_map<int, std::vector<std::size_t>> nodes;
 };
 
 struct ExampleWorlds {
@@ -60,7 +69,8 @@ Mask all_worlds_mask(std::size_t n) { return n >= 64 ? ~Mask{0} : ((Mask{1} << n
 // literal, every builtin, and no negative literal.
 class BodyMatcher {
 public:
-    BodyMatcher(const asp::Rule& rule, const World& world) : rule_(rule), world_(world) {}
+    BodyMatcher(const asp::Rule& rule, const World& world, const AtomTable& atoms)
+        : rule_(rule), world_(world), atoms_(atoms) {}
 
     bool exists_match() {
         asp::Subst subst;
@@ -73,11 +83,13 @@ private:
         while (index < rule_.body.size() && !rule_.body[index].positive) ++index;
         if (index == rule_.body.size()) return finish(subst);
         const asp::Atom& pattern = rule_.body[index].atom;
-        auto it = world_.by_pred.find(pattern.predicate);
-        if (it == world_.by_pred.end()) return false;
-        for (const auto& atom : it->second) {
+        auto by_predicate = [this](AtomId id, Symbol p) { return atoms_.atom(id).predicate < p; };
+        auto it = std::lower_bound(world_.atoms.begin(), world_.atoms.end(), pattern.predicate,
+                                   by_predicate);
+        for (; it != world_.atoms.end() && atoms_.atom(*it).predicate == pattern.predicate; ++it) {
             std::size_t mark = subst.size();
-            if (asp::match_atom(pattern, atom, subst) && match_positive(index + 1, subst)) {
+            if (asp::match_atom(pattern, atoms_.atom(*it), subst) &&
+                match_positive(index + 1, subst)) {
                 return true;
             }
             subst.truncate(mark);
@@ -127,8 +139,8 @@ private:
         // Negative literals must be absent from the interpretation.
         for (const auto& l : rule_.body) {
             if (l.positive) continue;
-            asp::Atom ground_atom = asp::apply_subst(l.atom, subst);
-            if (world_.atoms.contains(ground_atom)) {
+            AtomId id = atoms_.find(asp::apply_subst(l.atom, subst));
+            if (id != asp::kNoHead && world_.holds(id)) {
                 subst.truncate(mark);
                 return false;
             }
@@ -138,6 +150,45 @@ private:
 
     const asp::Rule& rule_;
     const World& world_;
+    const AtomTable& atoms_;
+};
+
+// A candidate renamed into the namespace of one node, its ground body
+// literals resolved to atom ids. Only the literals with variables and the
+// comparisons (`open`) go through BodyMatcher.
+struct NodeRule {
+    bool satisfiable = true;  // false: a positive ground literal no world holds
+    std::vector<AtomId> must_hold;
+    std::vector<AtomId> must_lack;
+    asp::Rule open;
+
+    NodeRule() = default;
+    NodeRule(const asp::Rule& renamed, const AtomTable& atoms) {
+        open.builtins = renamed.builtins;
+        for (const auto& l : renamed.body) {
+            if (!l.atom.is_ground()) {
+                open.body.push_back(l);
+                continue;
+            }
+            AtomId id = atoms.find(l.atom);
+            if (id == asp::kNoHead) {
+                satisfiable = satisfiable && !l.positive;  // an atom no world holds
+            } else {
+                (l.positive ? must_hold : must_lack).push_back(id);
+            }
+        }
+    }
+
+    [[nodiscard]] bool fires_in(const World& world, const AtomTable& atoms) const {
+        if (!satisfiable) return false;
+        for (auto id : must_hold) {
+            if (!world.holds(id)) return false;
+        }
+        for (auto id : must_lack) {
+            if (world.holds(id)) return false;
+        }
+        return BodyMatcher(open, world, atoms).exists_match();
+    }
 };
 
 class FastPathLearner {
@@ -215,6 +266,10 @@ public:
         }
         search(0, base_penalty, result.stats);
 
+        if (budget_exhausted_) {
+            result.failure_reason = "search budget exhausted";
+            return result;
+        }
         if (best_cost_ > options_.max_cost) {
             if (result.failure_reason.empty()) {
                 result.failure_reason = "no hypothesis within cost bound " +
@@ -241,7 +296,9 @@ private:
             for (const auto& tree : trees) {
                 TreeInfo info;
                 for (auto& [trace, production] : asg::production_nodes(tree)) {
-                    info.nodes[production].push_back(trace);
+                    auto& traces = node_traces_[production];
+                    auto index = traces.try_emplace(std::move(trace), traces.size()).first->second;
+                    info.nodes[production].push_back(index);
                 }
                 std::size_t tree_index = out.trees.size();
                 out.trees.push_back(std::move(info));
@@ -260,10 +317,7 @@ private:
                         out.cap_hit = true;
                         break;
                     }
-                    World w;
-                    w.tree_index = tree_index;
-                    for (auto id : model) w.add(gp.atom(id));
-                    out.worlds.push_back(std::move(w));
+                    out.worlds.push_back(make_world(tree_index, gp, model));
                 }
             }
             if (out.cap_hit) result.stats.world_cap_hit = true;
@@ -291,40 +345,61 @@ private:
         return true;
     }
 
-    void build_violation_masks(LearnResult& result) {
-        auto masks_for = [&](const ExampleWorlds& ew, const Candidate& cand) {
-            Mask mask = 0;
-            for (std::size_t w = 0; w < ew.worlds.size(); ++w) {
-                const World& world = ew.worlds[w];
-                const TreeInfo& info = ew.trees[world.tree_index];
-                auto it = info.nodes.find(cand.production);
-                if (it == info.nodes.end()) continue;
-                bool violated = false;
-                for (const auto& trace : it->second) {
-                    asp::Rule renamed = asg::rename_rule_at(cand.rule, trace);
-                    ++result.stats.coverage_checks;
-                    if (BodyMatcher(renamed, world).exists_match()) {
-                        violated = true;
-                        break;
-                    }
-                }
-                if (violated) mask |= Mask{1} << w;
-            }
-            return mask;
-        };
+    World make_world(std::size_t tree_index, const asp::GroundProgram& gp,
+                     const std::vector<AtomId>& model) {
+        World w;
+        w.tree_index = tree_index;
+        w.atoms.reserve(model.size());
+        for (auto id : model) w.atoms.push_back(atoms_.intern(gp.atom(id)));
+        w.bits.assign((atoms_.atom_count() + 63) / 64, 0);
+        for (auto id : w.atoms) w.bits[static_cast<std::size_t>(id) / 64] |= Mask{1} << (id % 64);
+        std::sort(w.atoms.begin(), w.atoms.end(), [this](AtomId a, AtomId b) {
+            Symbol pa = atoms_.atom(a).predicate;
+            Symbol pb = atoms_.atom(b).predicate;
+            return pa != pb ? pa < pb : a < b;
+        });
+        return w;
+    }
 
+    void build_violation_masks(LearnResult& result) {
         std::size_t n = task_.space.candidates.size();
         violates_pos_.assign(n, {});
         violates_neg_.assign(n, {});
+        std::vector<NodeRule> rules;  // by node index of the candidate's production
         for (std::size_t c = 0; c < n; ++c) {
             const auto& cand = task_.space.candidates[c];
+            rules.clear();
+            auto traces = node_traces_.find(cand.production);
+            if (traces != node_traces_.end()) {
+                rules.resize(traces->second.size());
+                for (const auto& [trace, index] : traces->second) {
+                    rules[index] = NodeRule(asg::rename_rule_at(cand.rule, trace), atoms_);
+                }
+            }
+            auto masks_for = [&](const ExampleWorlds& ew) {
+                Mask mask = 0;
+                for (std::size_t w = 0; w < ew.worlds.size(); ++w) {
+                    const World& world = ew.worlds[w];
+                    const TreeInfo& info = ew.trees[world.tree_index];
+                    auto it = info.nodes.find(cand.production);
+                    if (it == info.nodes.end()) continue;
+                    for (auto index : it->second) {
+                        ++result.stats.coverage_checks;
+                        if (rules[index].fires_in(world, atoms_)) {
+                            mask |= Mask{1} << w;
+                            break;
+                        }
+                    }
+                }
+                return mask;
+            };
             violates_pos_[c].resize(positive_.size());
             for (std::size_t e = 0; e < positive_.size(); ++e) {
-                violates_pos_[c][e] = masks_for(positive_[e], cand);
+                violates_pos_[c][e] = masks_for(positive_[e]);
             }
             violates_neg_[c].resize(negative_.size());
             for (std::size_t e = 0; e < negative_.size(); ++e) {
-                violates_neg_[c][e] = masks_for(negative_[e], cand);
+                violates_neg_[c][e] = masks_for(negative_[e]);
             }
         }
     }
@@ -340,8 +415,13 @@ private:
         return n;
     }
 
+    // A search the budget cuts off has not proved its best solution
+    // minimal, so it finds nothing (as on the general path).
     void search(int current_cost, int penalty_cost, LearnStats& stats) {
-        if (++stats.search_nodes > options_.search_budget) return;
+        if (budget_exhausted_ || ++stats.search_nodes > options_.search_budget) {
+            budget_exhausted_ = true;
+            return;
+        }
         int total = current_cost + penalty_cost;
         // Find an uncovered, unabandoned negative world.
         std::size_t target_e = negative_.size();
@@ -411,6 +491,9 @@ private:
 
     const LearningTask& task_;
     const LearnOptions& options_;
+    AtomTable atoms_;
+    // production -> the distinct traces of its nodes -> their index
+    std::unordered_map<int, std::map<Trace, std::size_t>> node_traces_;
     std::vector<ExampleWorlds> positive_;
     std::vector<ExampleWorlds> negative_;
     std::vector<std::vector<Mask>> violates_pos_;  // [candidate][example]
@@ -425,6 +508,7 @@ private:
     int best_cost_ = 0;
     std::size_t best_violated_ = 0;
     bool noisy_ = false;
+    bool budget_exhausted_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 // Two engines (DESIGN.md section 5):
 //  - Fast path, used when S_M is constraint-only: answer sets of the base
 //    program are computed once per example world (parse tree × answer set)
-//    and candidate constraints are evaluated against those fixed models;
+//    and interned into one atom table; each candidate constraint is renamed
+//    once per parse-tree node and evaluated against those fixed models;
 //    the search is then an exact branch-and-bound set cover over negative
 //    examples' worlds, with positive examples' surviving-world masks as
 //    side constraints.

@@ -78,6 +78,72 @@ compare lvl frob
 )"), CliError);
 }
 
+// Learn-task numbers parse whole or not at all, and the error names the
+// directive and the word.
+const char* kBiasPrefix = "#grammar\ns -> \"x\" t\nt -> \"y\" { p. }\n#bias\n";
+const char* kBadNumbers[] = {"5abc", "99999999999", "2.5", "0x3"};
+
+void expect_rejected(const std::string& text, const std::string& directive,
+                     const std::string& word) {
+    try {
+        parse_task_file(text);
+        ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const CliError& e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find(directive), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + word + "'"), std::string::npos) << what;
+    }
+}
+
+TEST(TaskFile, MaxBodyIsAStrictInteger) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @2\nmax_body " + bad + "\n", "max_body",
+                        bad);
+    }
+    // A directive takes exactly one number.
+    EXPECT_THROW(parse_task_file(std::string(kBiasPrefix) + "body p @2\nmax_body\n"), CliError);
+    EXPECT_THROW(parse_task_file(std::string(kBiasPrefix) + "body p @2\nmax_body 2 3\n"), CliError);
+}
+
+TEST(TaskFile, MinBodyIsAStrictInteger) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @2\nmin_body " + bad + "\n", "min_body",
+                        bad);
+    }
+}
+
+TEST(TaskFile, MaxVarsIsAStrictInteger) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @2\nmax_vars " + bad + "\n", "max_vars",
+                        bad);
+    }
+}
+
+TEST(TaskFile, MaxComparisonsIsAStrictInteger) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @2\nmax_comparisons " + bad + "\n",
+                        "max_comparisons", bad);
+    }
+}
+
+TEST(TaskFile, ModeAnnotationIsAStrictInteger) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @" + bad + "\n", "body annotation",
+                        "@" + bad);
+    }
+}
+
+TEST(TaskFile, TargetsAreStrictIntegers) {
+    for (std::string bad : kBadNumbers) {
+        expect_rejected(std::string(kBiasPrefix) + "body p @2\n#targets\n0 " + bad + "\n",
+                        "#targets", bad);
+    }
+    // Well-formed numbers still parse.
+    auto task = parse_task_file(std::string(kBiasPrefix) +
+                                "body p @2\nmax_body 1\nmax_vars 3\n#targets\n0 1\n");
+    EXPECT_EQ(task.space.candidates.size(), 2u);
+}
+
 TEST(TaskFile, HeadAndConstDirectives) {
     auto task = parse_task_file(R"(
 #grammar

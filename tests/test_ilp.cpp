@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "asp/parser.hpp"
 #include "ilp/classifier.hpp"
 #include "ilp/guidance.hpp"
 #include "ilp/learner.hpp"
+#include "random_asg.hpp"
+#include "util/rng.hpp"
 
 namespace agenp::ilp {
 namespace {
@@ -504,6 +507,242 @@ TEST(Learner, ChoosesCorrectTargetProductionAmongSeveral) {
     ASSERT_TRUE(result.found) << result.failure_reason;
     ASSERT_EQ(result.hypothesis.size(), 1u);
     EXPECT_EQ(result.hypothesis[0].second, 2);  // attached to strike, not patrol
+}
+
+TEST(Learner, SearchBudgetCutsBothPathsTheSameWay) {
+    // The minimum is ":- e@1, f@1." (cost 2); the first solution the fast
+    // path's branch and bound meets is ":- a@1." plus it (cost 3). A search
+    // the budget cuts off must not return that first solution as found.
+    LearningTask task;
+    task.initial = asg::AnswerSetGrammar::parse(R"(
+        s -> t { }
+        t -> "n1" { a. e. f. }
+        t -> "n2" { e. f. g. h. }
+        t -> "p1" { e. g. }
+        t -> "p2" { f. h. }
+    )");
+    ModeBias bias;
+    for (const char* p : {"a", "e", "f", "g", "h"}) bias.body.push_back(ModeAtom(p, {}, 1));
+    bias.max_body_atoms = 2;
+    task.space = generate_space(bias, {0});
+    task.positive.emplace_back(tokenize("p1"), asp::Program{});
+    task.positive.emplace_back(tokenize("p2"), asp::Program{});
+    task.negative.emplace_back(tokenize("n1"), asp::Program{});
+    task.negative.emplace_back(tokenize("n2"), asp::Program{});
+
+    auto unbounded = learn(task);
+    ASSERT_TRUE(unbounded.found) << unbounded.failure_reason;
+    EXPECT_TRUE(unbounded.stats.used_fast_path);
+    EXPECT_EQ(unbounded.cost, 2);
+    for (bool fast : {true, false}) {
+        for (std::size_t budget = 1; budget <= 6; ++budget) {
+            LearnOptions options;
+            options.allow_fast_path = fast;
+            options.search_budget = budget;
+            auto result = learn(task, options);
+            EXPECT_FALSE(result.found) << "fast " << fast << " budget " << budget << " cost "
+                                       << result.cost << "\n" << result.hypothesis_to_string();
+            EXPECT_EQ(result.failure_reason, "search budget exhausted")
+                << "fast " << fast << " budget " << budget;
+            EXPECT_EQ(result.stats.search_nodes, budget + 1) << "fast " << fast;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: both paths against Definition 3 on random tasks
+// ---------------------------------------------------------------------------
+
+// The largest number of nodes one production labels in one parse tree of
+// `examples`, per production.
+std::vector<std::size_t> nodes_per_tree(const asg::AnswerSetGrammar& g,
+                                        const std::vector<Example>& examples) {
+    std::vector<std::size_t> most(g.production_count(), 0);
+    for (const auto& ex : examples) {
+        for (const auto& tree : cfg::parse_trees(g.grammar(), ex.string)) {
+            std::vector<std::size_t> count(g.production_count(), 0);
+            for (const auto& node : asg::production_nodes(tree)) {
+                auto p = static_cast<std::size_t>(node.second);
+                most[p] = std::max(most[p], ++count[p]);
+            }
+        }
+    }
+    return most;
+}
+
+// A constraint-only bias over the random grammars' predicates (p/1, q/1,
+// t, and the context's r/1), each read at the target node or at one of
+// its nonterminal children: variables with comparisons, constants, and
+// negated literals.
+ModeBias random_bias(util::Rng& rng, const random_asg::Production& target) {
+    std::vector<int> annotations = {asp::kUnannotated};
+    for (std::size_t i = 0; i < target.body.size(); ++i) {
+        if (target.body[i] >= 0) annotations.push_back(static_cast<int>(i) + 1);
+    }
+    auto at = [&] { return rng.choice(annotations); };
+    ModeBias bias;
+    bias.max_vars = 1;
+    bias.max_body_atoms = static_cast<int>(rng.uniform(1, 2));
+    bias.max_comparisons = 0;
+    bias.body.push_back(ModeAtom("p", {ArgSpec::var("n")}, at()));
+    if (rng.bernoulli(0.5)) bias.body.push_back(ModeAtom("q", {ArgSpec::var("n")}, at(), true));
+    if (rng.bernoulli(0.5)) {
+        bias.body.push_back(ModeAtom("p", {ArgSpec::constant("n")}, at(), rng.bernoulli(0.5)));
+    }
+    if (rng.bernoulli(0.3)) bias.body.push_back(ModeAtom("t", {}, at(), true));
+    if (rng.bernoulli(0.3)) bias.body.push_back(ModeAtom("r", {ArgSpec::var("n")}));
+    if (rng.bernoulli(0.5)) {
+        bias.comparisons.push_back(
+            ComparisonMode("n", {asp::Comparison::Op::Gt, asp::Comparison::Op::Lt}));
+        bias.max_comparisons = 1;
+    }
+    for (std::int64_t k = 0; k <= 3; ++k) {
+        if (rng.bernoulli(0.4)) bias.add_constant("n", asp::Term::integer(k));
+    }
+    return bias;
+}
+
+bool satisfies(const asg::AnswerSetGrammar& g, const LearningTask& task, const Hypothesis& h) {
+    auto learned = g.with_rules(h);
+    for (const auto& ex : task.positive) {
+        if (!asg::in_language(learned, ex.string, ex.context)) return false;
+    }
+    for (const auto& ex : task.negative) {
+        if (asg::in_language(learned, ex.string, ex.context)) return false;
+    }
+    return true;
+}
+
+// The least cost of a subset of S_M within `max_cost` that satisfies every
+// example by plain membership; -1 when none does.
+int exhaustive_minimum(const LearningTask& task, int max_cost) {
+    const auto& candidates = task.space.candidates;
+    int best = -1;
+    for (std::uint32_t subset = 0; subset < (1U << candidates.size()); ++subset) {
+        int cost = 0;
+        Hypothesis h;
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+            if ((subset >> c & 1U) == 0) continue;
+            cost += candidates[c].cost;
+            h.emplace_back(candidates[c].rule, candidates[c].production);
+        }
+        if (cost > max_cost || (best >= 0 && cost >= best)) continue;
+        if (satisfies(task.initial, task, h)) best = cost;
+    }
+    return best;
+}
+
+TEST(LearnerDifferential, FastAndGeneralPathsAgreeWithDefinitionThree) {
+    // Seeded random grammars (tests/random_asg.hpp), a random bias on one
+    // target production, and examples labelled by a hidden hypothesis
+    // drawn from S_M, so some hypothesis within its cost always exists.
+    // Every third task enumerates at most two answer sets per example;
+    // the even negation loops of the grammars exceed that.
+    constexpr std::size_t kMaxSpace = 24;
+    constexpr std::size_t kExhaustiveSpace = 12;
+    constexpr int kTasks = 120;
+    util::Rng rng(20);
+    int tasks = 0, multi_node = 0, cap_hits = 0, exhaustive = 0;
+    int negated = 0, compared = 0, constants = 0;
+    for (int attempt = 0; tasks < kTasks && attempt < 4000; ++attempt) {
+        std::string text;
+        auto productions = random_asg::random_grammar(rng, text);
+        auto g = asg::AnswerSetGrammar::parse(text);
+        std::vector<asp::Program> contexts = {asp::parse_program(random_asg::random_context(rng)),
+                                              asp::parse_program(random_asg::random_context(rng))};
+        std::vector<Example> examples;
+        std::set<std::string> seen;
+        for (int i = 0; i < 7; ++i) {
+            std::string s;
+            if (i >= 5 || !random_asg::derive(rng, productions, 0, 0, s)) {
+                s = random_asg::random_string(rng);
+            }
+            if (!seen.insert(s).second) continue;
+            for (const auto& context : contexts) examples.emplace_back(tokenize(s), context);
+        }
+
+        // Prefer a target that labels several nodes of one tree.
+        auto most = nodes_per_tree(g, examples);
+        std::vector<int> repeated;
+        for (std::size_t p = 0; p < most.size(); ++p) {
+            if (most[p] >= 2) repeated.push_back(static_cast<int>(p));
+        }
+        int target = !repeated.empty() && rng.bernoulli(0.7)
+                         ? rng.choice(repeated)
+                         : static_cast<int>(rng.uniform(0, static_cast<std::int64_t>(most.size()) - 1));
+        ModeBias bias = random_bias(rng, productions[static_cast<std::size_t>(target)]);
+        LearningTask task;
+        task.initial = g;
+        task.space = generate_space(bias, {target});
+        const auto& candidates = task.space.candidates;
+        if (candidates.empty() || candidates.size() > kMaxSpace) continue;
+
+        Hypothesis hidden;
+        int hidden_cost = 0;
+        for (std::int64_t n = rng.uniform(1, 2); n > 0; --n) {
+            const auto& c = rng.choice(candidates);
+            hidden.emplace_back(c.rule, c.production);
+            hidden_cost += c.cost;
+        }
+        if (hidden_cost > 3) continue;
+        auto truth = g.with_rules(hidden);
+        bool informative = false;
+        for (auto& ex : examples) {
+            if (asg::in_language(truth, ex.string, ex.context)) {
+                task.positive.push_back(std::move(ex));
+            } else {
+                informative = informative || asg::in_language(g, ex.string, ex.context);
+                task.negative.push_back(std::move(ex));
+            }
+        }
+        if (task.positive.empty() || !informative) continue;
+
+        ++tasks;
+        std::string where = "task " + std::to_string(tasks) + ", target " +
+                            std::to_string(target) + ", hidden:\n";
+        for (const auto& [rule, production] : hidden) where += "  " + rule.to_string() + "\n";
+        where += text;
+        LearnOptions options;
+        options.max_cost = hidden_cost;
+        options.max_rules = 8;
+        if (tasks % 3 == 0) options.max_worlds_per_example = 2;
+        auto fast = learn(task, options);
+        LearnOptions general_options = options;
+        general_options.allow_fast_path = false;
+        auto general = learn(task, general_options);
+
+        ASSERT_TRUE(fast.found) << fast.failure_reason << "\n" << where;
+        ASSERT_TRUE(general.found) << general.failure_reason << "\n" << where;
+        EXPECT_EQ(fast.cost, general.cost) << where;
+        EXPECT_TRUE(satisfies(g, task, fast.hypothesis)) << fast.hypothesis_to_string() << where;
+        EXPECT_TRUE(satisfies(g, task, general.hypothesis)) << general.hypothesis_to_string() << where;
+        if (candidates.size() <= kExhaustiveSpace) {
+            ++exhaustive;
+            EXPECT_EQ(fast.cost, exhaustive_minimum(task, options.max_cost)) << where;
+        }
+
+        multi_node += most[static_cast<std::size_t>(target)] >= 2;
+        cap_hits += fast.stats.world_cap_hit;
+        bool neg = false, cmp = false, constant = false;
+        for (const auto& c : candidates) {
+            for (const auto& l : c.rule.body) {
+                neg = neg || !l.positive;
+                for (const auto& arg : l.atom.args) constant = constant || arg.is_integer();
+            }
+            cmp = cmp || !c.rule.builtins.empty();
+        }
+        negated += neg;
+        compared += cmp;
+        constants += constant;
+    }
+    // The generator reaches every shape it aims at.
+    EXPECT_EQ(tasks, kTasks);
+    EXPECT_GT(multi_node, 0);
+    EXPECT_GT(cap_hits, 0);
+    EXPECT_GT(exhaustive, 0);
+    EXPECT_GT(negated, 0);
+    EXPECT_GT(compared, 0);
+    EXPECT_GT(constants, 0);
 }
 
 // ---------------------------------------------------------------------------
