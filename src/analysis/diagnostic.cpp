@@ -1,6 +1,6 @@
 #include "analysis/diagnostic.hpp"
 
-#include <cstdio>
+#include "obs/metrics.hpp"
 
 namespace agenp::analysis {
 
@@ -11,29 +11,6 @@ const char* severity_name(Severity severity) {
         case Severity::Error: return "error";
     }
     return "unknown";
-}
-
-std::string json_escape(const std::string& text) {
-    std::string out;
-    out.reserve(text.size() + 8);
-    for (char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
 }
 
 std::string Location::to_string() const {
@@ -58,13 +35,13 @@ std::string Diagnostic::to_string() const {
 
 std::string Diagnostic::to_json() const {
     std::string out = "{";
-    out += "\"code\":\"" + json_escape(code) + "\"";
+    out += "\"code\":\"" + obs::json_escape(code) + "\"";
     out += ",\"severity\":\"" + std::string(severity_name(severity)) + "\"";
-    out += ",\"message\":\"" + json_escape(message) + "\"";
+    out += ",\"message\":\"" + obs::json_escape(message) + "\"";
     out += ",\"rule\":" + std::to_string(location.rule);
     out += ",\"production\":" + std::to_string(location.production);
-    if (!location.context.empty()) out += ",\"context\":\"" + json_escape(location.context) + "\"";
-    if (!hint.empty()) out += ",\"hint\":\"" + json_escape(hint) + "\"";
+    if (!location.context.empty()) out += ",\"context\":\"" + obs::json_escape(location.context) + "\"";
+    if (!hint.empty()) out += ",\"hint\":\"" + obs::json_escape(hint) + "\"";
     out += "}";
     return out;
 }

@@ -89,8 +89,4 @@ private:
     std::vector<Diagnostic> diagnostics_;
 };
 
-// Escapes a string for embedding in a JSON string literal (shared by the
-// renderers here and by callers that wrap diagnostics in larger documents).
-[[nodiscard]] std::string json_escape(const std::string& text);
-
 }  // namespace agenp::analysis

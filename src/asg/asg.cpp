@@ -17,9 +17,9 @@ void AnswerSetGrammar::check_annotation(const asp::Program& annotation,
     auto arity = static_cast<int>(production.rhs.size());
     for (const auto& rule : annotation.rules()) {
         auto check_atom = [&](const asp::Atom& a) {
-            if (a.annotation != asp::kUnannotated && a.annotation > arity) {
+            if (a.annotation < 0 || a.annotation > arity) {
                 throw AsgError("annotation @" + std::to_string(a.annotation) +
-                               " exceeds production arity in: " + rule.to_string());
+                               " names no child of the production in: " + rule.to_string());
             }
         };
         if (rule.head) check_atom(*rule.head);

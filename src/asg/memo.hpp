@@ -46,8 +46,7 @@ namespace agenp::asg {
 // subtree root: "p@" is the subtree root, "p@1.2" a grandchild. For the
 // parse root these relative names coincide with the absolute names that
 // `instantiate` produces, so a root composes directly into the solver
-// program. All atoms are deep heap values — nothing in a fragment may point
-// into the grounder's scratch arena (§13 escape rule).
+// program.
 struct GroundedFragment {
     std::vector<asp::AtomRule> rules;
     std::vector<asp::Atom> derived;  // every derivable atom, relative names

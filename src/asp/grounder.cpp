@@ -7,7 +7,6 @@
 #include "asp/substitution.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "util/arena.hpp"
 
 namespace agenp::asp {
 namespace {
@@ -28,11 +27,11 @@ std::uint64_t instance_hash(const AtomRule& rule) {
     return h;
 }
 
-// Atoms derived so far, indexed by predicate for matching. Per-predicate
-// vectors carry two boundaries so the semi-naive rounds can address the
-// "old" span [0, old_end) and the "delta" span [old_end, cur_end); atoms
-// appended during the running round land beyond cur_end and form the next
-// delta.
+// Atoms derived so far, indexed by predicate for matching. Each
+// predicate's atoms carry two boundaries so the semi-naive rounds can
+// address the "old" span [0, old_end) and the "delta" span
+// [old_end, cur_end); atoms appended during the running round land beyond
+// cur_end and form the next delta.
 class DerivedAtoms {
 public:
     bool contains(const Atom& a) const { return known_.contains(a); }
@@ -58,17 +57,17 @@ public:
     enum class Range { Old, Delta, All };
 
     Span span(Symbol pred, Range range) const {
-        auto it = lists_.find(pred.id());
-        if (it == lists_.end()) return {};
-        const auto& list = it->second;
-        const auto& b = boundary(pred.id());
+        auto it = by_pred_.find(pred.id());
+        if (it == by_pred_.end()) return {};
+        const PredAtoms& p = it->second;
+        const Atom* base = p.atoms.data();
         switch (range) {
             case Range::Old:
-                return {list.data(), list.data() + b.old_end};
+                return {base, base + p.old_end};
             case Range::Delta:
-                return {list.data() + b.old_end, list.data() + b.cur_end};
+                return {base + p.old_end, base + p.cur_end};
             case Range::All:
-                return {list.data(), list.data() + b.cur_end};
+                return {base, base + p.cur_end};
         }
         return {};
     }
@@ -77,45 +76,34 @@ public:
     // old+delta, delta <- the flushed atoms. Returns true if the new delta
     // is non-empty for any predicate.
     bool advance_round() {
-        for (auto& a : staging_) lists_[a.predicate.id()].push_back(std::move(a));
+        for (auto& a : staging_) by_pred_[a.predicate.id()].atoms.push_back(std::move(a));
         staging_.clear();
         bool any = false;
-        for (auto& [pred, list] : lists_) {
-            auto& b = boundaries_[pred];
-            b.old_end = b.cur_end;
-            b.cur_end = list.size();
-            if (b.cur_end > b.old_end) any = true;
+        for (auto& [pred, p] : by_pred_) {
+            p.old_end = p.cur_end;
+            p.cur_end = p.atoms.size();
+            if (p.cur_end > p.old_end) any = true;
         }
         return any;
     }
 
 private:
-    struct Boundary {
+    struct PredAtoms {
+        std::vector<Atom> atoms;
         std::size_t old_end = 0;
         std::size_t cur_end = 0;
     };
 
-    const Boundary& boundary(std::uint32_t pred) const {
-        static const Boundary kEmpty;
-        auto it = boundaries_.find(pred);
-        return it == boundaries_.end() ? kEmpty : it->second;
-    }
-
     std::unordered_set<Atom> known_;
     std::vector<Atom> staging_;
-    std::unordered_map<std::uint32_t, std::vector<Atom>> lists_;
-    std::unordered_map<std::uint32_t, Boundary> boundaries_;
+    std::unordered_map<std::uint32_t, PredAtoms> by_pred_;
     std::size_t total_ = 0;
 };
 
 class GrounderImpl {
 public:
-    GrounderImpl(const Program& program, const GroundingLimits& limits, util::Arena& arena)
-        : program_(program),
-          limits_(limits),
-          arena_(arena),
-          seen_rules_(0, std::hash<std::uint64_t>(), std::equal_to<>(), BucketAlloc(arena)),
-          builtin_done_(util::ArenaAllocator<char>(arena)) {}
+    GrounderImpl(const Program& program, const GroundingLimits& limits)
+        : program_(program), limits_(limits) {}
 
     GroundProgram run() {
         instantiate();
@@ -255,23 +243,19 @@ private:
             pending.head = std::move(head);
         }
 
-        // Hash-bucketed dedupe (buckets live in the per-request arena):
-        // structurally identical instances collapse without building a key
-        // string per instance.
+        // Hash-indexed dedupe: structurally identical instances collapse
+        // without building a key string per instance.
         std::uint64_t h = instance_hash(pending);
-        auto [it, inserted] =
-            seen_rules_.try_emplace(h, Bucket(util::ArenaAllocator<std::uint32_t>(arena_)));
+        auto [first, last] = seen_rules_.equal_range(h);
         bool duplicate = false;
-        if (!inserted) {
-            for (std::uint32_t slot : it->second) {
-                if (pending_[slot] == pending) {
-                    duplicate = true;
-                    break;
-                }
+        for (auto it = first; it != last; ++it) {
+            if (pending_[it->second] == pending) {
+                duplicate = true;
+                break;
             }
         }
         if (!duplicate) {
-            it->second.push_back(static_cast<std::uint32_t>(pending_.size()));
+            seen_rules_.emplace(h, static_cast<std::uint32_t>(pending_.size()));
             pending_.push_back(std::move(pending));
             if (pending_.size() > limits_.max_rules) {
                 throw GroundingError("grounding exceeded max_rules limit");
@@ -281,8 +265,8 @@ private:
     }
 
     bool evaluate_builtins(const std::vector<Comparison>& builtins, Subst& subst) {
-        // Arena-backed scratch: this runs once per candidate instance, so a
-        // heap vector here would be the hottest allocation in the grounder.
+        // A member buffer: this runs once per candidate instance, so a
+        // fresh vector here would allocate once per instance.
         builtin_done_.assign(builtins.size(), 0);
         auto& done = builtin_done_;
         bool progress = true;
@@ -370,19 +354,13 @@ private:
         round_counter.add(rounds);
     }
 
-    using Bucket = util::ArenaVector<std::uint32_t>;
-    using BucketAlloc = util::ArenaAllocator<std::pair<const std::uint64_t, Bucket>>;
-
     const Program& program_;
     GroundingLimits limits_;
-    util::Arena& arena_;
     DerivedAtoms derived_;
     std::vector<AtomRule> pending_;
-    // instance hash -> slots into pending_ with that hash
-    std::unordered_map<std::uint64_t, Bucket, std::hash<std::uint64_t>, std::equal_to<>,
-                       BucketAlloc>
-        seen_rules_;
-    util::ArenaVector<char> builtin_done_;
+    // instance hash -> slot into pending_, one node per kept instance
+    std::unordered_multimap<std::uint64_t, std::uint32_t> seen_rules_;
+    std::vector<char> builtin_done_;
     bool collect_new_ = false;
     std::vector<Atom> new_atoms_;
 };
@@ -390,17 +368,12 @@ private:
 }  // namespace
 
 GroundProgram ground(const Program& program, const GroundingLimits& limits) {
-    // The scratch arena is reset per grounding (and re-poisoned under
-    // ASan); everything the grounder returns is deep-copied into the
-    // GroundProgram, so nothing escapes the scope.
-    util::ArenaScope scope(util::grounding_arena());
-    return GrounderImpl(program, limits, util::grounding_arena()).run();
+    return GrounderImpl(program, limits).run();
 }
 
 SeededGrounding ground_seeded(const Program& program, const std::vector<Atom>& seeds,
                               const GroundingLimits& limits) {
-    util::ArenaScope scope(util::grounding_arena());
-    return GrounderImpl(program, limits, util::grounding_arena()).run_seeded(seeds);
+    return GrounderImpl(program, limits).run_seeded(seeds);
 }
 
 }  // namespace agenp::asp

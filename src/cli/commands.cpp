@@ -2,6 +2,7 @@
 
 #include <signal.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -46,21 +47,35 @@ asp::Comparison::Op parse_op(const std::string& word) {
     throw CliError("unknown comparison op '" + word + "' (use lt le gt ge eq ne)");
 }
 
-// A learn-task number: all of `digits` must be a decimal int, or the error
-// names the directive and the word the digits came from.
-int parse_int(std::string_view digits, const std::string& directive, const std::string& word) {
-    if (auto value = util::parse_number<int>(digits)) return *value;
-    throw CliError(directive + " expects an integer, got '" + word + "'");
+// A learn-task number: all of `digits` must be a decimal int in lo..hi, or
+// the error names the directive and the word the digits came from.
+int parse_int(std::string_view digits, const std::string& directive, const std::string& word,
+              int lo, int hi) {
+    auto value = util::parse_number<int>(digits);
+    if (!value) throw CliError(directive + " expects an integer, got '" + word + "'");
+    if (*value < lo || *value > hi) {
+        throw CliError(directive + " expects " + std::to_string(lo) + ".." + std::to_string(hi) +
+                       ", got '" + word + "'");
+    }
+    return *value;
 }
 
 // The one integer argument of a `#bias` directive such as `max_body 2`.
-int directive_int(const std::vector<std::string>& words) {
+int directive_int(const std::vector<std::string>& words, int lo, int hi) {
     if (words.size() != 2) throw CliError(words[0] + " needs exactly one integer");
-    return parse_int(words[1], words[0], words[1]);
+    return parse_int(words[1], words[0], words[1], lo, hi);
 }
 
-// `body pred var(t) const(p) term @2 neg` -> ModeAtom.
-ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t from) {
+// The body-size and comparison bounds stop at the learner's cost bound:
+// Rule::size counts body literals, comparisons and the head, and learn
+// never picks a rule that costs more, so a larger bound only grows the
+// enumeration.
+const int kMaxRuleSize = ilp::LearnOptions{}.max_cost;
+
+// `body pred var(t) const(p) term @2 neg` -> ModeAtom. `@k` must name a
+// child of some target production: 1 <= k <= max_arity.
+ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t from,
+                              int max_arity) {
     if (from >= words.size()) throw CliError("mode atom needs a predicate");
     ilp::ModeAtom atom;
     atom.predicate = asp::Symbol(words[from]);
@@ -69,7 +84,8 @@ ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t
         if (w == "neg") {
             atom.allow_negated = true;
         } else if (!w.empty() && w[0] == '@') {
-            atom.annotation = parse_int(std::string_view(w).substr(1), words[0] + " annotation", w);
+            atom.annotation =
+                parse_int(std::string_view(w).substr(1), words[0] + " annotation", w, 1, max_arity);
         } else if (util::starts_with(w, "var(") && w.back() == ')') {
             atom.args.push_back(ilp::ArgSpec::var(w.substr(4, w.size() - 5)));
         } else if (util::starts_with(w, "const(") && w.back() == ')') {
@@ -82,16 +98,16 @@ ilp::ModeAtom parse_mode_atom(const std::vector<std::string>& words, std::size_t
 }
 
 ilp::HypothesisSpace parse_bias(const std::vector<std::string>& lines,
-                                const std::vector<int>& targets) {
+                                const std::vector<int>& targets, int max_arity) {
     ilp::ModeBias bias;
     for (const auto& line : lines) {
         auto words = util::split_ws(line);
         if (words.empty()) continue;
         const std::string& kind = words[0];
         if (kind == "body") {
-            bias.body.push_back(parse_mode_atom(words, 1));
+            bias.body.push_back(parse_mode_atom(words, 1, max_arity));
         } else if (kind == "head") {
-            bias.head.push_back(parse_mode_atom(words, 1));
+            bias.head.push_back(parse_mode_atom(words, 1, max_arity));
         } else if (kind == "no_constraints") {
             bias.allow_constraints = false;
         } else if (kind == "compare") {
@@ -117,13 +133,13 @@ ilp::HypothesisSpace parse_bias(const std::vector<std::string>& lines,
                 bias.constants[asp::Symbol(words[1])].push_back(asp::parse_term(words[i]));
             }
         } else if (kind == "max_body") {
-            bias.max_body_atoms = directive_int(words);
+            bias.max_body_atoms = directive_int(words, 0, kMaxRuleSize);
         } else if (kind == "min_body") {
-            bias.min_body_atoms = directive_int(words);
+            bias.min_body_atoms = directive_int(words, 0, kMaxRuleSize);
         } else if (kind == "max_vars") {
-            bias.max_vars = directive_int(words);
+            bias.max_vars = directive_int(words, 0, std::numeric_limits<int>::max());
         } else if (kind == "max_comparisons") {
-            bias.max_comparisons = directive_int(words);
+            bias.max_comparisons = directive_int(words, 0, kMaxRuleSize);
         } else {
             throw CliError("unknown bias directive '" + kind + "'");
         }
@@ -160,16 +176,22 @@ ilp::LearningTask parse_task_file(std::string_view text) {
     task.initial = asg::AnswerSetGrammar::parse(util::join(sections["grammar"], "\n"));
     // Targets: optional `#targets` section of production indices; default
     // is the start production 0.
+    const int productions = static_cast<int>(task.initial.production_count());
     std::vector<int> targets = {0};
     if (sections.contains("targets")) {
         targets.clear();
         for (const auto& line : sections["targets"]) {
             for (const auto& w : util::split_ws(line)) {
-                targets.push_back(parse_int(w, "#targets", w));
+                targets.push_back(parse_int(w, "#targets", w, 0, productions - 1));
             }
         }
     }
-    task.space = parse_bias(sections["bias"], targets);
+    int max_arity = 0;
+    for (int target : targets) {
+        max_arity = std::max(max_arity,
+                             static_cast<int>(task.initial.grammar().production(target).rhs.size()));
+    }
+    task.space = parse_bias(sections["bias"], targets, max_arity);
     for (const auto& line : sections["positive"]) task.positive.push_back(parse_example(line));
     for (const auto& line : sections["negative"]) task.negative.push_back(parse_example(line));
     return task;

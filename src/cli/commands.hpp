@@ -55,6 +55,10 @@
 // `no_constraints`; `compare <type> <op>... [varvar] [varconst]` with ops
 // lt le gt ge eq ne; `const <pool> <term>...`; `max_body`, `min_body`,
 // `max_vars`, `max_comparisons`. Example lines: `tokens | inline context.`
+// An optional `#targets` section lists the production indices hypotheses
+// may be added to (default 0). `@k` must name a child of some target
+// production (1 <= k <= its arity); `max_body`, `min_body` and
+// `max_comparisons` lie in 0..ilp::LearnOptions::max_cost; `max_vars` >= 0.
 #pragma once
 
 #include <cstdint>

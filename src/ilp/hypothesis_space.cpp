@@ -1,6 +1,7 @@
 #include "ilp/hypothesis_space.hpp"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -79,6 +80,7 @@ private:
             for (const auto& a : bias_.body[lit.mode_index].args) slots_.push_back(a);
         }
         filling_.assign(slots_.size(), asp::Term());
+        vars_used_.clear();
         fill_slot(head, skeleton, 0);
     }
 
@@ -103,12 +105,22 @@ private:
                 }
                 break;
             }
-            case ArgSpec::Kind::Var:
-                for (int v = 0; v < bias_.max_vars; ++v) {
+            case ArgSpec::Kind::Var: {
+                // First-occurrence fillings only: a slot reuses an index of
+                // its type or takes the next fresh one. Renaming indices
+                // within a type yields the same canonical rule, and each
+                // rule's lexicographically first filling is of this form,
+                // so the skipped fillings would only emit duplicates.
+                int& used = vars_used_[spec.type];
+                const int fresh = used;
+                for (int v = 0; v <= fresh && v < bias_.max_vars; ++v) {
                     filling_[slot] = asp::Term::variable(typed_var_name({spec.type, v}));
+                    used = v == fresh ? fresh + 1 : fresh;
                     fill_slot(head, skeleton, slot + 1);
                 }
+                used = fresh;
                 break;
+            }
         }
     }
 
@@ -221,6 +233,7 @@ private:
     const SpaceLimits& limits_;
     std::vector<ArgSpec> slots_;
     std::vector<asp::Term> filling_;
+    std::map<Symbol, int> vars_used_;  // per type: distinct indices in filling_[0, slot)
     std::set<std::string> seen_;
     HypothesisSpace space_;
 };

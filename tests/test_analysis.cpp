@@ -2,6 +2,7 @@
 
 #include "analysis/lint.hpp"
 #include "asp/parser.hpp"
+#include "obs/metrics.hpp"
 
 namespace agenp::analysis {
 namespace {
@@ -278,8 +279,8 @@ TEST(DiagnosticSink, RendersTextAndJson) {
 }
 
 TEST(DiagnosticSink, JsonEscapesControlCharacters) {
-    EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+    EXPECT_EQ(obs::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(obs::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(DiagnosticSink, CountsAndSeverityLookup) {

@@ -66,6 +66,17 @@ TEST(AsgParse, RejectsAnnotationBeyondArity) {
     )"), AsgError);
 }
 
+// The ASP parser rejects a negative annotation, so a grammar holding one
+// would print text that does not parse back.
+TEST(AsgParse, WithRulesRejectsNegativeAnnotation) {
+    auto g = AnswerSetGrammar::parse("s -> \"x\" t\nt -> \"y\"\n");
+    asp::Rule rule;
+    rule.body.emplace_back(asp::Atom("p", {}, -2), true);
+    EXPECT_THROW(static_cast<void>(g.with_rules({{rule, 0}})), AsgError);
+    rule.body.back().atom.annotation = 2;
+    EXPECT_NO_THROW(static_cast<void>(g.with_rules({{rule, 0}})));
+}
+
 TEST(AsgParse, RejectsAlternativeBars) {
     EXPECT_THROW(AnswerSetGrammar::parse("s -> \"x\" | \"y\""), AsgError);
 }

@@ -2,12 +2,26 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <sstream>
+#include <typeinfo>
 
+#include "asg/asg.hpp"
 #include "asp/parser.hpp"
+#include "cfg/grammar.hpp"
 #include "cli/commands.hpp"
+#include "mutate.hpp"
+#include "scenarios/cav/cav.hpp"
+#include "scenarios/datashare/datashare.hpp"
+#include "scenarios/fedlearn/fedlearn.hpp"
+#include "scenarios/resupply/resupply.hpp"
+#include "util/strings.hpp"
+#include "xacml/generator.hpp"
+#include "xacml/learning_bridge.hpp"
 
 namespace agenp::cli {
 namespace {
@@ -144,8 +158,7 @@ TEST(TaskFile, TargetsAreStrictIntegers) {
     EXPECT_EQ(task.space.candidates.size(), 2u);
 }
 
-TEST(TaskFile, HeadAndConstDirectives) {
-    auto task = parse_task_file(R"(
+const char* kHeadTaskText = R"(
 #grammar
 s -> "x"
 #bias
@@ -154,9 +167,232 @@ head ok
 body weather const(w)
 const w sunny rainy
 max_body 1
-)");
+)";
+
+TEST(TaskFile, HeadAndConstDirectives) {
+    auto task = parse_task_file(kHeadTaskText);
     EXPECT_FALSE(task.space.constraints_only());
     EXPECT_EQ(task.space.candidates.size(), 2u);
+}
+
+// A task whose start production has two children and whose two `task`
+// productions have one (a terminal); `bias` and `targets` are spliced in.
+std::string mission_task(const std::string& bias, const std::string& targets = "") {
+    return "#grammar\nrequest -> \"do\" task\ntask -> \"patrol\" { requires(2). }\n"
+           "task -> \"strike\" { requires(4). }\n#bias\n" +
+           bias + targets +
+           "#positive\ndo patrol | maxloa(3).\ndo strike | maxloa(5).\n"
+           "#negative\ndo patrol | maxloa(1).\n";
+}
+
+std::string mission_bias(const std::string& annotation) {
+    return "body requires const(r) " + annotation +
+           " neg\nbody maxloa const(l)\nconst l 1\nconst r 9\nmin_body 2\nmax_body 2\n";
+}
+
+TEST(TaskFile, RejectsTargetPastTheLastProduction) {
+    expect_rejected(mission_task(mission_bias("@2"), "#targets\n0 999\n"), "#targets", "999");
+}
+
+TEST(TaskFile, RejectsNegativeTarget) {
+    expect_rejected(mission_task(mission_bias("@2"), "#targets\n-1\n"), "#targets", "-1");
+}
+
+// A negative `@k` would let `agenp learn` write a grammar, with
+// `:- not requires(9)@-2, maxloa(1).`, that `agenp membership` and
+// `agenp lint` cannot read back.
+TEST(TaskFile, RejectsNegativeModeAnnotation) {
+    expect_rejected(mission_task(mission_bias("@-2")), "body annotation", "@-2");
+}
+
+// `@0` names no child: the ASP parser rejects it, and a mode would read it
+// as an unannotated atom.
+TEST(TaskFile, RejectsZeroModeAnnotation) {
+    expect_rejected(mission_task(mission_bias("@0")), "body annotation", "@0");
+}
+
+// `@k` must name a child of some target production: the start production
+// has two, each `task` production one.
+TEST(TaskFile, RejectsModeAnnotationPastEveryTargetArity) {
+    expect_rejected(mission_task(mission_bias("@5")), "body annotation", "@5");
+    expect_rejected(mission_task(mission_bias("@2"), "#targets\n1 2\n"), "body annotation", "@2");
+    EXPECT_NO_THROW(parse_task_file(mission_task(mission_bias("@2"), "#targets\n0 1\n")));
+}
+
+// A negative `min_body` makes the skeleton enumeration recurse without end.
+TEST(TaskFile, RejectsNegativeMinBody) {
+    expect_rejected(mission_task("body maxloa const(l)\nconst l 1\nmin_body -1\n"), "min_body", "-1");
+}
+
+// Past the learner's cost bound a body or comparison bound only grows the
+// enumeration, which can exhaust memory before max_candidates fires.
+TEST(TaskFile, RejectsMaxBodyPastTheCostBound) {
+    expect_rejected(mission_task("body maxloa const(l)\nconst l 1\nmax_body 1000000\n"), "max_body",
+                    "1000000");
+}
+
+TEST(TaskFile, RejectsMaxComparisonsPastTheCostBound) {
+    expect_rejected(mission_task("body maxloa var(l)\ncompare l gt\nconst l 1\n"
+                                 "max_comparisons 1000000\n"),
+                    "max_comparisons", "1000000");
+}
+
+TEST(TaskFile, RejectsNegativeMaxVars) {
+    expect_rejected(mission_task("body maxloa var(l)\nmax_vars -1\n"), "max_vars", "-1");
+}
+
+TEST(TaskFile, BodyAndComparisonBoundsStopAtTheLearnerCostBound) {
+    const int bound = ilp::LearnOptions{}.max_cost;
+    const std::string over = std::to_string(bound + 1);
+    for (std::string directive : {"max_body", "min_body", "max_comparisons"}) {
+        expect_rejected(mission_task("body ok\n" + directive + " " + over + "\n"), directive, over);
+    }
+    auto task = parse_task_file(mission_task("body ok\nmin_body " + std::to_string(bound) +
+                                             "\nmax_body " + std::to_string(bound) +
+                                             "\nmax_comparisons " + std::to_string(bound) + "\n"));
+    ASSERT_EQ(task.space.candidates.size(), 1u);
+    EXPECT_EQ(task.space.candidates[0].rule.body.size(), static_cast<std::size_t>(bound));
+}
+
+// A rule with six variable slots has at most six distinct variables, so a
+// larger max_vars leaves the space as it is, and must not cost time
+// exponential in max_vars.
+TEST(TaskFile, MaxVarsPastTheSlotCountKeepsTheSpace) {
+    auto task = [](const std::string& max_vars) {
+        return parse_task_file(mission_task("body edge var(n) var(n)\nmax_body 3\n"
+                                            "max_comparisons 0\nmax_vars " +
+                                            max_vars + "\n"));
+    };
+    auto six = task("6");
+    auto huge = task("2147483647");
+    ASSERT_EQ(huge.space.candidates.size(), six.space.candidates.size());
+    for (std::size_t i = 0; i < six.space.candidates.size(); ++i) {
+        EXPECT_EQ(huge.space.candidates[i].to_string(), six.space.candidates[i].to_string()) << i;
+    }
+}
+
+// --- learn-task mutation fuzzing --------------------------------------------
+
+// The mutator's starting texts: this file's tasks and the number repros.
+std::vector<std::string> task_corpus() {
+    return {
+        kTaskText,
+        std::string(kBiasPrefix) + "body p @2\nmax_body 1\nmax_vars 3\n#targets\n0 1\n",
+        kHeadTaskText,
+        mission_task(mission_bias("@2")),
+        mission_task(mission_bias("@-2")),
+        mission_task(mission_bias("@5"), "#targets\n0 999 -1\n"),
+        mission_task("body maxloa const(l)\nconst l 1\nmin_body -1\n"),
+        mission_task("body maxloa const(l)\nconst l 1\nmax_body 1000000\n"),
+        mission_task("body maxloa var(l)\ncompare l gt\nconst l 1\nmax_comparisons 1000000\n"),
+        mission_task("body edge var(n) var(n)\nmax_body 3\nmax_comparisons 0\n"
+                     "max_vars 2147483647\n"),
+    };
+}
+
+// Fragments worth splicing into a task: sections, directives, annotation
+// and number edges, mode syntax, and bytes that are not UTF-8.
+const char* const kTaskFragments[] = {
+    "#targets\n", "#bias\n", "#grammar\n", "#positive\n", "#negative\n", "@0", "@-1", "@",
+    "-1", "0", "24", "25", "2147483647", "2147483648", "max_vars ", "max_body ", "min_body ",
+    "max_comparisons ", "body ", "head ", "compare ", "const ", "no_constraints", "|", "neg",
+    "var(", "const(", ")", "(", ".", ":-", "not ", "->", "\"", "{", "}", "\xff", "\n", " ",
+};
+
+const fuzz::Alphabet kTaskAlphabet{kTaskFragments, '(', ')'};
+
+// Every mutant parses, or throws one of the errors `agenp learn` reports
+// for a bad task: the CLI's own, a parse error from the ASP, ASG or CFG
+// layer, or the space generator's max_candidates error. Anything else, a
+// crash or a sanitizer report fails.
+TEST(TaskFileFuzz, MutatedTasksParseOrThrowAReportedError) {
+    const std::vector<std::string> corpus = task_corpus();
+    constexpr std::uint64_t kSeeds = 16;
+    constexpr std::size_t kMutantsPerSeed = 1000;
+    std::size_t parsed = 0;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::mt19937_64 rng(seed);
+        for (std::size_t i = 0; i < kMutantsPerSeed; ++i) {
+            const std::string& base = corpus[rng() % corpus.size()];
+            std::string text = fuzz::mutate(base, corpus, kTaskAlphabet, rng);
+            try {
+                parse_task_file(text);
+                ++parsed;
+            } catch (const CliError&) {
+            } catch (const asp::ParseError&) {
+            } catch (const asg::AsgError&) {
+            } catch (const cfg::GrammarError&) {
+            } catch (const std::exception& e) {
+                bool space_cap = typeid(e) == typeid(std::runtime_error) &&
+                                 std::string(e.what()).find("max_candidates") != std::string::npos;
+                if (!space_cap) {
+                    FAIL() << "seed " << seed << ", mutant " << i << " escaped as "
+                           << typeid(e).name() << " (" << e.what() << ") for:\n"
+                           << text;
+                }
+            }
+        }
+    }
+    // Both sides are exercised.
+    EXPECT_GT(parsed, kSeeds * kMutantsPerSeed / 100);
+    EXPECT_LT(parsed, kSeeds * kMutantsPerSeed * 9 / 10);
+}
+
+// --- candidate-list digests ---------------------------------------------------
+
+// FNV-1a over every candidate's rule, production and cost, sorted: the
+// generator orders comparisons by Symbol id, and ids depend on what the
+// process interned before, so the order is not the same in every process.
+std::uint64_t space_digest(const ilp::HypothesisSpace& space) {
+    std::vector<std::string> lines;
+    for (const auto& c : space.candidates) lines.push_back(c.to_string() + " " + std::to_string(c.cost));
+    std::sort(lines.begin(), lines.end());
+    std::string text;
+    for (const auto& line : lines) text += line + "\n";
+    return util::fnv1a_hash(text);
+}
+
+// The spaces of the scenarios, the XACML bridge and this file's tasks,
+// pinned candidate by candidate: the enumeration may get faster, but every
+// list stays.
+TEST(HypothesisSpaceDigest, ScenarioBridgeAndTaskSpacesKeepTheirCandidates) {
+    struct Pinned {
+        const char* name;
+        std::function<ilp::HypothesisSpace()> space;
+        std::size_t candidates;
+        std::uint64_t digest;
+    };
+    auto task_space = [](std::string text) {
+        return [text] { return parse_task_file(text).space; };
+    };
+    const Pinned pinned[] = {
+        {"cav", scenarios::cav::hypothesis_space, 420, 9772058194910870591ull},
+        {"cav sharing", scenarios::cav::sharing_space, 375, 13720896986872181739ull},
+        {"datashare share", scenarios::datashare::share_space, 522, 13809026723018190329ull},
+        {"datashare service", scenarios::datashare::service_space, 98, 10122931769329404176ull},
+        {"fedlearn", scenarios::fedlearn::hypothesis_space, 426, 13187142241295654985ull},
+        {"resupply", scenarios::resupply::hypothesis_space, 652, 9946527050887640153ull},
+        {"xacml healthcare bridge",
+         [] { return xacml::make_bridge(xacml::healthcare_schema()).space; }, 310,
+         1416059254811170976ull},
+        {"xacml coalition bridge", [] { return xacml::make_bridge(xacml::coalition_schema()).space; },
+         272, 9770979534525838818ull},
+        {"kTaskText", task_space(kTaskText), 14, 7907578744202145752ull},
+        {"kHeadTaskText", task_space(kHeadTaskText), 2, 1242346097272132867ull},
+        {"two targets",
+         task_space(std::string(kBiasPrefix) + "body p @2\nmax_body 1\nmax_vars 3\n#targets\n0 1\n"),
+         2, 16140387136750538886ull},
+        {"mission @2", task_space(mission_task(mission_bias("@2"))), 7, 5730271270481574354ull},
+        {"edge max_vars 6",
+         task_space(mission_task("body edge var(n) var(n)\nmax_body 3\nmax_comparisons 0\n"
+                                 "max_vars 6\n")),
+         220, 16241315630489961924ull},
+    };
+    for (const auto& p : pinned) {
+        auto space = p.space();
+        EXPECT_EQ(space.candidates.size(), p.candidates) << p.name;
+        EXPECT_EQ(space_digest(space), p.digest) << p.name;
+    }
 }
 
 TEST(CmdSolve, PrintsAnswerSets) {
