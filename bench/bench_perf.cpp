@@ -112,6 +112,23 @@ void BM_AsgMembershipCav(benchmark::State& state) {
 }
 BENCHMARK(BM_AsgMembershipCav);
 
+// The same check as the PDP makes it, under asg::relevant_context. The cav
+// model reads every context predicate, so this times what the slice costs
+// where it drops nothing (`dropped_rules` reports 0).
+void BM_AsgMembershipCavRelevantContext(benchmark::State& state) {
+    auto model = scenarios::cav::reference_model();
+    util::Rng rng(5);
+    auto x = scenarios::cav::sample_instance(rng);
+    auto tokens = scenarios::cav::request_tokens(x);
+    auto context = scenarios::cav::context_program(x.env);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(asg::in_language(model, tokens, asg::relevant_context(model, context)));
+    }
+    state.counters["dropped_rules"] =
+        static_cast<double>(context.size() - asg::relevant_context(model, context).size());
+}
+BENCHMARK(BM_AsgMembershipCavRelevantContext);
+
 // --- hypothesis space + learning --------------------------------------------
 
 void BM_HypothesisSpaceCav(benchmark::State& state) {

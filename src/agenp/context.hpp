@@ -22,7 +22,9 @@ public:
     }
     void remove_source(const std::string& name) { sources_.erase(name); }
 
-    // Snapshot of all external conditions, as one context program.
+    // Snapshot of all external conditions, as one context program. Each
+    // source's program is moved in, not copied; the first one's storage is
+    // taken outright.
     [[nodiscard]] asp::Program gather() const {
         asp::Program out;
         for (const auto& [name, source] : sources_) {

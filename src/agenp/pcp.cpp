@@ -188,7 +188,9 @@ PolicyCheckingPoint::ViolationReport PolicyCheckingPoint::detect_violations(
 
     ViolationReport report;
     for (std::size_t i = 0; i < forbidden.size(); ++i) {
-        if (asg::in_language(model, forbidden[i].string, forbidden[i].context, options)) {
+        const auto& example = forbidden[i];
+        if (asg::in_language(model, example.string, asg::relevant_context(model, example.context),
+                             options)) {
             report.violated.push_back(i);
         }
     }

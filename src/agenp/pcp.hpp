@@ -104,7 +104,9 @@ public:
     [[nodiscard]] static analysis::DiagnosticSink lint_model(
         const asg::AnswerSetGrammar& model, const analysis::LintOptions& options = {});
 
-    // Violation detector: forbidden strings the model must NOT accept.
+    // Violation detector: forbidden strings the model must NOT accept, each
+    // checked under the part of its context the model reads
+    // (asg::relevant_context).
     struct ViolationReport {
         std::vector<std::size_t> violated;  // indices into `forbidden`
 

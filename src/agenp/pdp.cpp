@@ -75,6 +75,10 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
     // (MembershipOptions is a small value; the copy is a handful of words).
     asg::MembershipOptions options = options_;
     options.memo = memo_;
+    // Membership decides under the part of the context the model reads
+    // (asg::relevant_context): the same verdict, without grounding copies
+    // of facts no rule reads at every node.
+    auto relevant = [&] { return asg::relevant_context(model, context); };
 
     bool permitted = false;
     switch (strategy_) {
@@ -84,7 +88,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
             // absence from the repository is inconclusive: fall back to the
             // authoritative membership check instead of silently denying.
             if (!permitted && repo.truncated()) {
-                permitted = asg::in_language(model, request, context, options);
+                permitted = asg::in_language(model, request, relevant(), options);
                 if (obs::metrics_enabled()) {
                     static obs::Counter& fallbacks =
                         obs::metrics().counter("srv.repository_fallbacks");
@@ -94,7 +98,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
             break;
         }
         case DecisionStrategy::Membership:
-            permitted = asg::in_language(model, request, context, options);
+            permitted = asg::in_language(model, request, relevant(), options);
             break;
     }
     if (obs::metrics_enabled()) {

@@ -1,5 +1,7 @@
 #include "asg/asg.hpp"
 
+#include <algorithm>
+
 #include "asp/parser.hpp"
 #include "util/strings.hpp"
 
@@ -8,8 +10,17 @@ namespace agenp::asg {
 int AnswerSetGrammar::add_production(cfg::Production production, asp::Program annotation) {
     check_annotation(annotation, production);
     int index = grammar_.add_production(std::move(production));
+    for (const auto& rule : annotation.rules()) add_body_predicates(rule);
     annotations_.push_back(std::move(annotation));
     return index;
+}
+
+void AnswerSetGrammar::add_body_predicates(const asp::Rule& rule) {
+    for (const auto& literal : rule.body) {
+        util::Symbol p = literal.atom.predicate;
+        auto it = std::lower_bound(body_predicates_.begin(), body_predicates_.end(), p);
+        if (it == body_predicates_.end() || *it != p) body_predicates_.insert(it, p);
+    }
 }
 
 void AnswerSetGrammar::check_annotation(const asp::Program& annotation,
@@ -37,6 +48,7 @@ AnswerSetGrammar AnswerSetGrammar::with_rules(
         out.check_annotation(asp::Program({rule}),
                              out.grammar_.production(production_index));
         out.annotations_[static_cast<std::size_t>(production_index)].add(rule);
+        out.add_body_predicates(rule);
     }
     return out;
 }

@@ -44,6 +44,13 @@ public:
     }
     [[nodiscard]] std::size_t production_count() const { return annotations_.size(); }
 
+    // Every predicate some annotation's body reads, positive or negated, at
+    // any @i; sorted by Symbol and deduplicated. The read set that
+    // asg::relevant_context starts from.
+    [[nodiscard]] const std::vector<util::Symbol>& body_predicates() const {
+        return body_predicates_;
+    }
+
     // G:H (Definition 3): a copy with each hypothesis rule added to the
     // annotation of its target production.
     [[nodiscard]] AnswerSetGrammar with_rules(
@@ -54,8 +61,10 @@ public:
 private:
     cfg::Grammar grammar_;
     std::vector<asp::Program> annotations_;  // parallel to grammar_.productions()
+    std::vector<util::Symbol> body_predicates_;  // sorted, deduplicated
 
     void check_annotation(const asp::Program& annotation, const cfg::Production& production) const;
+    void add_body_predicates(const asp::Rule& rule);
 };
 
 }  // namespace agenp::asg

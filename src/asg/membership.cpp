@@ -1,5 +1,7 @@
 #include "asg/membership.hpp"
 
+#include <algorithm>
+
 #include "asg/memo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -73,6 +75,63 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
     }
     publish(result, asp_checks);
     return result;
+}
+
+asp::Program relevant_context(const AnswerSetGrammar& grammar, asp::Program context,
+                              const std::vector<util::Symbol>& extra_reads) {
+    auto& rules = context.rules();
+    std::vector<util::Symbol> read = grammar.body_predicates();  // kept sorted
+    if (!extra_reads.empty()) {
+        read.insert(read.end(), extra_reads.begin(), extra_reads.end());
+        std::sort(read.begin(), read.end());
+        read.erase(std::unique(read.begin(), read.end()), read.end());
+    }
+    auto reads = [&](util::Symbol p) { return std::binary_search(read.begin(), read.end(), p); };
+    std::vector<util::Symbol> pending;  // newly read predicates, not yet closed over
+    std::vector<char> kept(rules.size(), 0);
+    auto keep = [&](std::size_t i) {
+        kept[i] = 1;
+        for (const auto& literal : rules[i].body) {
+            util::Symbol p = literal.atom.predicate;
+            auto it = std::lower_bound(read.begin(), read.end(), p);
+            if (it != read.end() && *it == p) continue;
+            read.insert(it, p);
+            pending.push_back(p);
+        }
+    };
+    // One pass over C; a skipped rule is indexed by its head predicate, so
+    // the closure below visits each rule at most once more.
+    std::vector<std::pair<util::Symbol, std::size_t>> skipped;
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        const auto& rule = rules[i];
+        bool negated = std::any_of(rule.body.begin(), rule.body.end(),
+                                   [](const asp::Literal& l) { return !l.positive; });
+        if (rule.is_constraint() || negated || reads(rule.head->predicate)) {
+            keep(i);
+        } else {
+            skipped.emplace_back(rule.head->predicate, i);
+        }
+    }
+    if (!pending.empty() && !skipped.empty()) {
+        std::sort(skipped.begin(), skipped.end());
+        while (!pending.empty()) {
+            util::Symbol p = pending.back();
+            pending.pop_back();
+            auto it = std::lower_bound(skipped.begin(), skipped.end(), std::pair(p, std::size_t{0}));
+            for (; it != skipped.end() && it->first == p; ++it) {
+                if (!kept[it->second]) keep(it->second);
+            }
+        }
+    }
+    // Compact in place: a caller that hands over its context copies nothing.
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+        if (!kept[i]) continue;
+        if (out != i) rules[out] = std::move(rules[i]);
+        ++out;
+    }
+    rules.erase(rules.begin() + static_cast<std::ptrdiff_t>(out), rules.end());
+    return context;
 }
 
 bool in_language(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens,

@@ -33,6 +33,25 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
                                   const asp::Program& context = {},
                                   const MembershipOptions& options = {});
 
+// The part of `context` a verdict can depend on. A context rule is kept iff
+// it is a constraint, has a negated body literal, or its head predicate is
+// in the read set. The read set starts as grammar.body_predicates() plus
+// `extra_reads` and grows by the body predicates of every kept rule until
+// nothing changes. Predicates match by name, whatever their @i, so one
+// slice serves every node of G(C)[PT]. Kept rules keep their order; the
+// rest are erased from `context` in place, so a caller that moves its
+// context in copies no rule.
+//
+// Sound by the splitting set theorem (Lifschitz & Turner, ICLP 1994): every
+// kept rule and annotation rule reads only read-set atoms, and every
+// dropped rule is positive with an unread head. So the atoms of read-set
+// predicates split G(C)[PT] with the kept part at the bottom; given one of
+// its answer sets, the dropped part is a definite program and extends it in
+// exactly one way. Hence s ∈ L(G(C)) iff s ∈ L(G(relevant_context(G, C))),
+// and their answer sets correspond one to one with equal read-set atoms.
+asp::Program relevant_context(const AnswerSetGrammar& grammar, asp::Program context,
+                              const std::vector<util::Symbol>& extra_reads = {});
+
 // Convenience wrapper.
 bool in_language(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens,
                  const asp::Program& context = {}, const MembershipOptions& options = {});

@@ -1,6 +1,7 @@
 // An ASP program: an ordered collection of normal rules and constraints.
 #pragma once
 
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,16 @@ public:
     void add_fact(Atom atom) { rules_.push_back(Rule::fact(std::move(atom))); }
     void append(const Program& other) {
         rules_.insert(rules_.end(), other.rules_.begin(), other.rules_.end());
+    }
+    // Moves the rules of `other` in; into an empty program it takes
+    // `other`'s storage outright.
+    void append(Program&& other) {
+        if (rules_.empty()) {
+            rules_ = std::move(other.rules_);
+        } else {
+            rules_.insert(rules_.end(), std::make_move_iterator(other.rules_.begin()),
+                          std::make_move_iterator(other.rules_.end()));
+        }
     }
 
     [[nodiscard]] const std::vector<Rule>& rules() const { return rules_; }

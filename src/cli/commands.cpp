@@ -455,19 +455,21 @@ bool take_bool_flag(std::vector<std::string>& args, const std::string& flag) {
 }
 
 // Pulls `--flag N` out of an argument list into `value`, which keeps its
-// default when the flag is absent. N must be a whole non-negative integer
-// that still fits `value` once scaled by `unit` (1 << 20: MiB to bytes).
+// default when the flag is absent; returns whether it was present. N must
+// be a whole non-negative integer that still fits `value` once scaled by
+// `unit` (1 << 20: MiB to bytes).
 template <class T>
-void take_number(std::vector<std::string>& args, const std::string& flag, T& value,
+bool take_number(std::vector<std::string>& args, const std::string& flag, T& value,
                  std::uint64_t unit = 1) {
     std::string text = take_flag(args, flag, "");
-    if (text.empty()) return;
+    if (text.empty()) return false;
     const std::uint64_t max = static_cast<std::uint64_t>(std::numeric_limits<T>::max()) / unit;
     std::optional<std::uint64_t> number = util::parse_number<std::uint64_t>(text);
     if (!number || *number > max) {
         throw CliError(flag + " expects an integer in 0.." + std::to_string(max) + ", got " + text);
     }
     value = static_cast<T>(*number * unit);
+    return true;
 }
 
 std::uint16_t parse_port(const std::string& text, const std::string& flag) {
@@ -544,8 +546,7 @@ void take_service_flags(std::vector<std::string>& args, srv::ServiceOptions& opt
     take_number(args, "--cache-mb", options.cache.capacity_bytes, 1 << 20);
     options.use_cache = !take_bool_flag(args, "--no-cache");
     take_number(args, "--cache-shards", options.cache.shards);
-    options.use_memo = !take_bool_flag(args, "--no-memo");
-    take_number(args, "--memo-mb", options.memo.capacity_bytes, 1 << 20);
+    if (take_number(args, "--memo-mb", options.memo.capacity_bytes, 1 << 20)) options.use_memo = true;
 }
 
 int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& err) {
@@ -622,7 +623,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
             if (args.size() != 1) {
                 throw CliError(
                     "usage: agenp serve <grammar.asg> [--context ctx.lp] [--threads N] "
-                    "[--cache-mb M] [--no-cache] [--cache-shards N] [--no-memo] "
+                    "[--cache-mb M] [--no-cache] [--cache-shards N] "
                     "[--memo-mb M] [--trace-slow-ms MS] "
                     "[--trace-sample N] [--stats-every SEC] [--listen PORT] [--replicas N] "
                     "[--metrics-listen PORT] "
@@ -650,7 +651,7 @@ int run(const std::vector<std::string>& argv, std::ostream& out, std::ostream& e
                 throw CliError(
                     "usage: agenp loadgen [--threads N] [--clients N] [--requests N] "
                     "[--distinct K] [--cache-mb M] [--no-cache] [--cache-shards N] "
-                    "[--no-memo] [--memo-mb M] [--connect HOST:PORT]");
+                    "[--memo-mb M] [--connect HOST:PORT]");
             }
             return cmd_loadgen(load, out);
         }

@@ -7,7 +7,7 @@
 //   agenp lint <file.asg|file.lp> [--context ctx.lp] [--json] [--strict]
 //   agenp quickstart
 //   agenp serve <grammar.asg> [--context ctx.lp] [--threads N] [--cache-mb M] [--no-cache]
-//               [--cache-shards N] [--no-memo] [--memo-mb M]
+//               [--cache-shards N] [--memo-mb M]
 //               [--trace-slow-ms MS] [--trace-sample N] [--stats-every SEC]
 //               [--listen PORT] [--replicas N]
 //               [--metrics-listen PORT]
@@ -15,7 +15,7 @@
 //               [--state-dir DIR] [--snapshot-every SEC]
 //   agenp loadgen [--threads N] [--clients N] [--requests N] [--distinct K]
 //                 [--cache-mb M] [--no-cache] [--cache-shards N]
-//                 [--no-memo] [--memo-mb M] [--connect HOST:PORT]
+//                 [--memo-mb M] [--connect HOST:PORT]
 //
 // Global flags (any command):
 //   --stats            print the metrics-registry dump after the command
@@ -141,9 +141,10 @@ int cmd_loadgen(const LoadgenCliOptions& options, std::ostream& out);
 
 // Pulls the service flags `serve` and in-process `loadgen` share out of
 // `args` straight into `options`; an absent flag keeps the default:
-//   --threads N  --cache-mb M  --no-cache  --cache-shards N  --no-memo  --memo-mb M
+//   --threads N  --cache-mb M  --no-cache  --cache-shards N  --memo-mb M
 // `--cache-mb 0` gives the minimal cache (one entry per shard); use
-// --no-cache to disable it.
+// --no-cache to disable it. The grounding memo is off unless --memo-mb
+// gives it a budget.
 void take_service_flags(std::vector<std::string>& args, srv::ServiceOptions& options);
 
 // argv-level dispatcher (used by main and by tests).

@@ -288,11 +288,24 @@ public:
     }
 
 private:
+    // Worlds are the answer sets of G(C)[PT] under the part of C that the
+    // initial ASG or some candidate reads (asg::relevant_context). They
+    // correspond one to one with those under the whole C and agree on every
+    // atom a candidate can test, so coverage checks, world caps and the
+    // search are unchanged.
     bool build_worlds(LearnResult& result) {
+        std::vector<Symbol> candidate_reads;
+        for (const auto& cand : task_.space.candidates) {
+            for (const auto& l : cand.rule.body) candidate_reads.push_back(l.atom.predicate);
+        }
+        std::sort(candidate_reads.begin(), candidate_reads.end());
+        candidate_reads.erase(std::unique(candidate_reads.begin(), candidate_reads.end()),
+                              candidate_reads.end());
         auto build = [&](const Example& ex, ExampleWorlds& out) {
             auto trees = cfg::parse_trees(task_.initial.grammar(), ex.string,
                                           options_.membership.parse);
             std::size_t cap = std::min<std::size_t>(options_.max_worlds_per_example, 64);
+            asp::Program context = asg::relevant_context(task_.initial, ex.context, candidate_reads);
             for (const auto& tree : trees) {
                 TreeInfo info;
                 for (auto& [trace, production] : asg::production_nodes(tree)) {
@@ -306,7 +319,7 @@ private:
                     out.cap_hit = true;
                     continue;
                 }
-                asp::Program program = asg::instantiate(task_.initial, tree, ex.context);
+                asp::Program program = asg::instantiate(task_.initial, tree, context);
                 auto gp = asp::ground(program, options_.membership.grounding);
                 auto solve_options = options_.membership.solve;
                 solve_options.max_models = cap - out.worlds.size() + 1;

@@ -1,5 +1,6 @@
 #include "srv/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/metrics.hpp"
@@ -17,21 +18,41 @@ DecisionCache::DecisionCache(CacheOptions options) : on_insert_(std::move(option
 }
 
 CacheKey DecisionCache::make_key(const cfg::TokenString& request, const asp::Program& context) {
+    std::string request_text = cfg::detokenize(request);
+    std::string context_text = context.to_string();
     CacheKey key;
-    key.text = cfg::detokenize(request);
-    key.text += '\x1f';
-    key.text += context.to_string();
+    key.text.reserve(request_text.size() + 1 + context_text.size());
+    key.text.append(request_text).append(1, '\x1f').append(context_text);
     key.hash = util::fnv1a_hash(key.text);
     return key;
 }
 
-std::uint64_t DecisionCache::entry_bytes(const Entry& entry) {
-    // Approximate footprint: key text plus list/map node overhead.
-    return entry.text.size() + 64;
+namespace {
+
+// The heap block malloc hands out for `n` bytes: glibc adds an 8-byte
+// header and rounds up to 16, with a 32-byte minimum.
+std::uint64_t heap_block(std::size_t n) {
+    return std::max<std::uint64_t>(32, (n + 8 + 15) & ~std::uint64_t{15});
+}
+
+}  // namespace
+
+std::uint64_t DecisionCache::entry_bytes(std::size_t key_size) {
+    // The LRU list node (two links and the Entry), the index node (a link,
+    // the key view with its list iterator, and the cached hash) with one
+    // bucket slot, and the key text's block unless it fits inline.
+    constexpr std::size_t kListNode = 2 * sizeof(void*) + sizeof(Entry);
+    constexpr std::size_t kIndexNode =
+        sizeof(void*) + sizeof(std::pair<const std::string_view, std::list<Entry>::iterator>) +
+        sizeof(std::size_t);
+    static const std::size_t inline_chars = std::string().capacity();
+    std::uint64_t bytes = heap_block(kListNode) + heap_block(kIndexNode) + sizeof(void*);
+    if (key_size > inline_chars) bytes += heap_block(key_size + 1);
+    return bytes;
 }
 
 void DecisionCache::erase_entry(Shard& shard, std::list<Entry>::iterator it) {
-    shard.bytes -= entry_bytes(*it);
+    shard.bytes -= entry_bytes(it->text.size());
     shard.index.erase(it->text);
     shard.lru.erase(it);
 }
@@ -66,7 +87,7 @@ void DecisionCache::insert(const CacheKey& key, std::uint64_t model_version, boo
         } else {
             shard.lru.push_front({key.text, model_version, permitted});
             shard.index.emplace(shard.lru.front().text, shard.lru.begin());
-            shard.bytes += entry_bytes(shard.lru.front());
+            shard.bytes += entry_bytes(key.text.size());
             ++shard.insertions;
             while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
                 erase_entry(shard, std::prev(shard.lru.end()));
@@ -105,14 +126,14 @@ DecisionCache::RestoreCounts DecisionCache::restore_entries(const std::vector<Ca
         // Append at the cold end so hottest-first input keeps its LRU
         // order; skip (never evict) once the shard's budget is spent —
         // the caller reports the truncation.
-        std::uint64_t bytes = entry.text.size() + 64;
+        std::uint64_t bytes = entry_bytes(entry.text.size());
         if (shard.bytes + bytes > shard_capacity_bytes_ && !shard.lru.empty()) {
             ++counts.skipped;
             continue;
         }
         shard.lru.push_back({entry.text, entry.model_version, entry.permitted});
         shard.index.emplace(shard.lru.back().text, std::prev(shard.lru.end()));
-        shard.bytes += entry_bytes(shard.lru.back());
+        shard.bytes += bytes;
         ++counts.restored;
     }
     return counts;

@@ -135,7 +135,9 @@ private:
 
     Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
     void erase_entry(Shard& shard, std::list<Entry>::iterator it) REQUIRES(shard.mu);
-    static std::uint64_t entry_bytes(const Entry& entry);
+    // What one entry with a key of `key_size` chars costs the heap: the
+    // budget and stats().bytes count this.
+    static std::uint64_t entry_bytes(std::size_t key_size);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint64_t shard_mask_ = 0;

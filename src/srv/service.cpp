@@ -292,15 +292,17 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
     maybe_capture(task, end_ns, decision.latency_us);
 }
 
-// Gathers the request's context and, with the cache on, builds its key and
-// looks it up under the model version in force. On a hit the probe is the
-// request's whole verdict step, so it also feeds srv.solve.
+// Gathers the request's context, keeps the part the model in force reads
+// and, with the cache on, builds its key and looks it up under that model's
+// version. On a hit the probe is the request's whole verdict step, so it
+// also feeds srv.solve.
 std::optional<bool> DecisionService::probe(Task& task) {
     {
         obs::Phase phase(obs::PhaseId::SrvContext);
-        task.context = ams_.pip().gather();
+        task.context = asg::relevant_context(ams_.model(), ams_.pip().gather());
     }
     task.probed = true;
+    task.probed_version = ams_.model_version();
     if (!options_.use_cache) return std::nullopt;
     std::uint64_t start_ns = obs::monotonic_ns();
     std::optional<bool> hit;
@@ -322,7 +324,10 @@ std::optional<bool> DecisionService::probe(Task& task) {
 // probed task for a worker.
 std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, bool cached_only) {
     std::optional<bool> permitted;
-    if (!task.probed) permitted = probe(task);
+    // The slice, and so the key, depend on what the model reads: a miss
+    // probed under a model since replaced is probed again, or it would be
+    // decided and cached under a context that lacks what the new model reads.
+    if (!task.probed || task.probed_version != ams_.model_version()) permitted = probe(task);
     decision.model_version = ams_.model_version();
     if (permitted) {
         decision.cache_hit = true;
@@ -330,8 +335,8 @@ std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, boo
         return std::nullopt;
     } else {
         // A miss's verdict step: the PDP (the context and key may come
-        // from submit(), under an older hold of the lock; the model
-        // version is the one in force now).
+        // from submit(), under an older hold of the lock and the same
+        // model version).
         obs::Phase phase(obs::PhaseId::SrvSolve);
         permitted = ams_.decide(task.tokens, task.context);
         if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);

@@ -17,8 +17,12 @@
 // submit() probes the decision cache (srv/cache.hpp) itself. A hit is
 // answered before submit() returns: it queues no work, wakes no worker and
 // is neither Overloaded nor Expired. A miss is queued with the context and
-// key submit() already built, so the worker only runs the PDP. With
-// use_cache off every request goes to a worker, which gathers the context.
+// key submit() already built, so the worker only runs the PDP. Both come
+// from the relevant context (asg::relevant_context): the part of the
+// gathered context the model reads, so requests whose contexts differ only
+// in unread facts share one entry. A miss whose model was replaced while it
+// queued is probed again under the new one. With use_cache off every
+// request goes to a worker, which gathers the context.
 //
 // Locking discipline:
 //  - `state_mu_` (ProfiledSharedMutex "srv.model"): decisions take it
@@ -101,8 +105,10 @@ struct ServiceOptions {
     // Grounding memo on the cache-miss path (asg/memo.hpp): repeated
     // grammar fragments ground once and decisive solver verdicts are
     // recalled per (parse tree, context, model version). Decisions are
-    // identical with it on or off; disable to measure or to bound memory.
-    bool use_memo = true;
+    // identical with it on or off. Off by default: misses decide under the
+    // relevant context, and there its tables cost more memory than the
+    // CPU they save is worth (DESIGN.md section 13).
+    bool use_memo = false;
     asg::MemoOptions memo;
     // Deadline applied to requests submitted without their own; zero means
     // no deadline.
@@ -243,9 +249,12 @@ private:
         // Null unless tracing this request; span 0 is the srv.request root.
         std::unique_ptr<obs::TraceContext> trace;
         obs::PhaseTimes phases;
-        // Filled by probe(): the gathered context and, with the cache on,
-        // its key. A task submit() probed reaches the worker as a miss.
+        // Filled by probe(): the part of the gathered context the model of
+        // `probed_version` reads (asg::relevant_context) and, with the
+        // cache on, its key. A task submit() probed reaches the worker as
+        // a miss; one probed under a superseded model is probed again.
         bool probed = false;
+        std::uint64_t probed_version = 0;
         asp::Program context;
         CacheKey key;
     };

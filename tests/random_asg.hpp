@@ -122,4 +122,39 @@ inline std::string random_context(util::Rng& rng) {
     return out;
 }
 
+// A context for the relevant-context differential (asg::relevant_context).
+// Besides facts of the predicates the grammars read (p, q, r, and y, which
+// only an added rule reads) it draws facts no grammar reads (z, w), chains from them into read predicates
+// (`r(X) :- z(X).`), constraints over unread predicates, even and odd
+// negation loops, and @1 atoms in bodies and heads. It draws apart from
+// random_context, so the memo and learner tests keep their sequences.
+inline std::string random_slice_context(util::Rng& rng) {
+    auto k = [&] { return std::to_string(rng.uniform(0, 3)); };
+    std::string out;
+    for (std::int64_t n = rng.uniform(1, 7); n > 0; --n) {
+        switch (rng.uniform(0, 14)) {
+            case 0: out += "r(" + k() + "). "; break;
+            case 1: {
+                std::string x = k();
+                out += "p(" + x + "). y(" + x + "). r(" + x + "). ";
+                break;
+            }
+            case 2: out += "q(" + k() + "). q(" + k() + "). "; break;
+            case 3: out += "z(" + k() + "). "; break;
+            case 4: out += "w(" + k() + ", " + k() + "). "; break;
+            case 5: out += "r(X) :- z(X). "; break;
+            case 6: out += "z(X) :- w(X, Y). q(X) :- z(X), w(Y, X). "; break;
+            case 7: out += ":- z(" + k() + "). "; break;
+            case 8: out += ":- z(X), w(X, " + k() + "). "; break;
+            case 9: out += "e(1) :- not e(2). e(2) :- not e(1). r(X) :- e(X). "; break;
+            case 10: out += "o :- not o, z(" + k() + "). "; break;
+            case 11: out += "r(X)@1 :- z(X). "; break;
+            case 12: out += "q(X) :- w(X, X)@1. "; break;
+            case 13: out += "z(" + k() + ")@1. "; break;
+            default: out += "v(X) :- z(X), not w(X, X). "; break;
+        }
+    }
+    return out;
+}
+
 }  // namespace agenp::random_asg

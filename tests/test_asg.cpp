@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -14,6 +15,8 @@
 #include "asg/membership.hpp"
 #include "asp/parser.hpp"
 #include "mutate.hpp"
+#include "random_asg.hpp"
+#include "util/rng.hpp"
 
 namespace agenp::asg {
 namespace {
@@ -395,6 +398,125 @@ TEST(Membership, DepthSweepMatchesClosedForm) {
                 << "depth=" << depth << " ceiling=" << ceiling;
         }
     }
+}
+
+TEST(AsgParse, BodyPredicatesFollowAddProductionAndWithRules) {
+    auto names = [](const AnswerSetGrammar& g) {
+        std::set<std::string> out;
+        for (util::Symbol p : g.body_predicates()) out.emplace(p.str());
+        return out;
+    };
+    auto g = AnswerSetGrammar::parse(kTaskAsg);
+    EXPECT_EQ(names(g), (std::set<std::string>{"requires", "maxloa"}));
+    EXPECT_TRUE(std::is_sorted(g.body_predicates().begin(), g.body_predicates().end()));
+    auto rule = asp::parse_program(":- not cleared, banned(X)@2, requires(X)@2.").rules()[0];
+    auto extended = g.with_rules({{rule, 0}});
+    EXPECT_EQ(names(extended), (std::set<std::string>{"requires", "maxloa", "cleared", "banned"}));
+    EXPECT_EQ(names(g), (std::set<std::string>{"requires", "maxloa"}));  // the original is unchanged
+}
+
+// A root that reads r/1 in its own namespace and q/1 in its child's.
+const char* kSliceAsg = R"(
+    s -> "go" t { :- r(1). :- q(X)@2, X > 5. }
+    t -> "x" { }
+)";
+
+std::string slice_text(const AnswerSetGrammar& g, const char* context) {
+    return relevant_context(g, asp::parse_program(context)).to_string();
+}
+
+TEST(RelevantContext, DropsOnlyPositiveRulesWithUnreadHeads) {
+    auto g = AnswerSetGrammar::parse(kSliceAsg);
+    // Unread facts and positive rules deriving unread heads go.
+    EXPECT_EQ(slice_text(g, "z(1). w(2). v(X) :- z(X). r(2)."), asp::parse_program("r(2).").to_string());
+    // A chain into a read predicate is kept with everything it reads.
+    EXPECT_EQ(slice_text(g, "w(3). r(X) :- z(X). z(1)."),
+              asp::parse_program("r(X) :- z(X). z(1).").to_string());
+    // A constraint is kept whatever it reads, and so is what it reads.
+    EXPECT_EQ(slice_text(g, "w(3). :- z(2). z(2)."), asp::parse_program(":- z(2). z(2).").to_string());
+    // Rules with negation are kept; @i is ignored when matching names.
+    EXPECT_EQ(slice_text(g, "o :- not o. q(7)@1. w(1)@2."),
+              asp::parse_program("o :- not o. q(7)@1.").to_string());
+    // Extra reads seed the read set like the grammar's own.
+    auto context = asp::parse_program("w(3). z(1).");
+    EXPECT_EQ(relevant_context(g, context, {util::Symbol("w")}).to_string(),
+              asp::parse_program("w(3).").to_string());
+}
+
+TEST(RelevantContext, HandWrittenCasesKeepTheLiteralVerdict) {
+    auto g = AnswerSetGrammar::parse(kSliceAsg);
+    auto go = tokenize("go x");
+    auto same_verdict = [&](const char* text, bool expected) {
+        auto context = asp::parse_program(text);
+        EXPECT_EQ(in_language(g, go, context), expected) << text;
+        EXPECT_EQ(in_language(g, go, relevant_context(g, context)), expected) << text;
+    };
+    same_verdict("z(1). w(2).", true);
+    // An odd loop over unread atoms leaves no answer set: every string is
+    // rejected, sliced or not.
+    same_verdict("o :- not o. z(1).", false);
+    same_verdict("r(X) :- z(X). z(1).", false);
+    same_verdict(":- z(2). z(2).", false);
+    same_verdict("q(9)@1.", true);  // lands in child 1's namespace; the root reads child 2's
+    same_verdict("q(9).", false);   // q@2(9), copied into the child node
+}
+
+// Sliced ≡ literal G(C)[PT], over random grammars and contexts with unread
+// facts, chains, constraints, negation loops and @1 atoms. Sized like
+// Memo.RandomGrammarsAgreeWithPlainMembership. Each grammar with a
+// nonterminal child is also checked with one added rule, as a learned
+// hypothesis would add it, that reads a context predicate (y) only through
+// that child.
+TEST(RelevantContext, RandomGrammarsAgreeWithLiteralMembership) {
+    using namespace random_asg;
+    util::Rng rng(22);
+    std::size_t accepted = 0, rejected = 0, rules = 0, dropped = 0;
+    for (int grammar_index = 0; grammar_index < 120; ++grammar_index) {
+        std::string text;
+        std::vector<Production> productions = random_grammar(rng, text);
+        std::vector<AnswerSetGrammar> grammars = {AnswerSetGrammar::parse(text)};
+        for (std::size_t i = 0; i < productions.size() && grammars.size() == 1; ++i) {
+            const auto& body = productions[i].body;
+            auto kid = std::find_if(body.begin(), body.end(), [](int sym) { return sym >= 0; });
+            if (kid == body.end()) continue;
+            auto rule = asp::parse_program(":- y(X)@" + std::to_string(kid - body.begin() + 1) +
+                                           ", r(X).").rules()[0];
+            grammars.push_back(grammars[0].with_rules({{rule, static_cast<int>(i)}}));
+        }
+        std::vector<std::string> strings;
+        for (int i = 0; i < 6; ++i) {
+            std::string s;
+            if (i % 2 == 1 || !derive(rng, productions, 0, 0, s)) s = random_string(rng);
+            strings.push_back(s);
+        }
+        for (int c = 0; c < 5; ++c) {
+            std::string context_text = random_slice_context(rng);
+            auto context = asp::parse_program(context_text);
+            for (std::size_t v = 0; v < grammars.size(); ++v) {
+                const AnswerSetGrammar& g = grammars[v];
+                auto slice = relevant_context(g, context);
+                rules += context.size();
+                dropped += context.size() - slice.size();
+                for (const auto& s : strings) {
+                    MembershipResult literal = check_membership(g, tokenize(s), context);
+                    MembershipResult sliced = check_membership(g, tokenize(s), slice);
+                    (literal.in_language ? accepted : rejected) += 1;
+                    EXPECT_EQ(sliced.in_language, literal.in_language)
+                        << "grammar " << grammar_index << (v > 0 ? " with the y rule" : "") << " '"
+                        << s << "' under " << context_text << "\n" << g.to_string();
+                    EXPECT_EQ(sliced.resource_limited, literal.resource_limited)
+                        << "grammar " << grammar_index << " '" << s << "' under " << context_text;
+                }
+            }
+        }
+    }
+    // The generator reaches what the slice decides on.
+    EXPECT_GT(dropped, 0u);
+    EXPECT_LT(dropped, rules);
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+    std::printf("relevant context: %zu cases, %zu accepted; %zu of %zu context rules dropped\n",
+                accepted + rejected, accepted, dropped, rules);
 }
 
 // Property sweep over a^n b^m: accepted iff n == m.

@@ -163,5 +163,19 @@ TEST(Program, AppendConcatenates) {
     EXPECT_TRUE(a.is_ground());
 }
 
+TEST(Program, MoveAppendTakesStorageIntoAnEmptyProgram) {
+    Program a, b, out;
+    a.add_fact(Atom(Symbol("p"), {}));
+    a.add_fact(Atom(Symbol("q"), {}));
+    b.add_fact(Atom(Symbol("r"), {}));
+    const Rule* storage = a.rules().data();
+    out.append(std::move(a));
+    EXPECT_EQ(out.rules().data(), storage);  // the vector itself, not a copy
+    out.append(std::move(b));
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out.rules()[0].head->predicate, Symbol("p"));
+    EXPECT_EQ(out.rules()[2].head->predicate, Symbol("r"));
+}
+
 }  // namespace
 }  // namespace agenp::asp

@@ -789,17 +789,19 @@ TEST(ServiceFlags, ParseStraightIntoServiceOptions) {
     EXPECT_EQ(defaults.threads, srv::ServiceOptions{}.threads);
     EXPECT_EQ(defaults.cache.capacity_bytes, srv::CacheOptions{}.capacity_bytes);
     EXPECT_TRUE(defaults.use_cache);
+    EXPECT_FALSE(defaults.use_memo);
 
-    // `--cache-mb 0` is the minimal cache, not the 64 MiB default.
-    std::vector<std::string> args = {"--threads", "3",       "--cache-mb", "0",  "--cache-shards",
-                                     "4",         "--no-memo", "--memo-mb", "8", "rest"};
+    // `--cache-mb 0` is the minimal cache, not the 64 MiB default; a memo
+    // budget turns the memo on.
+    std::vector<std::string> args = {"--threads", "3", "--cache-mb", "0", "--cache-shards", "4",
+                                     "--memo-mb", "8", "rest"};
     srv::ServiceOptions options;
     take_service_flags(args, options);
     EXPECT_EQ(options.threads, 3U);
     EXPECT_EQ(options.cache.capacity_bytes, 0U);
     EXPECT_TRUE(options.use_cache);
     EXPECT_EQ(options.cache.shards, 4U);
-    EXPECT_FALSE(options.use_memo);
+    EXPECT_TRUE(options.use_memo);
     EXPECT_EQ(options.memo.capacity_bytes, std::size_t{8} << 20);
     EXPECT_EQ(args, std::vector<std::string>{"rest"});
 
@@ -832,12 +834,13 @@ TEST(CmdLoadgen, CacheShardsFlagParses) {
 }
 
 TEST(CmdLoadgen, MemoFlagsParse) {
-    // --no-memo and --memo-mb reach the in-process service options; the
-    // report line says which mode ran.
+    // The memo is off unless --memo-mb gives it a budget; the report line
+    // says which mode ran. --no-memo is gone.
     std::ostringstream out, err;
-    EXPECT_EQ(run({"loadgen", "--clients", "2", "--requests", "10", "--no-memo"}, out, err), 0)
-        << err.str();
+    EXPECT_EQ(run({"loadgen", "--clients", "2", "--requests", "10"}, out, err), 0) << err.str();
     EXPECT_NE(out.str().find("memo off"), std::string::npos);
+    std::ostringstream out3, err3;
+    EXPECT_NE(run({"loadgen", "--clients", "2", "--requests", "10", "--no-memo"}, out3, err3), 0);
     std::ostringstream out2, err2;
     EXPECT_EQ(run({"loadgen", "--clients", "2", "--requests", "10", "--memo-mb", "8"}, out2,
                   err2),
@@ -849,12 +852,12 @@ TEST(CmdLoadgen, MemoFlagsParse) {
 TEST(CmdServe, UsageMentionsMemoFlags) {
     std::ostringstream out, err;
     EXPECT_NE(run({"serve"}, out, err), 0);
-    EXPECT_NE(err.str().find("--no-memo"), std::string::npos);
+    EXPECT_EQ(err.str().find("--no-memo"), std::string::npos);
     EXPECT_NE(err.str().find("--memo-mb"), std::string::npos);
-    // The loadgen usage line carries them too.
+    // The loadgen usage line carries it too.
     std::ostringstream out2, err2;
     EXPECT_NE(run({"loadgen", "--bogus-flag"}, out2, err2), 0);
-    EXPECT_NE(err2.str().find("--no-memo"), std::string::npos);
+    EXPECT_EQ(err2.str().find("--no-memo"), std::string::npos);
     EXPECT_NE(err2.str().find("--memo-mb"), std::string::npos);
 }
 

@@ -2,6 +2,10 @@
 // service, closed-loop load generator (DESIGN.md section 8).
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "asg/membership.hpp"
 #include "asp/parser.hpp"
 #include "obs/phase.hpp"
 #include "srv/audit.hpp"
@@ -113,6 +118,44 @@ TEST(DecisionCache, TouchedEntrySurvivesEviction) {
         ASSERT_TRUE(cache.lookup(key_for("hot"), 1).has_value()) << "evicted after " << i;
         cache.insert(key_for("filler " + std::to_string(i)), 1, false);
     }
+}
+
+TEST(DecisionCache, BudgetCountsWhatEntriesAllocate) {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+    // stats().bytes is what capacity_bytes caps, so it must follow the heap
+    // the entries hold: for keys as short as a relevant context's and as
+    // long as a whole perfbench-sized context's.
+    auto heap_bytes = [] {
+        struct mallinfo2 info = mallinfo2();
+        return static_cast<double>(info.uordblks + info.hblkhd);
+    };
+    for (std::size_t context_chars : {80, 600}) {
+        std::string context;
+        for (int i = 0; context.size() < context_chars; ++i) {
+            context += "fact(" + std::to_string(i) + "). ";
+        }
+        auto parsed = asp::parse_program(context);
+        // Keys are made first: tokenizing interns every request's words.
+        std::vector<CacheKey> keys;
+        keys.reserve(20000);
+        for (int i = 0; i < 20000; ++i) {
+            keys.push_back(DecisionCache::make_key(cfg::tokenize("do task_" + std::to_string(i)), parsed));
+        }
+        CacheOptions options;
+        options.capacity_bytes = std::size_t{1} << 30;
+        DecisionCache cache(options);
+        double before = heap_bytes();
+        for (const auto& key : keys) cache.insert(key, 1, true);
+        double grown = heap_bytes() - before;
+        if (grown <= 0) GTEST_SKIP() << "the allocator reports no heap growth (sanitizer build)";
+        auto charged = static_cast<double>(cache.stats().bytes);
+        EXPECT_NEAR(grown, charged, 0.15 * charged)
+            << context_chars << "-char contexts: " << grown / 20000 << " bytes allocated per entry, "
+            << charged / 20000 << " charged";
+    }
+#else
+    GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 TEST(DecisionCache, ConcurrentHammering) {
@@ -279,6 +322,45 @@ TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
     EXPECT_TRUE(again.cache_hit);
     EXPECT_FALSE(again.permitted());
     EXPECT_GE(service.cache().stats().invalidations, 1u);
+}
+
+TEST(DecisionService, MissQueuedAcrossAnAdoptionIsSlicedUnderTheNewModel) {
+    // B is probed under v, whose model reads no `grounded` fact, so its
+    // relevant context and key lack grounded(drone). It is decided after v'
+    // adds `:- grounded(drone).`: the worker must probe it again under v'.
+    auto ams = make_demo_ams(2, /*context_weight=*/0);
+    ams.pip().add_source("fleet", [] { return asp::parse_program("grounded(drone)."); });
+    DecisionService service(ams, service_options(1));
+
+    // Park the only worker in A's completion callback, outside every lock.
+    // The park ends by itself after 5 s, so a failure cannot hang the test.
+    std::promise<void> entered;
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    DecisionService::SubmitOptions park;
+    park.on_complete = [&](const Decision&) {
+        entered.set_value();
+        (void)released.wait_for(5s);
+    };
+    std::future<Decision> a = service.submit(cfg::tokenize("do task_1"), std::move(park));
+    entered.get_future().wait();
+
+    std::future<Decision> b = service.submit(cfg::tokenize("do task_0"));
+    EXPECT_EQ(b.wait_for(0s), std::future_status::timeout);  // probed under v, queued
+    std::uint64_t v = ams.model_version();
+    service.update_model([&] {
+        auto grounded = asp::parse_program(":- grounded(drone).").rules()[0];
+        ams.representations().store(ams.model().with_rules({{grounded, 0}}), "test-adoption");
+    });
+    release.set_value();
+
+    Decision decision = b.get();
+    a.get();
+    EXPECT_GT(decision.model_version, v);
+    EXPECT_FALSE(decision.cache_hit);
+    bool expected = asg::in_language(ams.model(), cfg::tokenize("do task_0"), ams.pip().gather());
+    EXPECT_FALSE(expected);
+    EXPECT_EQ(decision.outcome, Outcome::Deny);
 }
 
 TEST(DecisionService, CacheHitCompletesInsideSubmit) {
@@ -479,6 +561,7 @@ TEST(DecisionService, MemoOffEquivalence) {
 TEST(DecisionService, MemoEpochFollowsModelAdoption) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     ServiceOptions options = service_options(2, 1024, /*use_cache=*/false);
+    options.use_memo = true;  // off by default
     DecisionService service(ams, options);
     ASSERT_NE(service.grounding_memo(), nullptr);
     EXPECT_TRUE(service.submit(cfg::tokenize("do task_0")).get().permitted());
@@ -504,6 +587,7 @@ TEST(ConcurrentSubmitters, MemoOnAgainstSharedMemo) {
     // the decision cache is off, so every request exercises probe/insert.
     auto ams = make_demo_ams(8, /*context_weight=*/0);
     ServiceOptions options = service_options(4, 1 << 14, /*use_cache=*/false);
+    options.use_memo = true;  // off by default
     DecisionService service(ams, options);
     constexpr int kClients = 8;
     constexpr int kPerClient = 100;
