@@ -21,6 +21,8 @@
 #include "obs/lockprof.hpp"
 #include "obs/metrics.hpp"
 #include "scenarios/cav/cav.hpp"
+#include "xacml/evaluator.hpp"
+#include "xacml/learning_bridge.hpp"
 
 using namespace agenp;
 
@@ -195,6 +197,58 @@ void BM_LearnCavPolicy(benchmark::State& state) {
     state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_LearnCavPolicy)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Complexity();
+
+// One learn shaped like the re-learn behind perfbench's drift_adapt: the
+// XACML bridge over an 8x6x4x6x24 schema (hour is numeric, so most
+// candidates carry a variable and a comparison), 24 background facts that
+// no candidate reads, and 400 sampled requests labelled by a default-permit
+// policy with three deny rules.
+void BM_LearnXacmlBridge(benchmark::State& state) {
+    using xacml::AttributeDef;
+    using xacml::Category;
+    xacml::Schema schema;
+    schema.attributes.push_back(AttributeDef::categorical(
+        "role", Category::Subject,
+        {"doctor", "nurse", "admin", "guest", "intern", "surgeon", "clerk", "auditor"}));
+    schema.attributes.push_back(AttributeDef::categorical(
+        "dept", Category::Subject, {"cardio", "radio", "er", "icu", "peds", "onco"}));
+    schema.attributes.push_back(AttributeDef::categorical(
+        "action", Category::Action, {"read", "write", "delete", "share"}));
+    schema.attributes.push_back(
+        AttributeDef::categorical("resource", Category::Resource,
+                                  {"record", "report", "image", "lab", "billing", "schedule"}));
+    schema.attributes.push_back(AttributeDef::numeric_range("hour", Category::Environment, 0, 23));
+    const auto& roles = schema.attributes[0].values;
+    const auto& depts = schema.attributes[1].values;
+    util::Rng rng(7);
+    std::string background;
+    for (const auto& r : roles) {
+        background += "seniority(" + r + "," + std::to_string(rng.uniform(1, 9)) + ").\n";
+    }
+    for (const auto& d : depts) {
+        background += "floor(" + d + "," + std::to_string(rng.uniform(0, 7)) + ").\n";
+    }
+    for (int i = 0; i < 10; ++i) {
+        background += "oncall(" + rng.choice(roles) + "," + rng.choice(depts) + ").\n";
+    }
+    xacml::BridgeOptions options;
+    options.background = asp::parse_program(background);
+    auto bridge = xacml::make_bridge(schema, options);
+    auto policy =
+        xacml::default_permit_family(schema, {.deny_rules = 3, .matches_per_rule = 2, .seed = 11});
+    auto log = xacml::evaluate_batch(policy, xacml::sample_requests(schema, 400, rng));
+    auto task = xacml::make_task(bridge, log);
+
+    ilp::LearnResult result;
+    for (auto _ : state) {
+        result = ilp::learn(task);
+        benchmark::DoNotOptimize(result.found);
+    }
+    if (!result.found) state.SkipWithError(result.failure_reason.c_str());
+    state.counters["candidates"] = static_cast<double>(result.stats.candidates);
+    state.counters["coverage_checks"] = static_cast<double>(result.stats.coverage_checks);
+}
+BENCHMARK(BM_LearnXacmlBridge)->Unit(benchmark::kMillisecond);
 
 // --- static analysis (agenp lint) -------------------------------------------
 

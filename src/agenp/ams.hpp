@@ -53,8 +53,8 @@ public:
     // Pure decision under an explicit context snapshot: no PEP side effect,
     // no monitor record. The serving layer (src/srv) uses this so it can
     // cache the result; its history is its own flight ring and audit log.
-    [[nodiscard]] bool decide(const cfg::TokenString& request, const asp::Program& context) const {
-        return pdp_.decide(request, context, model(), policy_repo_);
+    [[nodiscard]] bool decide(const cfg::TokenString& request, asp::Program context) const {
+        return pdp_.decide(request, std::move(context), model(), policy_repo_);
     }
 
     // False when the index was evicted from (or never issued by) the

@@ -66,7 +66,7 @@ std::string DecisionMonitor::render_audit(std::size_t last_n) const {
     return out;
 }
 
-bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Program& context,
+bool PolicyDecisionPoint::decide(const cfg::TokenString& request, asp::Program context,
                                  const asg::AnswerSetGrammar& model,
                                  const PolicyRepository& repo) const {
     obs::Phase phase(obs::PhaseId::PdpDecide);
@@ -78,7 +78,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, const asp::Pro
     // Membership decides under the part of the context the model reads
     // (asg::relevant_context): the same verdict, without grounding copies
     // of facts no rule reads at every node.
-    auto relevant = [&] { return asg::relevant_context(model, context); };
+    auto relevant = [&] { return asg::relevant_context(model, std::move(context)); };
 
     bool permitted = false;
     switch (strategy_) {

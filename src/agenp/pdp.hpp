@@ -106,7 +106,10 @@ public:
     PolicyDecisionPoint(DecisionStrategy strategy, asg::MembershipOptions options = {})
         : strategy_(strategy), options_(std::move(options)) {}
 
-    [[nodiscard]] bool decide(const cfg::TokenString& request, const asp::Program& context,
+    // Takes the context by value and slices it in place: a caller that
+    // moves its context in (DecisionService moves its probed slice) pays
+    // no copy.
+    [[nodiscard]] bool decide(const cfg::TokenString& request, asp::Program context,
                               const asg::AnswerSetGrammar& model, const PolicyRepository& repo) const;
 
     [[nodiscard]] DecisionStrategy strategy() const { return strategy_; }

@@ -98,43 +98,39 @@ private:
     }
 
     bool finish(asp::Subst& subst) {
-        // Builtins, with `V = ground-expr` binders (multi-pass like the
-        // grounder).
+        // Builtins, with `V = ground-expr` binders, in passes until every
+        // one is ground (like the grounder). A pass re-checks what earlier
+        // passes decided: a bound binder is then a true ground comparison.
         std::size_t mark = subst.size();
-        std::vector<bool> done(rule_.builtins.size(), false);
-        std::size_t remaining = rule_.builtins.size();
-        bool progress = true;
-        while (progress && remaining > 0) {
-            progress = false;
-            for (std::size_t i = 0; i < rule_.builtins.size(); ++i) {
-                if (done[i]) continue;
-                asp::Term lhs = asp::apply_subst(rule_.builtins[i].lhs, subst);
-                asp::Term rhs = asp::apply_subst(rule_.builtins[i].rhs, subst);
-                if (rule_.builtins[i].op == asp::Comparison::Op::Eq && lhs.is_variable() &&
-                    rhs.is_ground()) {
+        for (;;) {
+            bool bound = false;
+            bool pending = false;
+            for (const auto& builtin : rule_.builtins) {
+                asp::Term lhs = asp::apply_subst(builtin.lhs, subst);
+                asp::Term rhs = asp::apply_subst(builtin.rhs, subst);
+                if (builtin.op == asp::Comparison::Op::Eq && lhs.is_variable() && rhs.is_ground()) {
                     auto value = asp::evaluate_arithmetic(rhs);
                     if (!value) {
                         subst.truncate(mark);
                         return false;
                     }
                     subst.bind(lhs.symbol(), *value);
+                    bound = true;
                 } else if (lhs.is_ground() && rhs.is_ground()) {
-                    auto result = asp::Comparison(rule_.builtins[i].op, lhs, rhs).evaluate();
+                    auto result = asp::Comparison(builtin.op, lhs, rhs).evaluate();
                     if (!result || !*result) {
                         subst.truncate(mark);
                         return false;
                     }
                 } else {
-                    continue;
+                    pending = true;
                 }
-                done[i] = true;
-                --remaining;
-                progress = true;
             }
-        }
-        if (remaining > 0) {  // unsafe leftovers; treat as no match
-            subst.truncate(mark);
-            return false;
+            if (!pending) break;
+            if (!bound) {  // unsafe leftovers; treat as no match
+                subst.truncate(mark);
+                return false;
+            }
         }
         // Negative literals must be absent from the interpretation.
         for (const auto& l : rule_.body) {
@@ -162,7 +158,6 @@ struct NodeRule {
     std::vector<AtomId> must_lack;
     asp::Rule open;
 
-    NodeRule() = default;
     NodeRule(const asp::Rule& renamed, const AtomTable& atoms) {
         open.builtins = renamed.builtins;
         for (const auto& l : renamed.body) {
@@ -178,17 +173,36 @@ struct NodeRule {
             }
         }
     }
+};
 
-    [[nodiscard]] bool fires_in(const World& world, const AtomTable& atoms) const {
-        if (!satisfiable) return false;
-        for (auto id : must_hold) {
-            if (!world.holds(id)) return false;
-        }
-        for (auto id : must_lack) {
-            if (world.holds(id)) return false;
-        }
-        return BodyMatcher(open, world, atoms).exists_match();
-    }
+// A set of the learn's worlds, one bit per world. Worlds are numbered
+// across the whole learn, positives' first, and each example's worlds are
+// consecutive, so an example's Mask is a run of bits.
+using WorldSet = std::vector<Mask>;
+
+void add_world(WorldSet& set, std::size_t w) { set[w / 64] |= Mask{1} << (w % 64); }
+
+// Bits [first, first + n) of `set`, n <= 64.
+Mask world_run(const WorldSet& set, std::size_t first, std::size_t n) {
+    if (n == 0) return 0;
+    std::size_t word = first / 64;
+    std::size_t shift = first % 64;
+    Mask bits = set[word] >> shift;
+    if (shift != 0 && word + 1 < set.size()) bits |= set[word + 1] << (64 - shift);
+    return bits & all_worlds_mask(n);
+}
+
+// The worlds of a learn grouped by their atoms of a set of predicates: the
+// predicates of an open body. BodyMatcher reads a world only through atoms
+// of the open body's predicates (positive joins and negated look-ups), so
+// it answers alike at every world of a class.
+struct WorldClasses {
+    std::vector<std::uint32_t> class_of;      // by world
+    std::vector<std::size_t> representative;  // by class: its first world
+    // One node rule's answer per class, valid where `evaluated` holds that
+    // rule's number.
+    std::vector<std::size_t> evaluated;
+    std::vector<char> fires;
 };
 
 class FastPathLearner {
@@ -374,45 +388,143 @@ private:
         return w;
     }
 
+    // Groups `worlds` by their atoms of `predicates`.
+    WorldClasses group_worlds(const std::vector<const World*>& worlds,
+                              const std::vector<Symbol>& predicates) const {
+        auto by_predicate = [this](AtomId id, Symbol p) { return atoms_.atom(id).predicate < p; };
+        WorldClasses out;
+        std::map<std::vector<AtomId>, std::uint32_t> class_by_atoms;
+        std::vector<AtomId> key;
+        out.class_of.resize(worlds.size());
+        for (std::size_t w = 0; w < worlds.size(); ++w) {
+            key.clear();
+            const auto& atoms = worlds[w]->atoms;
+            for (Symbol p : predicates) {
+                auto a = std::lower_bound(atoms.begin(), atoms.end(), p, by_predicate);
+                for (; a != atoms.end() && atoms_.atom(*a).predicate == p; ++a) key.push_back(*a);
+            }
+            auto next = static_cast<std::uint32_t>(out.representative.size());
+            auto [slot, added] = class_by_atoms.try_emplace(key, next);
+            if (added) out.representative.push_back(w);
+            out.class_of[w] = slot->second;
+        }
+        out.evaluated.assign(out.representative.size(), 0);
+        out.fires.assign(out.representative.size(), 0);
+        return out;
+    }
+
+    // Decides each candidate at every world of the learn at once. A node
+    // rule fires at the worlds that have its node, hold its must_hold atoms
+    // and lack its must_lack atoms (word operations over WorldSets); its
+    // open body then runs once per class of those worlds (WorldClasses).
     void build_violation_masks(LearnResult& result) {
+        std::vector<const World*> worlds;
+        std::vector<const TreeInfo*> tree_of;  // by world
+        for (const auto* examples : {&positive_, &negative_}) {
+            for (const auto& ew : *examples) {
+                for (const auto& world : ew.worlds) {
+                    worlds.push_back(&world);
+                    tree_of.push_back(&ew.trees[world.tree_index]);
+                }
+            }
+        }
+        std::size_t words = (worlds.size() + 63) / 64;
+
+        // production -> node index -> the worlds whose tree has that node
+        std::unordered_map<int, std::vector<WorldSet>> present;
+        for (const auto& cand : task_.space.candidates) {
+            auto traces = node_traces_.find(cand.production);
+            if (traces == node_traces_.end()) continue;
+            present.try_emplace(cand.production, traces->second.size(), WorldSet(words, 0));
+        }
+        for (std::size_t w = 0; w < worlds.size(); ++w) {
+            for (const auto& [production, indexes] : tree_of[w]->nodes) {
+                auto it = present.find(production);
+                if (it == present.end()) continue;
+                for (auto index : indexes) add_world(it->second[index], w);
+            }
+        }
+
+        // Only the atoms some candidate tests get a set, built on first use.
+        std::unordered_map<AtomId, WorldSet> holding;
+        auto worlds_holding = [&](AtomId id) -> const WorldSet& {
+            auto [it, fresh] = holding.try_emplace(id, words, 0);
+            if (fresh) {
+                for (std::size_t w = 0; w < worlds.size(); ++w) {
+                    if (worlds[w]->holds(id)) add_world(it->second, w);
+                }
+            }
+            return it->second;
+        };
+
+        // open-body predicates (sorted) -> classes of worlds
+        std::map<std::vector<Symbol>, WorldClasses> classes;
+        auto classes_for = [&](const asp::Rule& open) -> WorldClasses& {
+            std::vector<Symbol> predicates;
+            for (const auto& l : open.body) predicates.push_back(l.atom.predicate);
+            std::sort(predicates.begin(), predicates.end());
+            predicates.erase(std::unique(predicates.begin(), predicates.end()), predicates.end());
+            auto it = classes.find(predicates);
+            if (it == classes.end()) {
+                auto grouped = group_worlds(worlds, predicates);
+                it = classes.emplace(std::move(predicates), std::move(grouped)).first;
+            }
+            return it->second;
+        };
+
         std::size_t n = task_.space.candidates.size();
-        violates_pos_.assign(n, {});
-        violates_neg_.assign(n, {});
-        std::vector<NodeRule> rules;  // by node index of the candidate's production
+        violates_pos_.assign(n, std::vector<Mask>(positive_.size(), 0));
+        violates_neg_.assign(n, std::vector<Mask>(negative_.size(), 0));
+        WorldSet violated(words);
+        WorldSet fire(words);
+        std::size_t rule_number = 0;
         for (std::size_t c = 0; c < n; ++c) {
             const auto& cand = task_.space.candidates[c];
-            rules.clear();
             auto traces = node_traces_.find(cand.production);
-            if (traces != node_traces_.end()) {
-                rules.resize(traces->second.size());
-                for (const auto& [trace, index] : traces->second) {
-                    rules[index] = NodeRule(asg::rename_rule_at(cand.rule, trace), atoms_);
+            if (traces == node_traces_.end()) continue;
+            const auto& nodes = present.at(cand.production);
+            std::fill(violated.begin(), violated.end(), 0);
+            for (const auto& [trace, index] : traces->second) {
+                NodeRule rule(asg::rename_rule_at(cand.rule, trace), atoms_);
+                if (!rule.satisfiable) continue;
+                // A world some other node already violates needs no check here.
+                for (std::size_t i = 0; i < words; ++i) fire[i] = nodes[index][i] & ~violated[i];
+                for (auto id : rule.must_hold) {
+                    const auto& set = worlds_holding(id);
+                    for (std::size_t i = 0; i < words; ++i) fire[i] &= set[i];
                 }
-            }
-            auto masks_for = [&](const ExampleWorlds& ew) {
-                Mask mask = 0;
-                for (std::size_t w = 0; w < ew.worlds.size(); ++w) {
-                    const World& world = ew.worlds[w];
-                    const TreeInfo& info = ew.trees[world.tree_index];
-                    auto it = info.nodes.find(cand.production);
-                    if (it == info.nodes.end()) continue;
-                    for (auto index : it->second) {
-                        ++result.stats.coverage_checks;
-                        if (rules[index].fires_in(world, atoms_)) {
-                            mask |= Mask{1} << w;
-                            break;
+                for (auto id : rule.must_lack) {
+                    const auto& set = worlds_holding(id);
+                    for (std::size_t i = 0; i < words; ++i) fire[i] &= ~set[i];
+                }
+                if (rule.open.body.empty() && rule.open.builtins.empty()) {
+                    for (std::size_t i = 0; i < words; ++i) violated[i] |= fire[i];
+                    continue;
+                }
+                WorldClasses& cls = classes_for(rule.open);
+                ++rule_number;
+                for (std::size_t i = 0; i < words; ++i) {
+                    for (Mask bits = fire[i]; bits != 0; bits &= bits - 1) {
+                        std::size_t w = i * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+                        std::uint32_t k = cls.class_of[w];
+                        if (cls.evaluated[k] != rule_number) {
+                            cls.evaluated[k] = rule_number;
+                            ++result.stats.coverage_checks;
+                            const World& world = *worlds[cls.representative[k]];
+                            cls.fires[k] = BodyMatcher(rule.open, world, atoms_).exists_match();
                         }
+                        if (cls.fires[k] != 0) add_world(violated, w);
                     }
                 }
-                return mask;
-            };
-            violates_pos_[c].resize(positive_.size());
-            for (std::size_t e = 0; e < positive_.size(); ++e) {
-                violates_pos_[c][e] = masks_for(positive_[e]);
             }
-            violates_neg_[c].resize(negative_.size());
+            std::size_t first = 0;
+            for (std::size_t e = 0; e < positive_.size(); ++e) {
+                violates_pos_[c][e] = world_run(violated, first, positive_[e].worlds.size());
+                first += positive_[e].worlds.size();
+            }
             for (std::size_t e = 0; e < negative_.size(); ++e) {
-                violates_neg_[c][e] = masks_for(negative_[e]);
+                violates_neg_[c][e] = world_run(violated, first, negative_[e].worlds.size());
+                first += negative_[e].worlds.size();
             }
         }
     }

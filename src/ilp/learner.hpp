@@ -6,10 +6,12 @@
 //  - Fast path, used when S_M is constraint-only: answer sets of the base
 //    program are computed once per example world (parse tree × answer set)
 //    and interned into one atom table; each candidate constraint is renamed
-//    once per parse-tree node and evaluated against those fixed models;
-//    the search is then an exact branch-and-bound set cover over negative
-//    examples' worlds, with positive examples' surviving-world masks as
-//    side constraints.
+//    once per parse-tree node and decided at every world at once: its
+//    ground literals by word operations over sets of worlds, its literals
+//    with variables and its comparisons once per class of worlds that
+//    agree on their predicates; the search is then an exact
+//    branch-and-bound set cover over negative examples' worlds, with
+//    positive examples' surviving-world masks as side constraints.
 //  - General path: CEGIS over a growing relevant-example set with an inner
 //    iterative-deepening subset search; coverage checks run full ASG
 //    membership with the hypothesis spliced in. It also reruns any task
@@ -44,7 +46,12 @@ struct LearnOptions {
 
 struct LearnStats {
     std::size_t candidates = 0;
-    std::size_t coverage_checks = 0;   // membership / world evaluations
+    // General path: one per membership check. Fast path: one per solved
+    // parse tree, plus one per open-body evaluation (a node's literals with
+    // variables and comparisons, run once per class of worlds they read
+    // alike); ground literals are decided by word operations over all
+    // worlds and are not counted.
+    std::size_t coverage_checks = 0;
     std::size_t search_nodes = 0;
     std::size_t pruned_branches = 0;   // candidates skipped by the cost bound
     std::size_t cegis_iterations = 0;  // general path only

@@ -336,9 +336,9 @@ std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, boo
     } else {
         // A miss's verdict step: the PDP (the context and key may come
         // from submit(), under an older hold of the lock and the same
-        // model version).
+        // model version). The slice is moved in; nothing reads it after.
         obs::Phase phase(obs::PhaseId::SrvSolve);
-        permitted = ams_.decide(task.tokens, task.context);
+        permitted = ams_.decide(task.tokens, std::move(task.context));
         if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);
     }
     ams_.pep().enforce(task.tokens, *permitted);

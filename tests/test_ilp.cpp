@@ -313,6 +313,49 @@ TEST(Learner, WorldCapHitFallsBackToTheGeneralPath) {
     EXPECT_TRUE(asg::in_language(learned, tokenize("y"), asp::Program{}));
 }
 
+TEST(Learner, FastPathDecidesEveryWorldOfALearnAlike) {
+    // Every string has three answer sets: {p, u, lvl(1)}, {q, r, lvl(2)}
+    // and {q, u, lvl(2)}. The only rule within cost 2 that rejects c(3)
+    // but keeps c(1) and c(2) is ":- c(N), not lvl(N).", whose answer
+    // differs between worlds of one example, so grouping worlds for the
+    // open body must look at the negated lvl too. The fast path numbers
+    // the worlds of a learn consecutively, positives first: the 21
+    // positives hold worlds 0-62 and the negative's are 63-65, so its
+    // mask spans two 64-bit words.
+    LearningTask task;
+    task.initial = asg::AnswerSetGrammar::parse(R"(
+        s -> "go" { p :- not q. q :- not p. r :- not u. u :- not r. :- p, r.
+                    lvl(1) :- p. lvl(2) :- q. }
+    )");
+    ModeBias bias;
+    for (const char* atom : {"p", "q", "r", "u"}) bias.body.push_back(ModeAtom(atom, {}));
+    bias.body.push_back(ModeAtom("c", {ArgSpec::var("n")}));
+    bias.body.push_back(ModeAtom("lvl", {ArgSpec::var("n")}, asp::kUnannotated, true));
+    bias.max_vars = 1;
+    bias.max_body_atoms = 2;
+    task.space = generate_space(bias, {0});
+    auto context = [](int k) { return asp::parse_program("c(" + std::to_string(k) + ")."); };
+    for (int i = 0; i < 21; ++i) task.positive.emplace_back(tokenize("go"), context(1 + i % 2));
+    task.negative.emplace_back(tokenize("go"), context(3));
+
+    auto fast = learn(task);
+    ASSERT_TRUE(fast.found) << fast.failure_reason;
+    EXPECT_TRUE(fast.stats.used_fast_path);
+    EXPECT_FALSE(fast.stats.world_cap_hit);
+    LearnOptions general_options;
+    general_options.allow_fast_path = false;
+    auto general = learn(task, general_options);
+    ASSERT_TRUE(general.found) << general.failure_reason;
+    EXPECT_EQ(fast.cost, 2);
+    EXPECT_EQ(general.cost, 2);
+    auto learned = task.initial.with_rules(fast.hypothesis);
+    for (const auto& ex : task.positive) {
+        EXPECT_TRUE(asg::in_language(learned, ex.string, ex.context));
+    }
+    EXPECT_FALSE(asg::in_language(learned, task.negative[0].string, task.negative[0].context))
+        << fast.hypothesis_to_string();
+}
+
 TEST(Learner, RespectsAnswerSetSemanticsOnNegatives) {
     // The base annotation has two answer sets ({p} and {q}); rejecting the
     // string requires killing BOTH, which single constraint ":- p." cannot.
@@ -642,7 +685,7 @@ TEST(LearnerDifferential, FastAndGeneralPathsAgreeWithDefinitionThree) {
     constexpr std::size_t kExhaustiveSpace = 12;
     constexpr int kTasks = 120;
     util::Rng rng(20);
-    int tasks = 0, multi_node = 0, cap_hits = 0, exhaustive = 0;
+    int tasks = 0, multi_node = 0, multi_tree = 0, cap_hits = 0, exhaustive = 0;
     int negated = 0, compared = 0, constants = 0;
     for (int attempt = 0; tasks < kTasks && attempt < 4000; ++attempt) {
         std::string text;
@@ -720,8 +763,23 @@ TEST(LearnerDifferential, FastAndGeneralPathsAgreeWithDefinitionThree) {
             ++exhaustive;
             EXPECT_EQ(fast.cost, exhaustive_minimum(task, options.max_cost)) << where;
         }
+        // At a penalty above max_cost no example is worth sacrificing, so
+        // the noisy search must find the strict minimum.
+        LearnOptions noisy_options = options;
+        noisy_options.noise_penalty = options.max_cost + 1;
+        auto noisy = learn(task, noisy_options);
+        ASSERT_TRUE(noisy.found) << noisy.failure_reason << "\n" << where;
+        EXPECT_EQ(noisy.cost, fast.cost) << where;
+        EXPECT_EQ(noisy.violated_examples, 0U) << where;
 
         multi_node += most[static_cast<std::size_t>(target)] >= 2;
+        bool ambiguous = false;
+        for (const auto* group : {&task.positive, &task.negative}) {
+            for (const auto& ex : *group) {
+                ambiguous = ambiguous || cfg::parse_trees(g.grammar(), ex.string).size() >= 2;
+            }
+        }
+        multi_tree += ambiguous;
         cap_hits += fast.stats.world_cap_hit;
         bool neg = false, cmp = false, constant = false;
         for (const auto& c : candidates) {
@@ -738,6 +796,7 @@ TEST(LearnerDifferential, FastAndGeneralPathsAgreeWithDefinitionThree) {
     // The generator reaches every shape it aims at.
     EXPECT_EQ(tasks, kTasks);
     EXPECT_GT(multi_node, 0);
+    EXPECT_GT(multi_tree, 0);
     EXPECT_GT(cap_hits, 0);
     EXPECT_GT(exhaustive, 0);
     EXPECT_GT(negated, 0);
