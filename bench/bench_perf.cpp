@@ -5,7 +5,8 @@
 //   - grounding (facts sweep),
 //   - answer-set solving (choice-space sweep),
 //   - ASG membership (string-length sweep),
-//   - hypothesis-space generation and end-to-end learning (example sweep).
+//   - hypothesis-space generation and end-to-end learning (example sweep),
+//   - the served verdict and the Earley parse on perfbench's model.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include <string_view>
 
 #include "analysis/lint.hpp"
+#include "asg/instantiate.hpp"
 #include "asg/membership.hpp"
 #include "asp/grounder.hpp"
 #include "asp/parser.hpp"
@@ -198,50 +200,60 @@ void BM_LearnCavPolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_LearnCavPolicy)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Complexity();
 
-// One learn shaped like the re-learn behind perfbench's drift_adapt: the
-// XACML bridge over an 8x6x4x6x24 schema (hour is numeric, so most
+// The learn behind perfbench's drift_adapt, and the requests it decides:
+// the XACML bridge over an 8x6x4x6x24 schema (hour is numeric, so most
 // candidates carry a variable and a comparison), 24 background facts that
-// no candidate reads, and 400 sampled requests labelled by a default-permit
-// policy with three deny rules.
-void BM_LearnXacmlBridge(benchmark::State& state) {
-    using xacml::AttributeDef;
-    using xacml::Category;
+// no candidate reads, and 400 sampled requests labelled by a
+// default-permit policy with three deny rules.
+struct XacmlBridgeFixture {
     xacml::Schema schema;
-    schema.attributes.push_back(AttributeDef::categorical(
-        "role", Category::Subject,
-        {"doctor", "nurse", "admin", "guest", "intern", "surgeon", "clerk", "auditor"}));
-    schema.attributes.push_back(AttributeDef::categorical(
-        "dept", Category::Subject, {"cardio", "radio", "er", "icu", "peds", "onco"}));
-    schema.attributes.push_back(AttributeDef::categorical(
-        "action", Category::Action, {"read", "write", "delete", "share"}));
-    schema.attributes.push_back(
-        AttributeDef::categorical("resource", Category::Resource,
-                                  {"record", "report", "image", "lab", "billing", "schedule"}));
-    schema.attributes.push_back(AttributeDef::numeric_range("hour", Category::Environment, 0, 23));
-    const auto& roles = schema.attributes[0].values;
-    const auto& depts = schema.attributes[1].values;
-    util::Rng rng(7);
-    std::string background;
-    for (const auto& r : roles) {
-        background += "seniority(" + r + "," + std::to_string(rng.uniform(1, 9)) + ").\n";
-    }
-    for (const auto& d : depts) {
-        background += "floor(" + d + "," + std::to_string(rng.uniform(0, 7)) + ").\n";
-    }
-    for (int i = 0; i < 10; ++i) {
-        background += "oncall(" + rng.choice(roles) + "," + rng.choice(depts) + ").\n";
-    }
-    xacml::BridgeOptions options;
-    options.background = asp::parse_program(background);
-    auto bridge = xacml::make_bridge(schema, options);
-    auto policy =
-        xacml::default_permit_family(schema, {.deny_rules = 3, .matches_per_rule = 2, .seed = 11});
-    auto log = xacml::evaluate_batch(policy, xacml::sample_requests(schema, 400, rng));
-    auto task = xacml::make_task(bridge, log);
+    asp::Program background;
+    ilp::LearningTask task;
+    std::vector<xacml::Request> requests;
 
+    XacmlBridgeFixture() {
+        using xacml::AttributeDef;
+        using xacml::Category;
+        schema.attributes.push_back(AttributeDef::categorical(
+            "role", Category::Subject,
+            {"doctor", "nurse", "admin", "guest", "intern", "surgeon", "clerk", "auditor"}));
+        schema.attributes.push_back(AttributeDef::categorical(
+            "dept", Category::Subject, {"cardio", "radio", "er", "icu", "peds", "onco"}));
+        schema.attributes.push_back(AttributeDef::categorical(
+            "action", Category::Action, {"read", "write", "delete", "share"}));
+        schema.attributes.push_back(
+            AttributeDef::categorical("resource", Category::Resource,
+                                      {"record", "report", "image", "lab", "billing", "schedule"}));
+        schema.attributes.push_back(AttributeDef::numeric_range("hour", Category::Environment, 0, 23));
+        const auto& roles = schema.attributes[0].values;
+        const auto& depts = schema.attributes[1].values;
+        util::Rng rng(7);
+        std::string text;
+        for (const auto& r : roles) {
+            text += "seniority(" + r + "," + std::to_string(rng.uniform(1, 9)) + ").\n";
+        }
+        for (const auto& d : depts) {
+            text += "floor(" + d + "," + std::to_string(rng.uniform(0, 7)) + ").\n";
+        }
+        for (int i = 0; i < 10; ++i) {
+            text += "oncall(" + rng.choice(roles) + "," + rng.choice(depts) + ").\n";
+        }
+        background = asp::parse_program(text);
+        xacml::BridgeOptions options;
+        options.background = background;
+        auto bridge = xacml::make_bridge(schema, options);
+        auto policy = xacml::default_permit_family(
+            schema, {.deny_rules = 3, .matches_per_rule = 2, .seed = 11});
+        requests = xacml::sample_requests(schema, 400, rng);
+        task = xacml::make_task(bridge, xacml::evaluate_batch(policy, requests));
+    }
+};
+
+void BM_LearnXacmlBridge(benchmark::State& state) {
+    XacmlBridgeFixture fixture;
     ilp::LearnResult result;
     for (auto _ : state) {
-        result = ilp::learn(task);
+        result = ilp::learn(fixture.task);
         benchmark::DoNotOptimize(result.found);
     }
     if (!result.found) state.SkipWithError(result.failure_reason.c_str());
@@ -249,6 +261,76 @@ void BM_LearnXacmlBridge(benchmark::State& state) {
     state.counters["coverage_checks"] = static_cast<double>(result.stats.coverage_checks);
 }
 BENCHMARK(BM_LearnXacmlBridge)->Unit(benchmark::kMillisecond);
+
+// A served miss on the model perfbench serves: the learned model plus the
+// root constraint `:- role(R)@1, suspended(R).`, under the background and
+// two suspended roles. One iteration decides the 400 requests with
+// asg::accepts. The counters give rules and ground rules per parse tree
+// for G(C)[PT] as written (literal), under the relevant context (sliced)
+// and as accepts grounds it (served).
+void BM_AsgAcceptsXacmlBridge(benchmark::State& state) {
+    XacmlBridgeFixture fixture;
+    auto learned = ilp::learn(fixture.task);
+    if (!learned.found) {
+        state.SkipWithError(learned.failure_reason.c_str());
+        return;
+    }
+    auto model = fixture.task.initial.with_rules(learned.hypothesis)
+                     .with_rules({{asp::parse_rule(":- role(R)@1, suspended(R)."), 0}});
+    asp::Program context = fixture.background;
+    context.append(asp::parse_program("suspended(nurse). suspended(intern)."));
+    std::vector<cfg::TokenString> requests;
+    for (const auto& r : fixture.requests) requests.push_back(xacml::request_tokens(fixture.schema, r));
+
+    double trees = 0, literal = 0, sliced = 0, served = 0;
+    double literal_ground = 0, sliced_ground = 0, served_ground = 0;
+    auto count = [](const asp::Program& p, double& rules, double& ground) {
+        rules += static_cast<double>(p.size());
+        ground += static_cast<double>(asp::ground(p).rules().size());
+    };
+    asp::Program slice = asg::relevant_context(model, context);
+    for (const auto& tokens : requests) {
+        if (asg::accepts(model, tokens, context) != asg::in_language(model, tokens, context)) {
+            state.SkipWithError("asg::accepts disagrees with asg::in_language");
+            return;
+        }
+        for (const auto& tree : cfg::parse_trees(model.grammar(), tokens)) {
+            ++trees;
+            count(asg::instantiate(model, tree, context), literal, literal_ground);
+            count(asg::instantiate(model, tree, slice), sliced, sliced_ground);
+            count(asg::instantiate_relevant(model, tree, slice), served, served_ground);
+        }
+    }
+    for (auto _ : state) {
+        for (const auto& tokens : requests) benchmark::DoNotOptimize(asg::accepts(model, tokens, context));
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(requests.size()));
+    state.counters["rules_literal"] = literal / trees;
+    state.counters["rules_sliced"] = sliced / trees;
+    state.counters["rules_served"] = served / trees;
+    state.counters["ground_literal"] = literal_ground / trees;
+    state.counters["ground_sliced"] = sliced_ground / trees;
+    state.counters["ground_served"] = served_ground / trees;
+}
+BENCHMARK(BM_AsgAcceptsXacmlBridge)->Unit(benchmark::kMillisecond);
+
+// The Earley parse alone (chart and tree extraction) of the same 400
+// requests over the bridge grammar.
+void BM_EarleyXacmlBridge(benchmark::State& state) {
+    XacmlBridgeFixture fixture;
+    const auto& grammar = fixture.task.initial.grammar();
+    std::vector<cfg::TokenString> requests;
+    for (const auto& r : fixture.requests) requests.push_back(xacml::request_tokens(fixture.schema, r));
+    std::size_t trees = 0;
+    for (auto _ : state) {
+        trees = 0;
+        for (const auto& tokens : requests) trees += cfg::parse_trees(grammar, tokens).size();
+        benchmark::DoNotOptimize(trees);
+    }
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(requests.size()));
+    state.counters["trees_per_request"] = static_cast<double>(trees) / static_cast<double>(requests.size());
+}
+BENCHMARK(BM_EarleyXacmlBridge)->Unit(benchmark::kMicrosecond);
 
 // --- static analysis (agenp lint) -------------------------------------------
 

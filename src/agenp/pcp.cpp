@@ -189,8 +189,7 @@ PolicyCheckingPoint::ViolationReport PolicyCheckingPoint::detect_violations(
     ViolationReport report;
     for (std::size_t i = 0; i < forbidden.size(); ++i) {
         const auto& example = forbidden[i];
-        if (asg::in_language(model, example.string, asg::relevant_context(model, example.context),
-                             options)) {
+        if (asg::accepts(model, example.string, example.context, options)) {
             report.violated.push_back(i);
         }
     }

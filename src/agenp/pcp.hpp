@@ -105,8 +105,7 @@ public:
         const asg::AnswerSetGrammar& model, const analysis::LintOptions& options = {});
 
     // Violation detector: forbidden strings the model must NOT accept, each
-    // checked under the part of its context the model reads
-    // (asg::relevant_context).
+    // decided by the served verdict (asg::accepts).
     struct ViolationReport {
         std::vector<std::size_t> violated;  // indices into `forbidden`
 

@@ -71,14 +71,17 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, asp::Program c
                                  const PolicyRepository& repo) const {
     obs::Phase phase(obs::PhaseId::PdpDecide);
 
-    // The memo pointer rides on a per-call copy so `decide` stays const
-    // (MembershipOptions is a small value; the copy is a handful of words).
-    asg::MembershipOptions options = options_;
-    options.memo = memo_;
-    // Membership decides under the part of the context the model reads
-    // (asg::relevant_context): the same verdict, without grounding copies
-    // of facts no rule reads at every node.
-    auto relevant = [&] { return asg::relevant_context(model, std::move(context)); };
+    // Membership serves asg::accepts: the literal verdict, grounded over
+    // the rules it can depend on. With a grounding memo installed it keeps
+    // the memo's path, under the relevant context; the memo pointer rides
+    // on a per-call copy so `decide` stays const.
+    auto member = [&] {
+        if (memo_ == nullptr) return asg::accepts(model, request, std::move(context), options_);
+        asg::MembershipOptions options = options_;
+        options.memo = memo_;
+        return asg::in_language(model, request, asg::relevant_context(model, std::move(context)),
+                                options);
+    };
 
     bool permitted = false;
     switch (strategy_) {
@@ -88,7 +91,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, asp::Program c
             // absence from the repository is inconclusive: fall back to the
             // authoritative membership check instead of silently denying.
             if (!permitted && repo.truncated()) {
-                permitted = asg::in_language(model, request, relevant(), options);
+                permitted = member();
                 if (obs::metrics_enabled()) {
                     static obs::Counter& fallbacks =
                         obs::metrics().counter("srv.repository_fallbacks");
@@ -98,7 +101,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, asp::Program c
             break;
         }
         case DecisionStrategy::Membership:
-            permitted = asg::in_language(model, request, relevant(), options);
+            permitted = member();
             break;
     }
     if (obs::metrics_enabled()) {

@@ -52,6 +52,23 @@ MembershipResult check_membership(const AnswerSetGrammar& grammar, const cfg::To
 asp::Program relevant_context(const AnswerSetGrammar& grammar, asp::Program context,
                               const std::vector<util::Symbol>& extra_reads = {});
 
+// G(C)[PT] cut to the rules a verdict can depend on: the rules of
+// instantiate(grammar, tree, context) that a constraint or a rule with a
+// negated literal reaches through rule bodies, in order. The closure is
+// relevant_context's, seeded with nothing and matching the namespaced
+// names instantiate gives every atom ("p@1.2"). Every dropped rule is
+// definite and no kept rule reads its head, so by the argument above the
+// result has an answer set iff G(C)[PT] has one.
+asp::Program instantiate_relevant(const AnswerSetGrammar& grammar, const cfg::ParseNode& tree,
+                                  const asp::Program& context);
+
+// The verdict the PDP and the PCP serve: in_language(grammar, tokens,
+// context), computed over less. It slices `context` with relevant_context
+// and grounds and solves instantiate_relevant for each parse tree.
+// Ignores options.memo.
+bool accepts(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens, asp::Program context,
+             const MembershipOptions& options = {});
+
 // Convenience wrapper.
 bool in_language(const AnswerSetGrammar& grammar, const cfg::TokenString& tokens,
                  const asp::Program& context = {}, const MembershipOptions& options = {});

@@ -1,8 +1,8 @@
 #include "cfg/earley.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <array>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
@@ -29,68 +29,132 @@ std::string ParseNode::to_string() const {
 
 namespace {
 
+// Open addressing with linear probing over four-int keys, for the chart's
+// items and the tree builder's spans: one parse allocates a few flat arrays
+// instead of one tree node per item and per memoized subtree.
+class FlatIndex {
+public:
+    using Key = std::array<std::int32_t, 4>;
+
+    // The value under `key`, after inserting `value` there if the key was
+    // absent; `.second` is true when it inserted.
+    std::pair<std::uint32_t, bool> emplace(const Key& key, std::uint32_t value) {
+        if (2 * (size_ + 1) > slots_.size()) grow();
+        Slot& slot = slots_[find_slot(key)];
+        if (slot.value != kEmpty) return {slot.value, false};
+        slot = {key, value};
+        ++size_;
+        return {value, true};
+    }
+
+private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+    struct Slot {
+        Key key{};
+        std::uint32_t value = kEmpty;
+    };
+
+    // The slot holding `key`, or the empty slot where it would go.
+    [[nodiscard]] std::size_t find_slot(const Key& key) const {
+        std::uint64_t h = 0;
+        for (std::int32_t k : key) h = (h ^ static_cast<std::uint32_t>(k)) * 0x9e3779b97f4a7c15ull;
+        std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = (h >> 32) & mask;; i = (i + 1) & mask) {
+            if (slots_[i].value == kEmpty || slots_[i].key == key) return i;
+        }
+    }
+
+    void grow() {
+        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+        old.swap(slots_);
+        for (const Slot& slot : old) {
+            if (slot.value != kEmpty) slots_[find_slot(slot.key)] = slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+};
+
 struct State {
     int prod;
     int dot;
     int origin;
-
-    friend auto operator<=>(const State&, const State&) = default;
 };
 
-// The Earley chart plus the completed-span table used for tree extraction.
+// A completed item: production `prod`, whose lhs is `lhs`, derives tokens
+// [start, end).
+struct Span {
+    std::uint32_t lhs;  // Symbol id
+    int start;
+    int end;
+    int prod;
+
+    friend auto operator<=>(const Span&, const Span&) = default;
+};
+
 struct Chart {
-    // completed[(lhs production, start)] -> ends
-    std::map<std::pair<int, int>, std::set<int>> completed;
+    // Sorted, so the spans of one nonterminal from one start are one run,
+    // ascending by end and then by production.
+    std::vector<Span> completed;
     bool accepted = false;
+
+    [[nodiscard]] std::span<const Span> from(Symbol nt, int start) const {
+        auto before = [](const Span& a, const Span& b) {
+            return std::pair(a.lhs, a.start) < std::pair(b.lhs, b.start);
+        };
+        auto [first, last] =
+            std::equal_range(completed.begin(), completed.end(), Span{nt.id(), start, 0, 0}, before);
+        return {first, last};
+    }
 };
 
 Chart run_earley(const Grammar& g, const TokenString& tokens) {
     obs::Phase phase(obs::PhaseId::CfgParse);
-    auto nullable_list = g.nullable_nonterminals();
-    std::set<Symbol> nullable(nullable_list.begin(), nullable_list.end());
-
     int n = static_cast<int>(tokens.size());
-    std::vector<std::vector<State>> chart(static_cast<std::size_t>(n) + 1);
-    std::vector<std::set<State>> seen(static_cast<std::size_t>(n) + 1);
-
-    std::size_t chart_items = 0;
-    std::size_t completions = 0;
+    // The chart is one array: the items of position i are items[first[i],
+    // first[i + 1]). Scans into i + 1 wait in `scanned` until i is done.
+    std::vector<State> items;
+    std::vector<std::size_t> first{0};
+    std::vector<State> scanned;
+    FlatIndex seen;  // (position, production, dot, origin)
+    auto is_new = [&](int position, State s) {
+        return seen.emplace({position, s.prod, s.dot, s.origin}, 0).second;
+    };
     auto add = [&](int position, State s) {
-        if (seen[static_cast<std::size_t>(position)].insert(s).second) {
-            chart[static_cast<std::size_t>(position)].push_back(s);
-            ++chart_items;
-        }
+        if (is_new(position, s)) items.push_back(s);
     };
 
     for (int p : g.productions_for(g.start())) add(0, {p, 0, 0});
 
     Chart result;
     for (int i = 0; i <= n; ++i) {
-        // Worklist over chart[i]; completion and prediction may append.
-        for (std::size_t k = 0; k < chart[static_cast<std::size_t>(i)].size(); ++k) {
-            State s = chart[static_cast<std::size_t>(i)][k];
+        // Worklist over position i; completion and prediction may append.
+        for (std::size_t k = first.back(); k < items.size(); ++k) {
+            State s = items[k];
             const auto& prod = g.production(s.prod);
             if (s.dot < static_cast<int>(prod.rhs.size())) {
                 const GSym& next = prod.rhs[static_cast<std::size_t>(s.dot)];
                 if (next.terminal) {
                     // Scan.
-                    if (i < n && tokens[static_cast<std::size_t>(i)] == next.name) {
-                        add(i + 1, {s.prod, s.dot + 1, s.origin});
+                    State t{s.prod, s.dot + 1, s.origin};
+                    if (i < n && tokens[static_cast<std::size_t>(i)] == next.name && is_new(i + 1, t)) {
+                        scanned.push_back(t);
                     }
                 } else {
                     // Predict (+ nullable fix: advance over nullable nonterminals).
                     for (int p : g.productions_for(next.name)) add(i, {p, 0, i});
-                    if (nullable.contains(next.name)) add(i, {s.prod, s.dot + 1, s.origin});
+                    if (g.is_nullable(next.name)) add(i, {s.prod, s.dot + 1, s.origin});
                 }
             } else {
-                // Complete.
-                ++completions;
-                result.completed[{s.prod, s.origin}].insert(i);
-                // By index and by value: an empty completion (origin == i)
-                // appends to the very list it scans.
-                const std::vector<State>& waiting = chart[static_cast<std::size_t>(s.origin)];
-                for (std::size_t w = 0; w < waiting.size(); ++w) {
-                    State t = waiting[w];
+                // Complete. Items are unique, so each span is recorded once.
+                result.completed.push_back({prod.lhs.id(), s.origin, i, s.prod});
+                // By index: an empty completion (origin == i) appends to the
+                // very position it scans.
+                auto origin = static_cast<std::size_t>(s.origin);
+                auto waiting_end = [&] { return s.origin < i ? first[origin + 1] : items.size(); };
+                for (std::size_t w = first[origin]; w < waiting_end(); ++w) {
+                    State t = items[w];
                     const auto& tp = g.production(t.prod);
                     if (t.dot < static_cast<int>(tp.rhs.size()) &&
                         !tp.rhs[static_cast<std::size_t>(t.dot)].terminal &&
@@ -100,25 +164,24 @@ Chart run_earley(const Grammar& g, const TokenString& tokens) {
                 }
             }
         }
+        first.push_back(items.size());
+        items.insert(items.end(), scanned.begin(), scanned.end());
+        scanned.clear();
     }
 
-    for (int p : g.productions_for(g.start())) {
-        auto it = result.completed.find({p, 0});
-        if (it != result.completed.end() && it->second.contains(n)) {
-            result.accepted = true;
-            break;
-        }
-    }
+    std::sort(result.completed.begin(), result.completed.end());
+    auto whole = result.from(g.start(), 0);
+    result.accepted = std::any_of(whole.begin(), whole.end(), [&](const Span& s) { return s.end == n; });
 
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
         static obs::Counter& parses = m.counter("cfg.earley.parses");
-        static obs::Counter& items = m.counter("cfg.earley.chart_items");
+        static obs::Counter& chart_items = m.counter("cfg.earley.chart_items");
         static obs::Counter& completed = m.counter("cfg.earley.completions");
         static obs::Counter& accepted = m.counter("cfg.earley.accepted");
         parses.add(1);
-        items.add(chart_items);
-        completed.add(completions);
+        chart_items.add(items.size());
+        completed.add(result.completed.size());
         if (result.accepted) accepted.add(1);
     }
     return result;
@@ -130,33 +193,47 @@ public:
     TreeBuilder(const Grammar& g, const TokenString& tokens, const Chart& chart, std::size_t max_trees)
         : g_(g), tokens_(tokens), chart_(chart), budget_(max_trees) {}
 
+    // Nothing asks for the whole span once it is built, so it is not
+    // memoized.
     std::vector<ParseNode> build_start() {
-        return build_nonterminal(g_.start(), 0, static_cast<int>(tokens_.size()));
+        return build_nonterminal(g_.start(), 0, static_cast<int>(tokens_.size()), false);
     }
 
 private:
-    // Trees for nonterminal `nt` spanning [i, j). Memoized per span; spans
-    // whose computation was clipped by the cycle guard are not cached (their
-    // result depends on the recursion context).
-    std::vector<ParseNode> build_nonterminal(Symbol nt, int i, int j) {
-        auto key = std::make_tuple(nt, i, j);
-        if (auto it = memo_.find(key); it != memo_.end()) return it->second;
+    // One (nonterminal, i, j) the builder has met. Spans whose computation
+    // was clipped by the cycle guard are not memoized (their result depends
+    // on the recursion context); they go back to Open.
+    struct Memo {
+        enum { Open, Active, Done } state = Open;
+        std::vector<ParseNode> trees;
+    };
+
+    // Trees for nonterminal `nt` spanning [i, j).
+    std::vector<ParseNode> build_nonterminal(Symbol nt, int i, int j, bool memoize = true) {
+        auto [index, inserted] = spans_.emplace({static_cast<std::int32_t>(nt.id()), i, j, 0},
+                                                static_cast<std::uint32_t>(memo_.size()));
+        if (inserted) memo_.emplace_back();
+        // By index: the recursion below may grow memo_.
+        if (memo_[index].state == Memo::Done) return memo_[index].trees;
         std::vector<ParseNode> out;
-        if (active_.contains(key)) {  // cut cyclic unit derivations
+        if (memo_[index].state == Memo::Active) {  // cut cyclic unit derivations
             ++guard_cuts_;
             return out;
         }
-        active_.insert(key);
+        memo_[index].state = Memo::Active;
         int cuts_before = guard_cuts_;
-        for (int p : g_.productions_for(nt)) {
-            auto it = chart_.completed.find({p, i});
-            if (it == chart_.completed.end() || !it->second.contains(j)) continue;
+        for (const Span& span : chart_.from(nt, i)) {
+            if (span.end != j) continue;
             std::vector<ParseNode> prefix_children;
-            expand(p, 0, i, j, prefix_children, out);
+            prefix_children.reserve(g_.production(span.prod).rhs.size());
+            expand(span.prod, 0, i, j, prefix_children, out);
             if (out.size() >= budget_) break;
         }
-        active_.erase(key);
-        if (guard_cuts_ == cuts_before) memo_.emplace(key, out);
+        if (guard_cuts_ == cuts_before && memoize) {
+            memo_[index] = {Memo::Done, out};
+        } else {
+            memo_[index].state = Memo::Open;
+        }
         return out;
     }
 
@@ -185,17 +262,14 @@ private:
             }
             return;
         }
-        // Nonterminal: try every recorded end for any of its productions.
-        std::set<int> ends;
-        for (int q : g_.productions_for(sym.name)) {
-            auto it = chart_.completed.find({q, at});
-            if (it != chart_.completed.end()) {
-                for (int e : it->second) {
-                    if (e <= j) ends.insert(e);
-                }
-            }
-        }
-        for (int e : ends) {
+        // Nonterminal: try every recorded end for any of its productions,
+        // ascending and once each.
+        int last_end = -1;
+        for (const Span& span : chart_.from(sym.name, at)) {
+            if (span.end > j) break;
+            if (span.end == last_end) continue;
+            last_end = span.end;
+            int e = span.end;
             auto subtrees = build_nonterminal(sym.name, at, e);
             for (auto& sub : subtrees) {
                 children.push_back(std::move(sub));
@@ -210,8 +284,8 @@ private:
     const TokenString& tokens_;
     const Chart& chart_;
     std::size_t budget_;
-    std::set<std::tuple<Symbol, int, int>> active_;
-    std::map<std::tuple<Symbol, int, int>, std::vector<ParseNode>> memo_;
+    FlatIndex spans_;  // (nonterminal, i, j) -> index into memo_
+    std::vector<Memo> memo_;
     int guard_cuts_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "cfg/grammar.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/strings.hpp"
 
@@ -125,7 +124,26 @@ int Grammar::add_production(Production p) {
     } else {
         it->second.push_back(index);
     }
+    // A production can only add nullables. When its lhs becomes one, so can
+    // the lhs of any earlier production that waited on it: close over all.
+    auto derives_empty = [&](const Production& q) {
+        return !is_nullable(q.lhs) && std::all_of(q.rhs.begin(), q.rhs.end(), [&](const GSym& s) {
+                   return !s.terminal && is_nullable(s.name);
+               });
+    };
+    for (bool changed = derives_empty(productions_.back()); changed;) {
+        changed = false;
+        for (const auto& q : productions_) {
+            if (!derives_empty(q)) continue;
+            nullable_.insert(std::lower_bound(nullable_.begin(), nullable_.end(), q.lhs), q.lhs);
+            changed = true;
+        }
+    }
     return index;
+}
+
+bool Grammar::is_nullable(Symbol nt) const {
+    return std::binary_search(nullable_.begin(), nullable_.end(), nt);
 }
 
 const std::vector<int>& Grammar::productions_for(Symbol nt) const {
@@ -136,25 +154,6 @@ const std::vector<int>& Grammar::productions_for(Symbol nt) const {
 }
 
 bool Grammar::is_nonterminal(Symbol s) const { return !productions_for(s).empty(); }
-
-std::vector<Symbol> Grammar::nullable_nonterminals() const {
-    std::set<Symbol> nullable;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (const auto& p : productions_) {
-            if (nullable.contains(p.lhs)) continue;
-            bool all_nullable = std::all_of(p.rhs.begin(), p.rhs.end(), [&](const GSym& s) {
-                return !s.terminal && nullable.contains(s.name);
-            });
-            if (all_nullable) {
-                nullable.insert(p.lhs);
-                changed = true;
-            }
-        }
-    }
-    return {nullable.begin(), nullable.end()};
-}
 
 std::string Grammar::to_string() const {
     std::string out;

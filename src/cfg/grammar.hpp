@@ -79,8 +79,10 @@ public:
 
     [[nodiscard]] bool is_nonterminal(Symbol s) const;
 
-    // Nonterminals that can derive the empty string.
-    [[nodiscard]] std::vector<Symbol> nullable_nonterminals() const;
+    // Nonterminals that can derive the empty string, sorted by Symbol and
+    // kept current by add_production.
+    [[nodiscard]] const std::vector<Symbol>& nullable_nonterminals() const { return nullable_; }
+    [[nodiscard]] bool is_nullable(Symbol nt) const;
 
     [[nodiscard]] std::string to_string() const;
 
@@ -89,6 +91,7 @@ private:
     std::vector<Production> productions_;
     // lhs -> production indices, kept current by add_production.
     std::vector<std::pair<Symbol, std::vector<int>>> by_lhs_;
+    std::vector<Symbol> nullable_;  // sorted
 };
 
 }  // namespace agenp::cfg

@@ -38,59 +38,64 @@ std::uint64_t heap_block(std::size_t n) {
 }  // namespace
 
 std::uint64_t DecisionCache::entry_bytes(std::size_t key_size) {
-    // The LRU list node (two links and the Entry), the index node (a link,
-    // the key view with its list iterator, and the cached hash) with one
-    // bucket slot, and the key text's block unless it fits inline.
+    // The LRU list node (two links and the Entry), the index node (a link
+    // and the hash with its list iterator; libstdc++ caches no hash code
+    // for an integer key) with one bucket slot, and the key text's block
+    // unless it fits inline.
     constexpr std::size_t kListNode = 2 * sizeof(void*) + sizeof(Entry);
     constexpr std::size_t kIndexNode =
-        sizeof(void*) + sizeof(std::pair<const std::string_view, std::list<Entry>::iterator>) +
-        sizeof(std::size_t);
+        sizeof(void*) + sizeof(std::pair<const std::uint64_t, std::list<Entry>::iterator>);
     static const std::size_t inline_chars = std::string().capacity();
     std::uint64_t bytes = heap_block(kListNode) + heap_block(kIndexNode) + sizeof(void*);
     if (key_size > inline_chars) bytes += heap_block(key_size + 1);
     return bytes;
 }
 
-void DecisionCache::erase_entry(Shard& shard, std::list<Entry>::iterator it) {
+void DecisionCache::erase_entry(Shard& shard, std::uint64_t hash, std::list<Entry>::iterator it) {
     shard.bytes -= entry_bytes(it->text.size());
-    shard.index.erase(it->text);
+    shard.index.erase(hash);
     shard.lru.erase(it);
+}
+
+void DecisionCache::add_entry(Shard& shard, std::uint64_t hash, Entry entry, bool hot) {
+    if (auto it = shard.index.find(hash); it != shard.index.end()) erase_entry(shard, hash, it->second);
+    shard.bytes += entry_bytes(entry.text.size());
+    auto at = hot ? shard.lru.begin() : shard.lru.end();
+    shard.index.emplace(hash, shard.lru.insert(at, std::move(entry)));
 }
 
 std::optional<bool> DecisionCache::lookup(const CacheKey& key, std::uint64_t model_version) {
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
-    auto it = shard.index.find(key.text);
-    if (it == shard.index.end()) {
+    auto it = shard.index.find(key.hash);
+    if (it == shard.index.end() || it->second->text != key.text) {
         ++shard.misses;
         return std::nullopt;
     }
-    if (it->second->version != model_version) {
-        erase_entry(shard, it->second);
+    if (it->second->version() != model_version) {
+        erase_entry(shard, key.hash, it->second);
         ++shard.invalidations;
         ++shard.misses;
         return std::nullopt;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     ++shard.hits;
-    return it->second->permitted;
+    return it->second->permitted();
 }
 
 void DecisionCache::insert(const CacheKey& key, std::uint64_t model_version, bool permitted) {
     {
         Shard& shard = shard_for(key.hash);
         obs::ProfiledMutexLock lock(shard.mu);
-        if (auto it = shard.index.find(key.text); it != shard.index.end()) {
-            it->second->version = model_version;
-            it->second->permitted = permitted;
+        if (auto it = shard.index.find(key.hash); it != shard.index.end() && it->second->text == key.text) {
+            it->second->stamp = stamp(model_version, permitted);
             shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         } else {
-            shard.lru.push_front({key.text, model_version, permitted});
-            shard.index.emplace(shard.lru.front().text, shard.lru.begin());
-            shard.bytes += entry_bytes(key.text.size());
+            add_entry(shard, key.hash, {key.text, stamp(model_version, permitted)}, /*hot=*/true);
             ++shard.insertions;
             while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
-                erase_entry(shard, std::prev(shard.lru.end()));
+                auto coldest = std::prev(shard.lru.end());
+                erase_entry(shard, util::fnv1a_hash(coldest->text), coldest);
                 ++shard.evictions;
             }
         }
@@ -104,7 +109,7 @@ std::vector<CacheEntry> DecisionCache::export_entries() const {
     for (const auto& shard : shards_) {
         obs::ProfiledMutexLock lock(shard->mu);
         for (const auto& entry : shard->lru) {
-            out.push_back({entry.text, entry.version, entry.permitted});
+            out.push_back({entry.text, entry.version(), entry.permitted()});
         }
     }
     return out;
@@ -116,11 +121,10 @@ DecisionCache::RestoreCounts DecisionCache::restore_entries(const std::vector<Ca
         std::uint64_t hash = util::fnv1a_hash(entry.text);
         Shard& shard = shard_for(hash);
         obs::ProfiledMutexLock lock(shard.mu);
-        if (auto it = shard.index.find(entry.text); it != shard.index.end()) {
+        if (auto it = shard.index.find(hash); it != shard.index.end() && it->second->text == entry.text) {
             // Duplicate key: a WAL record replayed over its snapshot
             // entry. The later record wins; it counts as the same entry.
-            it->second->version = entry.model_version;
-            it->second->permitted = entry.permitted;
+            it->second->stamp = stamp(entry.model_version, entry.permitted);
             continue;
         }
         // Append at the cold end so hottest-first input keeps its LRU
@@ -131,9 +135,7 @@ DecisionCache::RestoreCounts DecisionCache::restore_entries(const std::vector<Ca
             ++counts.skipped;
             continue;
         }
-        shard.lru.push_back({entry.text, entry.model_version, entry.permitted});
-        shard.index.emplace(shard.lru.back().text, std::prev(shard.lru.end()));
-        shard.bytes += bytes;
+        add_entry(shard, hash, {entry.text, stamp(entry.model_version, entry.permitted)}, /*hot=*/false);
         ++counts.restored;
     }
     return counts;

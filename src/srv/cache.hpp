@@ -64,7 +64,9 @@ struct CacheStats {
 };
 
 // Precomputed key: callers hash once and reuse it for the lookup and the
-// insert that follows a miss.
+// insert that follows a miss. `hash` is util::fnv1a_hash(text), as
+// make_key computes it; the cache hashes an entry's text again only to
+// evict it.
 struct CacheKey {
     std::uint64_t hash = 0;
     std::string text;  // request tokens + '\x1f' + context program
@@ -116,15 +118,22 @@ public:
 private:
     struct Entry {
         std::string text;
-        std::uint64_t version = 0;
-        bool permitted = false;
+        std::uint64_t stamp = 0;  // model version << 1 | permitted
+
+        [[nodiscard]] std::uint64_t version() const { return stamp >> 1; }
+        [[nodiscard]] bool permitted() const { return (stamp & 1) != 0; }
     };
+    static std::uint64_t stamp(std::uint64_t model_version, bool permitted) {
+        return model_version << 1 | static_cast<std::uint64_t>(permitted);
+    }
     struct Shard {
         // All shard locks report aggregate contention as "srv.cache_shard".
         obs::ProfiledMutex mu{"srv.cache_shard"};
         std::list<Entry> lru GUARDED_BY(mu);  // front = most recently used
-        // Views into the stable list nodes' `text`.
-        std::unordered_map<std::string_view, std::list<Entry>::iterator> index GUARDED_BY(mu);
+        // Keyed on CacheKey::hash; a probe compares the entry's text, so a
+        // collision reads as a miss, and of two keys with one hash only the
+        // later inserted is kept.
+        std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index GUARDED_BY(mu);
         std::uint64_t bytes GUARDED_BY(mu) = 0;
         std::uint64_t hits GUARDED_BY(mu) = 0;
         std::uint64_t misses GUARDED_BY(mu) = 0;
@@ -134,7 +143,10 @@ private:
     };
 
     Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
-    void erase_entry(Shard& shard, std::list<Entry>::iterator it) REQUIRES(shard.mu);
+    void erase_entry(Shard& shard, std::uint64_t hash, std::list<Entry>::iterator it) REQUIRES(shard.mu);
+    // Inserts a new entry at the hot or the cold end of the LRU list,
+    // replacing an entry whose key shares `hash`.
+    void add_entry(Shard& shard, std::uint64_t hash, Entry entry, bool hot) REQUIRES(shard.mu);
     // What one entry with a key of `key_size` chars costs the heap: the
     // budget and stats().bytes count this.
     static std::uint64_t entry_bytes(std::size_t key_size);

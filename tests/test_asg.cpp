@@ -461,9 +461,57 @@ TEST(RelevantContext, HandWrittenCasesKeepTheLiteralVerdict) {
     same_verdict("q(9).", false);   // q@2(9), copied into the child node
 }
 
-// Sliced ≡ literal G(C)[PT], over random grammars and contexts with unread
-// facts, chains, constraints, negation loops and @1 atoms. Sized like
-// Memo.RandomGrammarsAgreeWithPlainMembership. Each grammar with a
+// The rules of G(C)[PT] for the one parse tree of `text`, printed one per
+// line with their namespaces: all of them (literal) or the served cut
+// (instantiate_relevant).
+std::string tree_program(const AnswerSetGrammar& g, const char* text, const asp::Program& context,
+                         bool served) {
+    auto trees = cfg::parse_trees(g.grammar(), tokenize(text));
+    EXPECT_EQ(trees.size(), 1u) << text;
+    if (trees.empty()) return "";
+    return (served ? instantiate_relevant(g, trees[0], context) : instantiate(g, trees[0], context))
+        .to_string();
+}
+
+TEST(ServedVerdict, ContextFactReadOnlyAtTheRootStaysOnlyThere) {
+    // The root reads r/1 in its own namespace; the child reads nothing, so
+    // the child's copy of r(1) goes and the root's stays.
+    auto g = AnswerSetGrammar::parse(kSliceAsg);
+    auto context = asp::parse_program("r(1).");
+    EXPECT_EQ(tree_program(g, "go x", context, false), ":- r@(1).\n:- q@2(X), X > 5.\nr@(1).\nr@2(1).\n");
+    EXPECT_EQ(tree_program(g, "go x", context, true), ":- r@(1).\n:- q@2(X), X > 5.\nr@(1).\n");
+    EXPECT_FALSE(in_language(g, tokenize("go x"), context));
+    EXPECT_FALSE(accepts(g, tokenize("go x"), context));
+    EXPECT_TRUE(accepts(g, tokenize("go x"), asp::parse_program("r(2).")));
+}
+
+TEST(ServedVerdict, AnnotatedHeadInAParentThatAChildReads) {
+    // The parent derives p(1) into its child's namespace, ahead of the
+    // child's constraint that reads it: only the closure keeps it.
+    auto g = AnswerSetGrammar::parse(R"(
+        s -> t "go" { p(1)@1. w(1). }
+        t -> "x" { :- p(1). }
+    )");
+    EXPECT_EQ(tree_program(g, "x go", {}, false), "p@1(1).\nw@(1).\n:- p@1(1).\n");
+    EXPECT_EQ(tree_program(g, "x go", {}, true), "p@1(1).\n:- p@1(1).\n");
+    EXPECT_FALSE(in_language(g, tokenize("x go")));
+    EXPECT_FALSE(accepts(g, tokenize("x go"), {}));
+}
+
+TEST(ServedVerdict, UnreadOddLoopInAChildStillRejects) {
+    // Nothing reads q, but `q :- not q.` leaves G(C)[PT] no answer set.
+    auto g = AnswerSetGrammar::parse(R"(
+        s -> "go" t { ok. }
+        t -> "x" { q :- not q. }
+    )");
+    EXPECT_EQ(tree_program(g, "go x", {}, true), "q@2 :- not q@2.\n");
+    EXPECT_FALSE(in_language(g, tokenize("go x")));
+    EXPECT_FALSE(accepts(g, tokenize("go x"), {}));
+}
+
+// Sliced ≡ served ≡ literal G(C)[PT], over random grammars and contexts with
+// unread facts, chains, constraints, negation loops and @1 atoms. Sized
+// like Memo.RandomGrammarsAgreeWithPlainMembership. Each grammar with a
 // nonterminal child is also checked with one added rule, as a learned
 // hypothesis would add it, that reads a context predicate (y) only through
 // that child.
@@ -506,6 +554,9 @@ TEST(RelevantContext, RandomGrammarsAgreeWithLiteralMembership) {
                         << s << "' under " << context_text << "\n" << g.to_string();
                     EXPECT_EQ(sliced.resource_limited, literal.resource_limited)
                         << "grammar " << grammar_index << " '" << s << "' under " << context_text;
+                    EXPECT_EQ(accepts(g, tokenize(s), context), literal.in_language)
+                        << "served: grammar " << grammar_index << (v > 0 ? " with the y rule" : "")
+                        << " '" << s << "' under " << context_text << "\n" << g.to_string();
                 }
             }
         }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -9,6 +10,8 @@
 #include "cfg/earley.hpp"
 #include "cfg/generate.hpp"
 #include "cfg/grammar.hpp"
+#include "random_asg.hpp"
+#include "util/rng.hpp"
 
 namespace agenp::cfg {
 namespace {
@@ -42,6 +45,24 @@ TEST(Grammar, ParsesEpsilonAlternative) {
     auto nullable = g.nullable_nonterminals();
     ASSERT_EQ(nullable.size(), 1u);
     EXPECT_EQ(nullable[0].str(), "tail");
+}
+
+TEST(Grammar, NullableSetFollowsAddProductionOrder) {
+    // `a -> b` arrives before `b` is known to be nullable; adding
+    // `b -> epsilon` must make both nullable.
+    Grammar g;
+    g.set_start(Symbol("a"));
+    g.add_production({Symbol("a"), {GSym::nonterm("b")}});
+    EXPECT_TRUE(g.nullable_nonterminals().empty());
+    EXPECT_FALSE(recognizes(g, {}));
+    g.add_production({Symbol("b"), {}});
+    EXPECT_TRUE(g.is_nullable(Symbol("a")));
+    EXPECT_TRUE(g.is_nullable(Symbol("b")));
+    EXPECT_EQ(g.nullable_nonterminals().size(), 2u);
+    EXPECT_TRUE(recognizes(g, {}));
+    auto trees = parse_trees(g, {});
+    ASSERT_EQ(trees.size(), 1u);
+    EXPECT_EQ(trees[0].to_string(), "(a (b))");
 }
 
 TEST(Grammar, TerminalsMayContainSpaces) {
@@ -183,6 +204,67 @@ TEST(Earley, DeepRecursionParses) {
     auto trees = parse_trees(g, tokens, {.max_trees = 1});
     ASSERT_EQ(trees.size(), 1u);
     EXPECT_EQ(trees[0].yield().size(), 50u);
+}
+
+// Every node is a leaf or spells its production: same lhs, and one child
+// per right-hand-side symbol with that symbol.
+void expect_spells_production(const Grammar& g, const ParseNode& node, const std::string& where) {
+    if (node.is_leaf()) return;
+    ASSERT_GE(node.production, 0) << where;
+    const Production& p = g.production(node.production);
+    EXPECT_EQ(node.sym, GSym::nonterm(p.lhs)) << where;
+    ASSERT_EQ(node.children.size(), p.rhs.size()) << where;
+    for (std::size_t i = 0; i < p.rhs.size(); ++i) {
+        EXPECT_EQ(node.children[i].sym, p.rhs[i]) << where;
+        expect_spells_production(g, node.children[i], where);
+    }
+}
+
+// Property sweep over the seeded random grammars of tests/random_asg.hpp
+// (recursive, epsilon and ambiguous productions), on derived strings and on
+// random ones.
+TEST(Earley, RandomGrammarsYieldDistinctTreesThatSpellTheirInput) {
+    util::Rng rng(24);
+    std::size_t parsed = 0, rejected = 0, ambiguous = 0;
+    for (int grammar_index = 0; grammar_index < 150; ++grammar_index) {
+        std::string text;
+        auto productions = random_asg::random_grammar(rng, text);
+        Grammar g;
+        g.set_start(Symbol(random_asg::symbol(0)));
+        for (const auto& production : productions) {
+            Production p{Symbol(random_asg::symbol(static_cast<int>(production.lhs))), {}};
+            for (int sym : production.body) {
+                p.rhs.push_back(sym < 0 ? GSym::term(random_asg::kTerminals[-1 - sym])
+                                        : GSym::nonterm(random_asg::symbol(sym)));
+            }
+            g.add_production(std::move(p));
+        }
+        for (int i = 0; i < 8; ++i) {
+            std::string s;
+            if (i % 2 == 1 || !random_asg::derive(rng, productions, 0, 0, s)) s = random_asg::random_string(rng);
+            TokenString tokens = tokenize(s);
+            std::string where = "grammar " + std::to_string(grammar_index) + " '" + s + "'\n" + g.to_string();
+            auto trees = parse_trees(g, tokens);
+            EXPECT_EQ(recognizes(g, tokens), !trees.empty()) << where;
+            (trees.empty() ? rejected : parsed) += 1;
+            ambiguous += trees.size() > 1;
+            // Distinct as production structures: two epsilon productions of
+            // one nonterminal print alike.
+            std::set<std::vector<int>> distinct;
+            for (const auto& tree : trees) {
+                EXPECT_EQ(tree.yield(), tokens) << where;
+                expect_spells_production(g, tree, where);
+                std::vector<int> shape;
+                subtree_shape(tree, shape);
+                distinct.insert(shape);
+            }
+            EXPECT_EQ(distinct.size(), trees.size()) << where;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(ambiguous, 0u);
+    std::printf("earley: %zu strings parsed (%zu ambiguous), %zu rejected\n", parsed, ambiguous, rejected);
 }
 
 TEST(Generate, EnumeratesFiniteLanguageExactly) {

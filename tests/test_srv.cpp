@@ -75,6 +75,25 @@ TEST(DecisionCache, MissInsertHit) {
     EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(DecisionCache, HashCollisionMissesNeverAnswersWrong) {
+    // The index is keyed on the 64-bit hash. A key sharing another's hash
+    // (forged here; nothing is evicted, so its text is never re-hashed)
+    // must miss, and inserting it replaces the other entry.
+    DecisionCache cache;
+    auto real = key_for("do patrol");
+    CacheKey forged{real.hash, "do strike\x1f"};
+    cache.insert(real, 1, true);
+    EXPECT_FALSE(cache.lookup(forged, 1).has_value());
+    cache.insert(forged, 1, false);
+    EXPECT_FALSE(cache.lookup(real, 1).has_value());
+    auto hit = cache.lookup(forged, 1);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_FALSE(*hit);
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.insertions, 2u);
+}
+
 TEST(DecisionCache, VersionBumpInvalidatesWithoutFlush) {
     DecisionCache cache;
     auto stale = key_for("do patrol");
@@ -152,6 +171,12 @@ TEST(DecisionCache, BudgetCountsWhatEntriesAllocate) {
         EXPECT_NEAR(grown, charged, 0.15 * charged)
             << context_chars << "-char contexts: " << grown / 20000 << " bytes allocated per entry, "
             << charged / 20000 << " charged";
+        if (context_chars == 80) {
+            // 91-95-char keys: a 64-byte list node (the key string and one
+            // packed version/verdict word), a 32-byte index node keyed on
+            // the key's hash, a bucket slot and a 112-byte text block.
+            EXPECT_EQ(cache.stats().bytes, 216u * 20000u);
+        }
     }
 #else
     GTEST_SKIP() << "needs glibc's mallinfo2";
@@ -271,13 +296,15 @@ TEST(DecisionService, DeadlineExpiresWhileQueued) {
 }
 
 TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
-    // "big" derives two atoms against a one-atom grounding limit, so its
-    // membership check throws asp::GroundingError; "small" fits the limit.
+    // "big" derives three atoms that its constraint reads against a
+    // one-atom grounding limit, so its membership check throws
+    // asp::GroundingError; "small" fits the limit (nothing reads its fact).
     framework::AmsOptions ams_options;
     ams_options.membership.grounding.max_atoms = 1;
     framework::AutonomousManagedSystem ams(
         "limits",
-        asg::AnswerSetGrammar::parse("request -> \"big\" { a. b. }\nrequest -> \"small\" { a. }\n"),
+        asg::AnswerSetGrammar::parse(
+            "request -> \"big\" { a. b. ok :- a, b. :- not ok. }\nrequest -> \"small\" { a. }\n"),
         ilp::HypothesisSpace{}, ams_options);
     DecisionService service(ams, service_options(1));
 
