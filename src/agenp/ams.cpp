@@ -20,10 +20,6 @@ const asg::AnswerSetGrammar& AutonomousManagedSystem::model() const {
 
 std::pair<bool, std::size_t> AutonomousManagedSystem::handle_request(const cfg::TokenString& request) {
     obs::Phase phase(obs::PhaseId::AmsHandleRequest);
-    if (obs::metrics_enabled()) {
-        static obs::Counter& requests = obs::metrics().counter("agenp.ams.requests");
-        requests.add(1);
-    }
 
     asp::Program context = pip_.gather();
     bool permitted = pdp_.decide(request, context, model(), policy_repo_);

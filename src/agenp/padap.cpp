@@ -10,16 +10,15 @@ namespace agenp::framework {
 namespace {
 
 // maybe_adapt delegates to adapt_from_examples, so each counter is bumped
-// at exactly one site: monitor checks and triggers here, learn attempts
-// and their outcomes in adapt_from_examples.
+// at exactly one site: triggers in maybe_adapt, learn outcomes in
+// adapt_from_examples. Monitor checks and learn attempts are the counts of
+// phase_ns{phase="agenp.padap.maybe_adapt"} and {phase="agenp.padap.adapt"}.
 void publish_outcome(const AdaptationOutcome& outcome) {
     if (!obs::metrics_enabled()) return;
     auto& m = obs::metrics();
-    static obs::Counter& attempts = m.counter("agenp.padap.attempts");
     static obs::Counter& adapted = m.counter("agenp.padap.adapted");
     static obs::Counter& reused = m.counter("agenp.padap.reused");
     static obs::Counter& rejected = m.counter("agenp.padap.rejected");
-    attempts.add(1);
     if (outcome.adapted) adapted.add(1);
     if (outcome.reused) reused.add(1);
     if (!outcome.adapted) rejected.add(1);
@@ -30,8 +29,6 @@ void publish_outcome(const AdaptationOutcome& outcome) {
 AdaptationOutcome PolicyAdaptationPoint::maybe_adapt(const DecisionMonitor& monitor,
                                                      RepresentationsRepository& representations) {
     obs::Phase phase(obs::PhaseId::PadapMaybeAdapt);
-    static obs::Counter& checks = obs::metrics().counter("agenp.padap.monitor_checks");
-    if (obs::metrics_enabled()) checks.add(1);
 
     AdaptationOutcome outcome;
     auto records = monitor.feedback_records();

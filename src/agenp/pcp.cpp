@@ -173,9 +173,7 @@ analysis::DiagnosticSink PolicyCheckingPoint::lint_model(const asg::AnswerSetGra
     auto sink = analysis::lint_asg(model, options);
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
-        static obs::Counter& checks = m.counter("agenp.pcp.lint_checks");
         static obs::Counter& errors = m.counter("agenp.pcp.lint_errors");
-        checks.add(1);
         errors.add(sink.count(analysis::Severity::Error));
     }
     return sink;

@@ -106,9 +106,7 @@ bool PolicyDecisionPoint::decide(const cfg::TokenString& request, asp::Program c
     }
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
-        static obs::Counter& decisions = m.counter("agenp.pdp.decisions");
         static obs::Counter& permits = m.counter("agenp.pdp.permitted");
-        decisions.add(1);
         if (permitted) permits.add(1);
     }
     return permitted;

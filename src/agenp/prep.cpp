@@ -19,10 +19,8 @@ PrepReport PolicyRefinementPoint::refresh(const asg::AnswerSetGrammar& model,
 
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
-        static obs::Counter& refreshes = m.counter("agenp.prep.refreshes");
         static obs::Counter& generated = m.counter("agenp.prep.policies_generated");
         static obs::Counter& truncated = m.counter("agenp.prep.truncated");
-        refreshes.add(1);
         generated.add(report.generated);
         if (report.truncated) truncated.add(1);
     }

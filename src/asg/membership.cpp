@@ -14,12 +14,10 @@ namespace {
 void publish(const MembershipResult& result, std::size_t asp_checks) {
     if (!obs::metrics_enabled()) return;
     auto& m = obs::metrics();
-    static obs::Counter& checks = m.counter("asg.membership.checks");
     static obs::Counter& trees = m.counter("asg.membership.trees_checked");
     static obs::Counter& solver_calls = m.counter("asg.membership.asp_checks");
     static obs::Counter& accepted = m.counter("asg.membership.accepted");
     static obs::Counter& limited = m.counter("asg.membership.resource_limited");
-    checks.add(1);
     trees.add(static_cast<std::uint64_t>(result.trees_checked));
     solver_calls.add(asp_checks);
     if (result.in_language) accepted.add(1);

@@ -344,11 +344,9 @@ private:
     void publish(std::size_t rounds) const {
         if (!obs::metrics_enabled()) return;
         auto& m = obs::metrics();
-        static obs::Counter& groundings = m.counter("asp.grounder.groundings");
         static obs::Counter& rules = m.counter("asp.grounder.rules");
         static obs::Counter& atoms = m.counter("asp.grounder.atoms");
         static obs::Counter& round_counter = m.counter("asp.grounder.rounds");
-        groundings.add(1);
         rules.add(pending_.size());
         atoms.add(derived_.total());
         round_counter.add(rounds);

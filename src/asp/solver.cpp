@@ -16,14 +16,12 @@ enum class Val : std::int8_t { Unknown, True, False };
 void publish_stats(const SolverStats& s) {
     if (!obs::metrics_enabled()) return;
     auto& m = obs::metrics();
-    static obs::Counter& solves = m.counter("asp.solver.solves");
     static obs::Counter& decisions = m.counter("asp.solver.decisions");
     static obs::Counter& conflicts = m.counter("asp.solver.conflicts");
     static obs::Counter& propagations = m.counter("asp.solver.propagations");
     static obs::Counter& backtracks = m.counter("asp.solver.backtracks");
     static obs::Counter& stability = m.counter("asp.solver.stability_checks");
     static obs::Counter& models = m.counter("asp.solver.models");
-    solves.add(1);
     decisions.add(s.decisions);
     conflicts.add(s.conflicts);
     propagations.add(s.propagations);

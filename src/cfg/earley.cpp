@@ -175,11 +175,9 @@ Chart run_earley(const Grammar& g, const TokenString& tokens) {
 
     if (obs::metrics_enabled()) {
         auto& m = obs::metrics();
-        static obs::Counter& parses = m.counter("cfg.earley.parses");
         static obs::Counter& chart_items = m.counter("cfg.earley.chart_items");
         static obs::Counter& completed = m.counter("cfg.earley.completions");
         static obs::Counter& accepted = m.counter("cfg.earley.accepted");
-        parses.add(1);
         chart_items.add(items.size());
         completed.add(result.completed.size());
         if (result.accepted) accepted.add(1);

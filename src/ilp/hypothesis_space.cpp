@@ -148,19 +148,28 @@ private:
         if (static_cast<int>(vars.size()) > bias_.max_vars) return;
 
         emit(rule);
-        add_comparisons(rule, vars, 0);
+        // Each comparison mode's variables in the rule, by (type, index):
+        // the filling used indices 0..n-1 of each type. They set the
+        // comparison candidates' order, which Symbol ids would make depend
+        // on what the process interned before.
+        std::vector<std::vector<Symbol>> typed(bias_.comparisons.size());
+        for (std::size_t m = 0; m < typed.size(); ++m) {
+            Symbol type = bias_.comparisons[m].type;
+            auto used = vars_used_.find(type);
+            int n = used == vars_used_.end() ? 0 : used->second;
+            for (int v = 0; v < n; ++v) typed[m].push_back(typed_var_name({type, v}));
+        }
+        add_comparisons(rule, typed, 0);
     }
 
-    // Recursively layers up to max_comparisons builtins onto `rule`.
-    void add_comparisons(const asp::Rule& rule, const std::vector<Symbol>& vars, int depth) {
+    // Recursively layers up to max_comparisons builtins onto `rule`;
+    // typed[m] holds the rule's variables of comparison mode m's type.
+    void add_comparisons(const asp::Rule& rule, const std::vector<std::vector<Symbol>>& typed_vars,
+                         int depth) {
         if (depth >= bias_.max_comparisons) return;
-        for (const auto& cm : bias_.comparisons) {
-            // Variables of the comparison's type present in the rule.
-            std::vector<Symbol> typed;
-            std::string prefix = "V_" + std::string(cm.type.str()) + "_";
-            for (auto v : vars) {
-                if (v.str().starts_with(prefix)) typed.push_back(v);
-            }
+        for (std::size_t m = 0; m < bias_.comparisons.size(); ++m) {
+            const auto& cm = bias_.comparisons[m];
+            const std::vector<Symbol>& typed = typed_vars[m];
             for (auto op : cm.ops) {
                 if (cm.var_vs_const) {
                     auto pool = bias_.constants.find(cm.type);
@@ -170,7 +179,7 @@ private:
                                 asp::Rule extended = rule;
                                 extended.builtins.emplace_back(op, asp::Term::variable(v), c);
                                 emit(extended);
-                                add_comparisons(extended, vars, depth + 1);
+                                add_comparisons(extended, typed_vars, depth + 1);
                             }
                         }
                     }
@@ -183,7 +192,7 @@ private:
                             extended.builtins.emplace_back(op, asp::Term::variable(typed[i]),
                                                            asp::Term::variable(typed[j]));
                             emit(extended);
-                            add_comparisons(extended, vars, depth + 1);
+                            add_comparisons(extended, typed_vars, depth + 1);
                         }
                     }
                 }

@@ -758,14 +758,12 @@ namespace {
 void publish_stats(const LearnResult& result) {
     if (!obs::metrics_enabled()) return;
     auto& m = obs::metrics();
-    static obs::Counter& runs = m.counter("ilp.learner.runs");
     static obs::Counter& found = m.counter("ilp.learner.hypotheses_found");
     static obs::Counter& candidates = m.counter("ilp.learner.candidates_scored");
     static obs::Counter& coverage = m.counter("ilp.learner.coverage_checks");
     static obs::Counter& nodes = m.counter("ilp.learner.search_nodes");
     static obs::Counter& pruned = m.counter("ilp.learner.pruned_branches");
     static obs::Counter& cegis = m.counter("ilp.learner.cegis_iterations");
-    runs.add(1);
     if (result.found) found.add(1);
     candidates.add(result.stats.candidates);
     coverage.add(result.stats.coverage_checks);

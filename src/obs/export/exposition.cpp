@@ -9,7 +9,7 @@ namespace agenp::obs {
 namespace {
 
 // Registry names that already carry the project prefix as their first
-// segment (agenp.pdp.decisions) are not prefixed a second time.
+// segment (agenp.pdp.permitted) are not prefixed a second time.
 bool has_project_prefix(std::string_view dotted) { return dotted.rfind("agenp.", 0) == 0; }
 
 std::string prometheus_name(std::string_view dotted) {

@@ -235,7 +235,6 @@ struct MetricsRegistry::Impl {
     mutable util::Mutex mutex;
     // std::map keeps node (and thus reference) stability on insert.
     std::map<std::string, Counter, std::less<>> counters GUARDED_BY(mutex);
-    std::map<std::string, Gauge, std::less<>> gauges GUARDED_BY(mutex);
     std::map<std::string, Histogram, std::less<>> histograms GUARDED_BY(mutex);
 };
 
@@ -248,16 +247,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
     auto it = impl_->counters.find(name);
     if (it == impl_->counters.end()) {
         it = impl_->counters.try_emplace(std::string(name)).first;
-    }
-    return it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-    assert(valid_metric_name(name));
-    util::MutexLock lock(impl_->mutex);
-    auto it = impl_->gauges.find(name);
-    if (it == impl_->gauges.end()) {
-        it = impl_->gauges.try_emplace(std::string(name)).first;
     }
     return it->second;
 }
@@ -280,14 +269,6 @@ Counter& MetricsRegistry::counter(std::string_view name, const MetricLabels& lab
     return it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name, const MetricLabels& labels) {
-    std::string key = metric_key(name, labels);
-    util::MutexLock lock(impl_->mutex);
-    auto it = impl_->gauges.find(key);
-    if (it == impl_->gauges.end()) it = impl_->gauges.try_emplace(std::move(key)).first;
-    return it->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name, const MetricLabels& labels) {
     std::string key = metric_key(name, labels);
     util::MutexLock lock(impl_->mutex);
@@ -300,7 +281,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     util::MutexLock lock(impl_->mutex);
     MetricsSnapshot s;
     for (const auto& [name, c] : impl_->counters) s.counters.emplace_back(name, c.value());
-    for (const auto& [name, g] : impl_->gauges) s.gauges.emplace_back(name, g.value());
     for (const auto& [name, h] : impl_->histograms) s.histograms.emplace_back(name, h.snapshot());
     return s;
 }
@@ -310,15 +290,11 @@ std::string MetricsRegistry::render_text() const {
     std::string out;
     std::size_t width = 0;
     for (const auto& [name, _] : s.counters) width = std::max(width, name.size());
-    for (const auto& [name, _] : s.gauges) width = std::max(width, name.size());
     for (const auto& [name, _] : s.histograms) width = std::max(width, name.size());
     auto pad = [&](const std::string& name) {
         return name + std::string(width - name.size() + 2, ' ');
     };
     for (const auto& [name, value] : s.counters) {
-        out += pad(name) + std::to_string(value) + "\n";
-    }
-    for (const auto& [name, value] : s.gauges) {
         out += pad(name) + std::to_string(value) + "\n";
     }
     for (const auto& [name, h] : s.histograms) {
@@ -334,13 +310,6 @@ std::string MetricsRegistry::render_json() const {
     std::string out = "{\"counters\":{";
     bool first = true;
     for (const auto& [name, value] : s.counters) {
-        if (!first) out += ",";
-        out += "\"" + json_escape(name) + "\":" + std::to_string(value);
-        first = false;
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : s.gauges) {
         if (!first) out += ",";
         out += "\"" + json_escape(name) + "\":" + std::to_string(value);
         first = false;
@@ -364,7 +333,6 @@ std::string MetricsRegistry::render_json() const {
 void MetricsRegistry::reset() {
     util::MutexLock lock(impl_->mutex);
     for (auto& [_, c] : impl_->counters) c.reset();
-    for (auto& [_, g] : impl_->gauges) g.reset();
     for (auto& [_, h] : impl_->histograms) h.reset();
 }
 

@@ -1,4 +1,4 @@
-// Process-wide metrics: named counters, gauges, and fixed-bucket latency
+// Process-wide metrics: named counters and fixed-bucket latency
 // histograms (DESIGN.md section "Observability").
 //
 // Design goals, in order:
@@ -21,9 +21,11 @@
 //
 // Scope: the registry holds what no per-instance object owns — the
 // library counters (asp.*, cfg.*, asg.membership.*, ilp.*, agenp.*) and
-// the phase_ns histograms. A serving event is counted once, by the object
-// it happens in (srv::ServiceStats, srv::TransportStats, ...); the
-// serving layer lists those next to this registry's snapshot in one
+// the phase_ns histograms. An event is counted once: a library call
+// timed by a phase is counted by phase_ns{phase}'s count, not by a
+// counter too, and a serving event by the object it happens in
+// (srv::ServiceStats, srv::TransportStats, ...); the serving layer lists
+// those, its gauges included, next to this registry's snapshot in one
 // MetricsSnapshot (srv::serve_metrics) instead of counting them twice.
 #pragma once
 
@@ -51,17 +53,6 @@ public:
 
 private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-class Gauge {
-public:
-    void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-    [[nodiscard]] std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 // Fixed-bucket histogram over non-negative integers. Bucket i collects
@@ -128,6 +119,8 @@ bool parse_metric_key(std::string_view key, std::string* name, MetricLabels* lab
 struct MetricsSnapshot {
     // Keys are metric_key() encodings: base name plus optional {labels}.
     std::vector<std::pair<std::string, std::uint64_t>> counters;
+    // Filled by the serving layer (srv::serve_metrics); the registry has
+    // no gauges.
     std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
 };
@@ -138,13 +131,11 @@ public:
     // same name always returns the same instrument. Debug builds assert
     // valid_metric_name(name) / valid_label_key(key) on first registration.
     Counter& counter(std::string_view name);
-    Gauge& gauge(std::string_view name);
     Histogram& histogram(std::string_view name);
 
     // Labeled variants: one instrument per distinct (name, labels) pair,
     // enumerable by exporters as a single family with per-label samples.
     Counter& counter(std::string_view name, const MetricLabels& labels);
-    Gauge& gauge(std::string_view name, const MetricLabels& labels);
     Histogram& histogram(std::string_view name, const MetricLabels& labels);
 
     [[nodiscard]] MetricsSnapshot snapshot() const;
@@ -153,7 +144,7 @@ public:
     // p90/p99/max.
     [[nodiscard]] std::string render_text() const;
     // Single-line JSON object:
-    //   {"counters":{...},"gauges":{...},"histograms":{"x":{"count":..}}}
+    //   {"counters":{...},"histograms":{"x":{"count":..}}}
     [[nodiscard]] std::string render_json() const;
 
     // Zeroes every registered instrument (names stay registered).

@@ -23,6 +23,8 @@ AmsRouter::AmsRouter(const AmsFactory& factory, RouterOptions options) {
 }
 
 std::size_t AmsRouter::replica_for(const cfg::TokenString& request) const {
+    // One replica takes every request: no text to build, nothing to hash.
+    if (services_.size() == 1) return 0;
     // Same placement hash family as the decision cache, so equal request
     // texts always map to the same replica.
     return util::fnv1a_hash(cfg::detokenize(request)) % services_.size();

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "obs/build.hpp"
-#include "obs/export/http.hpp"
 #include "obs/prof.hpp"
 #include "srv/export.hpp"
+#include "srv/http.hpp"
 #include "srv/transport.hpp"
 #include "srv/wire.hpp"
 #include "store/store.hpp"
@@ -63,14 +63,14 @@ std::string handle_prof_line(const std::vector<std::string>& words) {
 // GET /profz: a blocking one-shot profile. It stalls only the
 // single-threaded metrics loop; serving traffic is unaffected (beyond the
 // sampling itself).
-obs::HttpResponse profz(const obs::HttpRequest& request) {
-    obs::HttpResponse response;
+HttpResponse profz(const HttpRequest& request) {
+    HttpResponse response;
     std::optional<double> seconds = 2.0;
     std::optional<int> hz = 99;
-    if (std::string v = obs::http_query_param(request.query, "seconds"); !v.empty()) {
+    if (std::string v = http_query_param(request.query, "seconds"); !v.empty()) {
         seconds = util::parse_number<double>(v);
     }
-    if (std::string v = obs::http_query_param(request.query, "hz"); !v.empty()) {
+    if (std::string v = http_query_param(request.query, "hz"); !v.empty()) {
         hz = util::parse_number<int>(v);
     }
     if (!seconds || !hz || *seconds <= 0.0 || *seconds > 60.0 || *hz < 1 || *hz > 1000) {
@@ -79,7 +79,7 @@ obs::HttpResponse profz(const obs::HttpRequest& request) {
         return response;
     }
     obs::ProfileReport report = obs::CpuProfiler::instance().collect(*seconds, *hz);
-    if (obs::http_query_param(request.query, "format") == "json") {
+    if (http_query_param(request.query, "format") == "json") {
         response.content_type = "application/json";
         response.body = report.to_json() + "\n";
     } else {
@@ -148,10 +148,10 @@ Server::Server(const AmsRouter::AmsFactory& factory, ServerOptions options, std:
 
     // The metrics listener stays up through the drain so scrapers see it.
     if (options_.metrics_port.has_value()) {
-        obs::HttpServerOptions http_options;
+        HttpServerOptions http_options;
         http_options.port = *options_.metrics_port;
-        http_ = std::make_unique<obs::HttpServer>(
-            http_options, [this](const obs::HttpRequest& request) { return http(request); });
+        http_ = std::make_unique<HttpServer>(
+            http_options, [this](const HttpRequest& request) { return http(request); });
         print("AGENP_METRICS_LISTENING port=" + std::to_string(http_->port()));
     }
 
@@ -234,8 +234,8 @@ std::string Server::control(std::string_view line) {
 }
 
 // The metrics listener's routes; runs on its single loop thread.
-obs::HttpResponse Server::http(const obs::HttpRequest& request) const {
-    obs::HttpResponse response;
+HttpResponse Server::http(const HttpRequest& request) const {
+    HttpResponse response;
     if (request.path == "/metrics") {
         response.content_type = "text/plain; version=0.0.4; charset=utf-8";
         response.body =

@@ -33,19 +33,16 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-namespace agenp::obs {
-class HttpServer;
-struct HttpRequest;
-struct HttpResponse;
-}  // namespace agenp::obs
-
 namespace agenp::store {
 class StateStore;
 }  // namespace agenp::store
 
 namespace agenp::srv {
 
+class HttpServer;
 class TcpServer;
+struct HttpRequest;
+struct HttpResponse;
 struct ServeSources;
 
 struct ServerOptions {
@@ -98,7 +95,7 @@ public:
 
 private:
     std::string control(std::string_view line);
-    obs::HttpResponse http(const obs::HttpRequest& request) const;
+    HttpResponse http(const HttpRequest& request) const;
     // The server's counting objects, for serve_metrics and /statz.
     ServeSources sources() const;
     std::string stats_json() const;
@@ -124,7 +121,7 @@ private:
     // The threads last, so they stop before anything they use goes away.
     std::unique_ptr<obs::WindowTicker> ticker_;
     std::unique_ptr<TcpServer> tcp_;
-    std::unique_ptr<obs::HttpServer> http_;
+    std::unique_ptr<HttpServer> http_;
 };
 
 }  // namespace agenp::srv

@@ -1,24 +1,23 @@
 // TCP transport for the decision service (DESIGN.md section 10; the wire
 // format is specified in docs/PROTOCOL.md).
 //
-// TcpServer is a single-threaded poll(2) event loop in front of an
-// AmsRouter. The loop thread owns every socket: it accepts, reads,
-// frames newline-delimited requests, and writes replies. It answers cache
-// hits itself: DecisionService::submit() completes a hit on the calling
-// thread, so the loop runs the hit's context gather, cache probe, PEP,
-// flight record and audit write. Misses run on the router's worker pools
-// — the loop never blocks on a solve, and never waits out a model
-// adoption (submit() then queues the request). Every completion callback
-// serializes the reply and drops it into the connection's outbox under a
-// small mutex; only a worker's completion also wakes the loop through the
-// self-pipe, since one on the loop thread is picked up by the same loop
-// pass. The loop moves outboxes into per-connection write buffers and
-// flushes them with non-blocking writes.
+// TcpServer is the NDJSON framing on the shared connection loop
+// (srv/loop.hpp, which also carries the metrics HTTP server) in front of
+// an AmsRouter. The loop thread owns every socket and frames
+// newline-delimited requests. It answers cache hits itself:
+// DecisionService::submit() completes a hit on the calling thread, so the
+// loop runs the hit's context gather, cache probe, PEP, flight record and
+// audit write. Misses run on the router's worker pools — the loop never
+// blocks on a solve, and never waits out a model adoption (submit() then
+// queues the request). Every completion callback serializes the reply and
+// posts it to the connection's outbox; only a worker's completion also
+// wakes the loop.
 //
 // Robustness rules (each has a counter in TransportStats, exported as
 // `agenp_srv_conn_*` by srv::serve_metrics):
-//  - a line longer than max_line_bytes gets a bad_request reply and the
-//    connection is closed after the reply flushes;
+//  - a line longer than max_line_bytes gets a bad_request reply; nothing
+//    more is read, and the connection closes once every reply owed on it
+//    (earlier lines' included) has flushed;
 //  - a client that reads slower than it submits is disconnected when its
 //    write buffer exceeds max_write_buffer_bytes;
 //  - a connection idle longer than idle_timeout — no request read, no
@@ -131,7 +130,6 @@ public:
     [[nodiscard]] TransportStats stats() const;
 
 private:
-    struct Connection;
     struct Impl;
 
     std::uint16_t port_ = 0;
@@ -139,8 +137,8 @@ private:
 };
 
 // Minimal blocking client for the same wire protocol: used by
-// `agenp loadgen --connect`, the protocol round-trip tests, and the CI
-// smoke. One instance serves one thread.
+// `agenp loadgen --connect`, the protocol round-trip tests, the CI smoke,
+// and http_get. One instance serves one thread.
 class TcpClient {
 public:
     // Connects (IPv4; `host` is a dotted quad or a resolvable name).
@@ -151,12 +149,16 @@ public:
     TcpClient(const TcpClient&) = delete;
     TcpClient& operator=(const TcpClient&) = delete;
 
+    // Writes `bytes` as they are; throws on a broken pipe.
+    void send(std::string_view bytes);
     // Writes `line` plus a terminating newline; throws on a broken pipe.
     void send_line(std::string_view line);
 
     // Next reply line (CR/LF stripped), or nullopt on EOF / timeout.
     std::optional<std::string> recv_line(
         std::chrono::milliseconds timeout = std::chrono::milliseconds{10000});
+    // Every byte not yet returned, up to EOF or the timeout.
+    std::string recv_to_eof(std::chrono::milliseconds timeout);
 
     // Half-close: no more requests, but replies still flow back.
     void shutdown_write();
@@ -164,6 +166,10 @@ public:
     [[nodiscard]] int fd() const { return fd_; }
 
 private:
+    // Waits until `deadline` for bytes and appends them to buf_; false on
+    // EOF, error or timeout.
+    bool receive(std::chrono::steady_clock::time_point deadline);
+
     int fd_ = -1;
     std::string buf_;  // bytes received but not yet returned as lines
 };

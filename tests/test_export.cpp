@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -14,22 +15,26 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "asp/parser.hpp"
+#include "mutate.hpp"
 #include "obs/export/exposition.hpp"
-#include "obs/export/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/window.hpp"
 #include "srv/audit.hpp"
 #include "srv/export.hpp"
+#include "srv/http.hpp"
 #include "srv/loadgen.hpp"
 #include "srv/server.hpp"
 #include "srv/transport.hpp"
@@ -158,10 +163,10 @@ std::string label_value(const std::string& labels, const std::string& key) {
     return labels.substr(start, end - start);
 }
 
-std::optional<agenp::obs::HttpResult> get(std::uint16_t port, const std::string& path,
+std::optional<agenp::srv::HttpResult> get(std::uint16_t port, const std::string& path,
                                           std::chrono::milliseconds timeout =
                                               std::chrono::milliseconds{10000}) {
-    return agenp::obs::http_get("127.0.0.1", port, path, timeout);
+    return agenp::srv::http_get("127.0.0.1", port, path, timeout);
 }
 
 // Checks a /metrics body against the /statz document scraped right after
@@ -307,10 +312,10 @@ TEST(ExpositionTest, RegistryLabelsSurviveRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(HttpServerTest, ServesHandlerAndStripsQueryStrings) {
-    agenp::obs::HttpServerOptions options;
+    agenp::srv::HttpServerOptions options;
     options.port = 0;
-    agenp::obs::HttpServer server(options, [](const agenp::obs::HttpRequest& request) {
-        agenp::obs::HttpResponse response;
+    agenp::srv::HttpServer server(options, [](const agenp::srv::HttpRequest& request) {
+        agenp::srv::HttpResponse response;
         response.body = "path=" + request.path + "\n";
         return response;
     });
@@ -326,12 +331,12 @@ TEST(HttpServerTest, ServesHandlerAndStripsQueryStrings) {
 }
 
 TEST(HttpServerTest, ExposesQueryStringAndParams) {
-    agenp::obs::HttpServerOptions options;
+    agenp::srv::HttpServerOptions options;
     options.port = 0;
-    agenp::obs::HttpServer server(options, [](const agenp::obs::HttpRequest& request) {
-        agenp::obs::HttpResponse response;
-        response.body = "seconds=" + agenp::obs::http_query_param(request.query, "seconds") +
-                        " hz=" + agenp::obs::http_query_param(request.query, "hz") + "\n";
+    agenp::srv::HttpServer server(options, [](const agenp::srv::HttpRequest& request) {
+        agenp::srv::HttpResponse response;
+        response.body = "seconds=" + agenp::srv::http_query_param(request.query, "seconds") +
+                        " hz=" + agenp::srv::http_query_param(request.query, "hz") + "\n";
         return response;
     });
     auto result = get(server.port(), "/profz?seconds=2&hz=99");
@@ -343,10 +348,340 @@ TEST(HttpServerTest, ExposesQueryStringAndParams) {
     server.shutdown();
 
     // The free-function parser handles valueless and missing keys.
-    EXPECT_EQ(agenp::obs::http_query_param("a=1&b=2", "b"), "2");
-    EXPECT_EQ(agenp::obs::http_query_param("a=1&b", "b"), "");
-    EXPECT_EQ(agenp::obs::http_query_param("", "b"), "");
-    EXPECT_EQ(agenp::obs::http_query_param("bb=3", "b"), "");
+    EXPECT_EQ(agenp::srv::http_query_param("a=1&b=2", "b"), "2");
+    EXPECT_EQ(agenp::srv::http_query_param("a=1&b", "b"), "");
+    EXPECT_EQ(agenp::srv::http_query_param("", "b"), "");
+    EXPECT_EQ(agenp::srv::http_query_param("bb=3", "b"), "");
+}
+
+// --- the HTTP framing on the connection loop ---------------------------------
+
+// One response read off a raw connection.
+struct RawResponse {
+    int status = 0;
+    bool keep_alive = false;
+    std::string body;
+};
+
+// A client connection that sends raw bytes and reads HTTP responses,
+// framed by Content-Length, and can tell a close from a timeout.
+class RawHttp {
+public:
+    explicit RawHttp(std::uint16_t port) : client_("127.0.0.1", port) {}
+
+    void send(std::string_view bytes) { client_.send(bytes); }
+    [[nodiscard]] int fd() const { return client_.fd(); }
+
+    // The next response; nullopt once the server has closed the
+    // connection, or after 10 s.
+    std::optional<RawResponse> next() {
+        auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (true) {
+            std::size_t end = buf_.find("\r\n\r\n");
+            if (end != std::string::npos) {
+                std::string head = buf_.substr(0, end);
+                std::size_t at = head.find("Content-Length: ");
+                std::size_t length =
+                    at == std::string::npos ? 0 : std::stoul(head.substr(at + 16));
+                if (buf_.size() >= end + 4 + length) {
+                    RawResponse response;
+                    response.status = std::stoi(head.substr(9, 3));  // "HTTP/1.1 NNN"
+                    response.keep_alive = head.find("Connection: keep-alive") != std::string::npos;
+                    response.body = buf_.substr(end + 4, length);
+                    buf_.erase(0, end + 4 + length);
+                    return response;
+                }
+            }
+            if (read_some(deadline) != Read::Data) return std::nullopt;
+        }
+    }
+
+    // Whether the server closes the connection, sending nothing more,
+    // within 10 s.
+    bool server_closes() {
+        auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        return buf_.empty() && read_some(deadline) == Read::Closed;
+    }
+
+private:
+    enum class Read { Data, Closed, Timeout };
+
+    Read read_some(std::chrono::steady_clock::time_point deadline) {
+        auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+            deadline - std::chrono::steady_clock::now());
+        pollfd pfd{client_.fd(), POLLIN, 0};
+        if (remaining.count() <= 0 || ::poll(&pfd, 1, static_cast<int>(remaining.count())) <= 0) {
+            return Read::Timeout;
+        }
+        char chunk[4096];
+        ssize_t n = ::recv(client_.fd(), chunk, sizeof chunk, 0);
+        if (n <= 0) return Read::Closed;  // EOF, or a reset
+        buf_.append(chunk, static_cast<std::size_t>(n));
+        return Read::Data;
+    }
+
+    agenp::srv::TcpClient client_;
+    std::string buf_;
+};
+
+// A server whose handler echoes the request path.
+std::unique_ptr<agenp::srv::HttpServer> echo_server(agenp::srv::HttpServerOptions options = {}) {
+    return std::make_unique<agenp::srv::HttpServer>(
+        options, [](const agenp::srv::HttpRequest& request) {
+            agenp::srv::HttpResponse response;
+            response.body = "path=" + request.path + "\n";
+            return response;
+        });
+}
+
+TEST(HttpServerTest, KeepAliveServesTwoRequestsOnOneConnection) {
+    auto server = echo_server();
+    RawHttp conn(server->port());
+    conn.send("GET /a HTTP/1.1\r\nHost: t\r\n\r\n");
+    auto first = conn.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->status, 200);
+    EXPECT_TRUE(first->keep_alive);
+    EXPECT_EQ(first->body, "path=/a\n");
+    conn.send("GET /b HTTP/1.1\r\nHost: t\r\n\r\n");
+    auto second = conn.next();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->body, "path=/b\n");
+    EXPECT_TRUE(second->keep_alive);
+}
+
+TEST(HttpServerTest, ConnectionCloseAndHttp10CloseAfterTheResponse) {
+    auto server = echo_server();
+    for (const char* request : {"GET /c HTTP/1.1\r\nConnection: close\r\n\r\n",
+                                "GET /c HTTP/1.0\r\n\r\n"}) {
+        RawHttp conn(server->port());
+        conn.send(request);
+        auto response = conn.next();
+        ASSERT_TRUE(response.has_value()) << request;
+        EXPECT_EQ(response->status, 200) << request;
+        EXPECT_FALSE(response->keep_alive) << request;
+        EXPECT_EQ(response->body, "path=/c\n") << request;
+        EXPECT_TRUE(conn.server_closes()) << request;
+    }
+}
+
+TEST(HttpServerTest, PostGets405AndTheConnectionStaysUp) {
+    auto server = echo_server();
+    RawHttp conn(server->port());
+    conn.send("POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+    auto refused = conn.next();
+    ASSERT_TRUE(refused.has_value());
+    EXPECT_EQ(refused->status, 405);
+    EXPECT_EQ(refused->body, "only GET is supported\n");
+    EXPECT_TRUE(refused->keep_alive);
+    conn.send("GET /after HTTP/1.1\r\n\r\n");
+    auto served = conn.next();
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(served->body, "path=/after\n");
+}
+
+TEST(HttpServerTest, HeadOverMaxHeaderBytesGets400AndClose) {
+    agenp::srv::HttpServerOptions options;
+    options.max_header_bytes = 256;
+    auto server = echo_server(options);
+    RawHttp conn(server->port());
+    conn.send("GET /x HTTP/1.1\r\nX-Pad: " + std::string(1024, 'p') + "\r\n\r\n");
+    auto response = conn.next();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400);
+    EXPECT_EQ(response->body, "header too large\n");
+    EXPECT_FALSE(response->keep_alive);
+    EXPECT_TRUE(conn.server_closes());
+}
+
+TEST(HttpServerTest, PipelinedRequestsAreAnsweredInOrder) {
+    auto server = echo_server();
+    RawHttp conn(server->port());
+    conn.send("GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\nHost: t\n\n");
+    auto first = conn.next();
+    auto second = conn.next();
+    ASSERT_TRUE(first.has_value() && second.has_value());
+    EXPECT_EQ(first->body, "path=/1\n");
+    EXPECT_EQ(second->body, "path=/2\n");
+}
+
+// A handler that answers `mib` MiB, about or over what loopback socket
+// buffers take for a client that reads nothing, counting its calls.
+std::unique_ptr<agenp::srv::HttpServer> big_response_server(std::atomic<int>& calls,
+                                                            std::size_t mib) {
+    return std::make_unique<agenp::srv::HttpServer>(
+        agenp::srv::HttpServerOptions{}, [&calls, mib](const agenp::srv::HttpRequest&) {
+            calls.fetch_add(1);
+            agenp::srv::HttpResponse response;
+            response.body = std::string(mib << 20, 'x');
+            return response;
+        });
+}
+
+TEST(HttpServerTest, AClientThatReadsNothingGetsOneResponseAtATime) {
+    std::atomic<int> calls{0};
+    auto server = big_response_server(calls, 4);
+    RawHttp conn(server->port());
+    std::string requests;
+    for (int i = 0; i < 64; ++i) requests += "GET /big HTTP/1.1\r\nHost: t\r\n\r\n";
+    conn.send(requests);
+    // Wait for the first call, then until the count has held still for
+    // 300 ms.
+    for (int tick = 0; tick < 1000 && calls.load() == 0; ++tick) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    int seen = -1;
+    for (int round = 0; round < 50 && calls.load() != seen; ++round) {
+        seen = calls.load();
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
+    // The next request is parsed only once a response has flushed, and
+    // the kernel's socket buffers take a few MiB at most: a server that
+    // kept reading would run the handler 64 times and buffer 256 MiB.
+    EXPECT_GE(calls.load(), 1);
+    EXPECT_LE(calls.load(), 4);
+    server->shutdown();
+}
+
+TEST(HttpServerTest, NothingIsReadAfterTheCloseDecision) {
+    std::atomic<int> calls{0};
+    auto server = big_response_server(calls, 16);
+    RawHttp conn(server->port());
+    conn.send("GET /big HTTP/1.1\r\nConnection: close\r\n\r\n");
+    // The response cannot flush to a client that reads nothing (the
+    // kernel takes a few MiB of it), so the connection stays open;
+    // everything sent after the close decision must stay unread, which
+    // stalls the sender once socket buffers fill.
+    const std::size_t kJunk = std::size_t{64} << 20;
+    const std::string chunk(std::size_t{64} << 10, 'j');
+    std::size_t sent = 0;
+    while (sent < kJunk) {
+        ssize_t n = ::send(conn.fd(), chunk.data(), chunk.size(), MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (n > 0) {
+            sent += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+            pollfd pfd{conn.fd(), POLLOUT, 0};
+            if (::poll(&pfd, 1, 300) > 0) continue;
+        }
+        break;  // stalled for 300 ms, or the connection is gone
+    }
+    EXPECT_LT(sent, kJunk);
+    EXPECT_EQ(calls.load(), 1);
+    server->shutdown();
+}
+
+// Valid request heads the framing fuzz starts from.
+const char* const kHeadCorpus[] = {
+    "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:9464\r\nAccept: */*\r\n\r\n",
+    "GET /statz?window=60 HTTP/1.1\r\nHost: t\r\n\r\n",
+    "GET /buildz HTTP/1.1\nConnection: keep-alive\n\n",
+    "GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+    "POST /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+    "GET /profz?seconds=1&hz=99 HTTP/1.1\r\nUser-Agent: curl/8\r\n\r\n",
+};
+
+// Fragments worth splicing into a head: line ends, empty lines, header
+// syntax, versions and methods, and bytes that are not UTF-8.
+const char* const kHeadFragments[] = {
+    "\r\n", "\n", "\r", "\r\n\r\n", "\n\n", " ", "\t", ":", "?", "&", "=", "/",
+    "Connection: close\r\n", "Connection: keep-alive\r\n", "HTTP/1.0", "HTTP/1.1", "GET ",
+    "POST ", "\xff", "\xc3\xa9",
+};
+
+const agenp::fuzz::Alphabet kHeadAlphabet{kHeadFragments, '<', '>'};
+
+// Splits a stream the way the HTTP framing does: a head ends at its first
+// empty line (CRLF or bare LF). Returns each complete head's size, ending
+// empty line included, and leaves the unterminated rest in *rest.
+std::vector<std::size_t> head_sizes(std::string_view stream, std::size_t* rest) {
+    std::vector<std::size_t> sizes;
+    std::size_t start = 0;
+    for (std::size_t nl = stream.find('\n'); nl != std::string_view::npos;
+         nl = stream.find('\n', nl + 1)) {
+        std::size_t end = 0;
+        if (nl + 1 < stream.size() && stream[nl + 1] == '\n') end = nl + 2;
+        if (nl + 2 < stream.size() && stream[nl + 1] == '\r' && stream[nl + 2] == '\n') end = nl + 3;
+        if (end == 0) continue;
+        sizes.push_back(end - start);
+        start = end;
+        nl = end - 1;
+    }
+    *rest = stream.size() - start;
+    return sizes;
+}
+
+TEST(HttpServerTest, MutatedHeadStreamsKeepTheFramingContract) {
+    agenp::srv::HttpServerOptions options;
+    options.max_header_bytes = 512;
+    auto server = echo_server(options);
+    std::vector<std::string> corpus(std::begin(kHeadCorpus), std::end(kHeadCorpus));
+    std::size_t answered = 0;
+    std::size_t closed_early = 0;
+    // 120 fixed seeds, one connection each: the same streams on every run.
+    for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+        std::mt19937_64 rng(seed);
+        std::string stream;
+        for (int i = 0; i < 8; ++i) {
+            const std::string& base = corpus[rng() % corpus.size()];
+            stream += rng() % 3 == 0 ? agenp::fuzz::mutate(base, corpus, kHeadAlphabet, rng) : base;
+        }
+        if (seed % 5 == 0) stream += "GET /" + std::string(600, 'a');  // an oversized last head
+        std::size_t rest = 0;
+        std::vector<std::size_t> heads = head_sizes(stream, &rest);
+
+        RawHttp conn(server->port());
+        try {
+            for (std::size_t at = 0; at < stream.size();) {  // random split points
+                std::size_t piece = 1 + rng() % 200;
+                conn.send(std::string_view(stream).substr(at, piece));
+                at += piece;
+            }
+            ::shutdown(conn.fd(), SHUT_WR);
+        } catch (const std::runtime_error&) {
+            // The server decided to close and reset the connection over
+            // bytes it will never read; the responses before are intact.
+        }
+
+        // One response per complete head, in order; only the last may
+        // close the connection. A close before the last head is the
+        // documented error for that head, or the head asked for it.
+        std::vector<RawResponse> responses;
+        while (auto response = conn.next()) responses.push_back(*response);
+        for (std::size_t i = 0; i < responses.size(); ++i) {
+            const RawResponse& r = responses[i];
+            EXPECT_TRUE(r.status == 200 || r.status == 400 || r.status == 405)
+                << "seed " << seed << " response " << i << ": " << r.status;
+            if (r.status == 400) {
+                EXPECT_FALSE(r.keep_alive) << "seed " << seed;
+            }
+            if (r.body == "header too large\n") {
+                EXPECT_GT(i < heads.size() ? heads[i] : rest, options.max_header_bytes)
+                    << "seed " << seed;
+            }
+            if (i + 1 < responses.size()) {
+                EXPECT_TRUE(r.keep_alive) << "seed " << seed;
+            }
+        }
+        if (responses.empty() || responses.back().keep_alive) {
+            EXPECT_EQ(responses.size(), heads.size()) << "seed " << seed;
+            EXPECT_LE(rest, options.max_header_bytes) << "seed " << seed;
+        } else {
+            EXPECT_LE(responses.size(), heads.size() + 1) << "seed " << seed;
+            if (responses.size() < heads.size()) ++closed_early;
+        }
+        answered += responses.size();
+        if (::testing::Test::HasFailure()) FAIL() << "seed " << seed;
+    }
+    // Both sides of the contract are exercised.
+    EXPECT_GT(answered, 200u);
+    EXPECT_GT(closed_early, 10u);
+
+    // A fresh connection is served afterwards.
+    auto result = get(server->port(), "/fresh");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->body, "path=/fresh\n");
 }
 
 // ---------------------------------------------------------------------------

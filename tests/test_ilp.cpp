@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "asp/parser.hpp"
 #include "ilp/classifier.hpp"
@@ -77,6 +79,50 @@ TEST(Space, VarVsVarComparisons) {
         if (c.rule.to_string() == ":- a(V1)@1, b(V2)@2, V1 > V2.") found = true;
     }
     EXPECT_TRUE(found);
+}
+
+// Comparison candidates follow the variables' (type, index) order, the
+// order a fresh process gives, whatever the process interned before.
+TEST(Space, ComparisonOrderDoesNotDependOnInterningHistory) {
+    // A type no other test uses. V_ordered_2 is interned first, then enough
+    // other names that every intern shard moves past it, so it gets a
+    // smaller Symbol id than V_ordered_1 (and V_ordered_0, interned by the
+    // generator).
+    Symbol two("V_ordered_2");
+    for (int i = 0; i < 16384; ++i) Symbol("ordered_filler_" + std::to_string(i));
+    Symbol one("V_ordered_1");
+    ASSERT_LT(two.id(), one.id());
+
+    ModeBias bias;
+    bias.body.push_back(ModeAtom("p", {ArgSpec::var("ordered")}));
+    bias.comparisons.push_back(ComparisonMode("ordered", {asp::Comparison::Op::Lt},
+                                              /*var_vs_const=*/false, /*var_vs_var=*/true));
+    bias.min_body_atoms = 3;
+    bias.max_body_atoms = 3;
+    bias.max_vars = 3;
+    auto space = generate_space(bias, {0});
+    std::vector<std::string> rules;
+    for (const auto& c : space.candidates) rules.push_back(c.rule.to_string());
+    const std::vector<std::string> expected = {
+        ":- p(V1), p(V1), p(V1).",
+        ":- p(V1), p(V1), p(V2).",
+        ":- p(V1), p(V1), p(V2), V1 < V2.",
+        ":- p(V1), p(V1), p(V2), V2 < V1.",
+        ":- p(V1), p(V2), p(V1).",
+        ":- p(V1), p(V2), p(V1), V1 < V2.",
+        ":- p(V1), p(V2), p(V1), V2 < V1.",
+        ":- p(V1), p(V2), p(V2).",
+        ":- p(V1), p(V2), p(V2), V1 < V2.",
+        ":- p(V1), p(V2), p(V2), V2 < V1.",
+        ":- p(V1), p(V2), p(V3).",
+        ":- p(V1), p(V2), p(V3), V1 < V2.",
+        ":- p(V1), p(V2), p(V3), V1 < V3.",
+        ":- p(V1), p(V2), p(V3), V2 < V1.",
+        ":- p(V1), p(V2), p(V3), V2 < V3.",
+        ":- p(V1), p(V2), p(V3), V3 < V1.",
+        ":- p(V1), p(V2), p(V3), V3 < V2.",
+    };
+    EXPECT_EQ(rules, expected);
 }
 
 TEST(Space, NegatedBodyLiteralsWhenAllowed) {

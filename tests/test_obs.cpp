@@ -168,17 +168,6 @@ TEST(Counter, AddAndReset) {
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Gauge, SetAddNegative) {
-    Gauge g;
-    g.set(10);
-    g.add(-25);
-    EXPECT_EQ(g.value(), -15);
-    g.set(7);
-    EXPECT_EQ(g.value(), 7);
-    g.reset();
-    EXPECT_EQ(g.value(), 0);
-}
-
 TEST(Histogram, CountSumMinMax) {
     Histogram h;
     auto empty = h.snapshot();
@@ -341,8 +330,7 @@ TEST(Registry, SameNameReturnsSameInstrument) {
     MetricsRegistry r;
     EXPECT_EQ(&r.counter("a"), &r.counter("a"));
     EXPECT_NE(&r.counter("a"), &r.counter("b"));
-    // Counter / gauge / histogram namespaces are independent.
-    EXPECT_EQ(&r.gauge("a"), &r.gauge("a"));
+    // Counter and histogram namespaces are independent.
     EXPECT_EQ(&r.histogram("a"), &r.histogram("a"));
 }
 
@@ -395,13 +383,10 @@ TEST(Registry, ConcurrentHistogramObservations) {
 TEST(Registry, RenderTextListsInstruments) {
     MetricsRegistry r;
     r.counter("alpha.count").add(3);
-    r.gauge("beta.level").set(-2);
     r.histogram("gamma.time_us").observe(10);
     auto text = r.render_text();
     EXPECT_NE(text.find("alpha.count"), std::string::npos);
     EXPECT_NE(text.find("3"), std::string::npos);
-    EXPECT_NE(text.find("beta.level"), std::string::npos);
-    EXPECT_NE(text.find("-2"), std::string::npos);
     EXPECT_NE(text.find("gamma.time_us"), std::string::npos);
     EXPECT_NE(text.find("count=1"), std::string::npos);
 }
@@ -410,13 +395,11 @@ TEST(Registry, RenderJsonIsWellFormed) {
     MetricsRegistry r;
     EXPECT_TRUE(is_valid_json(r.render_json())) << r.render_json();
     r.counter("c.one").add(1);
-    r.gauge("g.one").set(-7);
     r.histogram("h.one").observe(42);
     r.counter("weird \"name\"\\with\nescapes").add(9);
     auto json = r.render_json();
     EXPECT_TRUE(is_valid_json(json)) << json;
     EXPECT_NE(json.find("\"c.one\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"g.one\":-7"), std::string::npos);
     EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 

@@ -366,5 +366,103 @@ TEST(Protocol, MutatedRequestLinesNeverBreakTheWireParsers) {
     EXPECT_EQ(error, "JSON nesting too deep");
 }
 
+// --- NDJSON framing fuzz -----------------------------------------------------
+
+// What the NDJSON framing owes a stream: one reply per complete non-empty
+// line (a CR before the LF is not part of the line) and, at the first
+// line of max_line_bytes or more, the oversize error and a close. An
+// unterminated last line shorter than that is dropped at EOF.
+struct FramingExpectation {
+    std::size_t replies = 0;
+    bool oversized = false;
+};
+
+FramingExpectation expected_framing(std::string_view stream, std::size_t max_line_bytes) {
+    FramingExpectation out;
+    while (true) {
+        std::size_t nl = stream.find('\n');
+        if ((nl == std::string_view::npos ? stream.size() : nl) >= max_line_bytes) {
+            out.oversized = true;
+            return out;
+        }
+        if (nl == std::string_view::npos) return out;
+        std::string_view line = stream.substr(0, nl);
+        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+        if (!line.empty()) ++out.replies;
+        stream.remove_prefix(nl + 1);
+    }
+}
+
+TEST(Protocol, MutatedStreamsKeepTheNdjsonFraming) {
+    const std::string doc = read_whole_file(std::string(AGENP_SOURCE_DIR) + "/docs/PROTOCOL.md");
+    auto grammars = fenced_blocks(doc, "asg");
+    auto contexts = fenced_blocks(doc, "lp");
+    ASSERT_FALSE(grammars.empty() || contexts.empty());
+    RouterOptions router_options;
+    router_options.replicas = 1;
+    router_options.service.threads = 2;
+    AmsRouter router(policy_factory(grammars.front(), asp::parse_program(contexts.front())),
+                     router_options);
+    TransportOptions transport;
+    transport.max_line_bytes = 256;
+    TcpServer server(router, transport);
+
+    std::vector<std::string> corpus(std::begin(kWireCorpus), std::end(kWireCorpus));
+    corpus.push_back("!stats");  // a control line, refused: this server takes none
+    const char* const kEnds[] = {"\n", "\r\n", "\r\r\n", "\n\n", ""};
+    std::size_t replies = 0;
+    std::size_t oversized = 0;
+    // 40 fixed seeds, one connection each: the same streams on every run.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::mt19937_64 rng(seed);
+        std::string stream;
+        for (int i = 0; i < 16; ++i) {
+            const std::string& base = corpus[rng() % corpus.size()];
+            stream += rng() % 2 == 0 ? fuzz::mutate(base, corpus, kJsonAlphabet, rng) : base;
+            stream += kEnds[rng() % std::size(kEnds)];
+        }
+        if (seed % 4 == 0) stream += std::string(300, 'x') + "\n";  // over max_line_bytes
+        FramingExpectation expected = expected_framing(stream, transport.max_line_bytes);
+
+        TcpClient client("127.0.0.1", server.port());
+        try {
+            for (std::size_t at = 0; at < stream.size();) {  // random split points
+                std::size_t piece = 1 + rng() % 64;
+                client.send(std::string_view(stream).substr(at, piece));
+                at += piece;
+            }
+            client.shutdown_write();
+        } catch (const std::runtime_error&) {
+            // An oversized line closed the connection over bytes the
+            // server will never read; the replies before are intact.
+        }
+        std::size_t got = 0;
+        std::size_t oversize_errors = 0;
+        while (auto reply = client.recv_line()) {
+            auto json = parse_json(*reply);
+            EXPECT_TRUE(json.has_value() && json->is_object()) << "seed " << seed << ": " << *reply;
+            if (reply->find("line exceeds maximum length") != std::string::npos) ++oversize_errors;
+            ++got;
+        }
+        EXPECT_EQ(got, expected.replies + (expected.oversized ? 1 : 0)) << "seed " << seed;
+        EXPECT_EQ(oversize_errors, expected.oversized ? 1u : 0u) << "seed " << seed;
+        replies += got;
+        if (expected.oversized) ++oversized;
+
+        // A fresh connection is served afterwards.
+        TcpClient fresh("127.0.0.1", server.port());
+        fresh.send_line(R"({"op":"ping"})");
+        auto pong = fresh.recv_line();
+        EXPECT_TRUE(pong.has_value() && pong->find("\"ok\":true") != std::string::npos)
+            << "seed " << seed;
+        if (::testing::Test::HasFailure()) FAIL() << "seed " << seed;
+    }
+    // Both sides of the contract are exercised.
+    EXPECT_GT(replies, 200u);
+    EXPECT_GT(oversized, 10u);
+    server.shutdown();
+    EXPECT_EQ(server.stats().active, 0u);
+}
+
 }  // namespace
 }  // namespace agenp::srv
