@@ -1,5 +1,5 @@
-// Flight recorder: a fixed-size lock-free ring of recent request
-// summaries (DESIGN.md section 7).
+// Flight recorder: a fixed-size ring of recent request summaries
+// (DESIGN.md section 7).
 //
 // The serving layer records one compact, string-free summary per request
 // — id, outcome, per-phase latencies, cache hit/miss, model version — so
@@ -7,24 +7,17 @@
 // without having enabled tracing beforehand. `agenp serve` dumps it on
 // demand via the `!flight` control line.
 //
-// Concurrency: record() takes no lock. Each slot is a tiny seqlock built
-// entirely from atomics: the writer claims a sequence number with one
-// fetch_add, claims the slot by compare-exchanging its even sequence for
-// the writer's own odd one (write in progress), stores the payload with
-// relaxed atomics, then publishes by storing the even sequence. A slot
-// has one writer at a time: a write that wraps onto a slot another write
-// still holds waits for it, and a write that finds a newer generation
-// already there drops itself. A reader that observes an odd or changed
-// sequence discards the slot instead of blocking. All payload fields are
-// std::atomic, so there is no data race for TSan to object to — the
-// sequence check only guards against mixing fields of two records.
+// Concurrency: one util::Mutex guards the ring. record() holds it for one
+// slot copy; snapshot() for a copy of the retained records, and it sorts
+// them after releasing it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "util/mutex.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace agenp::srv {
 
@@ -46,37 +39,23 @@ public:
     // Capacity is rounded up to a power of two (minimum 2).
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-    // Never blocks on readers; overwrites the oldest slot once the ring is
-    // full (a record that lost its slot to a newer one is dropped).
+    // Overwrites the oldest record once the ring is full.
     void record(const FlightRecord& record);
 
-    // Consistent records currently retained, oldest first (by id).
+    // The newest capacity() records, sorted by id.
     [[nodiscard]] std::vector<FlightRecord> snapshot() const;
 
-    [[nodiscard]] std::uint64_t total_recorded() const {
-        return next_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+    [[nodiscard]] std::uint64_t total_recorded() const;
+    [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
     // One JSON object per line, oldest first.
     [[nodiscard]] std::string render_json_lines() const;
 
 private:
-    struct Slot {
-        std::atomic<std::uint64_t> seq{0};  // 0 = never written; odd = writing
-        std::atomic<std::uint64_t> id{0};
-        std::atomic<std::uint64_t> client{0};
-        std::atomic<std::uint64_t> model_version{0};
-        std::atomic<std::uint64_t> queue_us{0};
-        std::atomic<std::uint64_t> solve_us{0};
-        std::atomic<std::uint64_t> total_us{0};
-        std::atomic<std::uint8_t> outcome{0};
-        std::atomic<bool> cache_hit{false};
-    };
-
-    std::atomic<std::uint64_t> next_{0};  // sequence numbers handed to writers
-    std::vector<Slot> slots_;
-    std::uint64_t mask_ = 0;
+    const std::size_t capacity_;
+    mutable util::Mutex mu_;
+    std::vector<FlightRecord> slots_ GUARDED_BY(mu_);
+    std::uint64_t recorded_ GUARDED_BY(mu_) = 0;  // the next record goes to recorded_ % capacity_
 };
 
 std::string flight_record_json(const FlightRecord& record);

@@ -1,6 +1,7 @@
 #include "srv/loadgen.hpp"
 
 #include <cstdio>
+#include <future>
 #include <thread>
 
 #include "asp/parser.hpp"
@@ -89,8 +90,11 @@ LoadgenReport run_loadgen(DecisionService& service, const std::vector<cfg::Token
             ClientResult& r = results[c];
             util::Rng& rng = rngs[c];
             for (std::size_t i = 0; i < options.requests_per_client; ++i) {
-                const cfg::TokenString& request = rng.choice(workload);
-                Decision d = service.submit(request).get();
+                std::promise<Decision> done;
+                std::future<Decision> decided = done.get_future();
+                service.submit(rng.choice(workload),
+                               [&done](const Decision& decision) { done.set_value(decision); });
+                Decision d = decided.get();
                 ++r.requests;
                 latency_hist.observe(d.latency_us);
                 switch (d.outcome) {

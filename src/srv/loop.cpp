@@ -23,6 +23,26 @@ void set_nonblocking(int fd) {
     if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+// Closes a socket with a FIN, not a reset. A close() that leaves unread
+// input on the socket makes the kernel answer with a reset, and a reset
+// discards reply bytes the peer has not received yet. So the input
+// already queued, up to a fixed bound, is read and discarded first, and
+// the write side is shut down before the close.
+void close_socket(int fd) {
+    constexpr std::size_t kMaxDiscard = 64 * 1024;
+    char buf[4096];
+    for (std::size_t discarded = 0; discarded < kMaxDiscard;) {
+        ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+        if (n > 0) {
+            discarded += static_cast<std::size_t>(n);
+        } else if (n == 0 || errno != EINTR) {
+            break;  // EOF, nothing queued, or an error
+        }
+    }
+    ::shutdown(fd, SHUT_WR);
+    ::close(fd);
+}
+
 }  // namespace
 
 void set_nodelay(int fd) {
@@ -116,7 +136,7 @@ void ConnectionLoop::close_conn(const ConnectionPtr& conn) {
         conn->closed = true;
         conn->outbox.clear();
     }
-    ::close(conn->fd);
+    close_socket(conn->fd);
     conn->fd = -1;
     stats_.closed.fetch_add(1, std::memory_order_relaxed);
     stats_.active.fetch_sub(1, std::memory_order_relaxed);
@@ -209,7 +229,7 @@ void ConnectionLoop::accept_new() {
                 [[maybe_unused]] ssize_t n = ::send(fd, over_capacity_reply_.data(),
                                                     over_capacity_reply_.size(), MSG_NOSIGNAL);
             }
-            ::close(fd);
+            close_socket(fd);
             continue;
         }
         set_nonblocking(fd);

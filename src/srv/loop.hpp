@@ -18,7 +18,10 @@
 //  - a connection idle longer than idle_timeout — nothing read, nothing
 //    written, nothing in flight or still queued in its outbox — is closed;
 //  - a half-closed connection (client shutdown(SHUT_WR)) still receives
-//    every reply for requests already read, then is closed.
+//    every reply for requests already read, then is closed;
+//  - a close reads and discards the input still queued on the socket (up
+//    to 64 KiB) and shuts down its write side first, so the peer gets a
+//    FIN after the last reply rather than a reset that can discard it.
 //
 // shutdown() drains gracefully: stop accepting, stop reading, discard
 // buffered-but-unprocessed input, let in-flight work complete

@@ -30,8 +30,8 @@ std::size_t AmsRouter::replica_for(const cfg::TokenString& request) const {
     return util::fnv1a_hash(cfg::detokenize(request)) % services_.size();
 }
 
-std::future<Decision> AmsRouter::submit(cfg::TokenString request,
-                                        DecisionService::SubmitOptions submit_options) {
+void AmsRouter::submit(cfg::TokenString request, std::function<void(const Decision&)> on_complete,
+                       SubmitOptions submit_options) {
     std::size_t primary = replica_for(request);
     std::size_t pick = primary;
     if (services_.size() > 1 &&
@@ -51,7 +51,7 @@ std::future<Decision> AmsRouter::submit(cfg::TokenString request,
     }
     (pick == primary ? routed_affinity_ : routed_fallback_)
         .fetch_add(1, std::memory_order_relaxed);
-    return services_[pick]->submit(std::move(request), std::move(submit_options));
+    services_[pick]->submit(std::move(request), std::move(on_complete), submit_options);
 }
 
 std::uint64_t AmsRouter::update_model(

@@ -92,8 +92,8 @@ public:
     // Routes to the hash-affine replica, spilling round-robin to a
     // replica with queue room when the primary is saturated. Same
     // contract as DecisionService::submit — never blocks.
-    std::future<Decision> submit(cfg::TokenString request,
-                                 DecisionService::SubmitOptions submit_options = {});
+    void submit(cfg::TokenString request, std::function<void(const Decision&)> on_complete,
+                SubmitOptions submit_options = {});
 
     // The hash-affine (primary) replica index for this request — what
     // submit() picks when nothing is saturated.

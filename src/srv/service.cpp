@@ -51,30 +51,23 @@ DecisionService::~DecisionService() {
     if (memo_) ams_.set_grounding_memo(nullptr);
 }
 
-std::future<Decision> DecisionService::submit(cfg::TokenString request,
-                                              std::chrono::microseconds timeout) {
-    SubmitOptions submit_options;
-    submit_options.timeout = timeout;
-    return submit(std::move(request), std::move(submit_options));
-}
-
-std::future<Decision> DecisionService::submit(cfg::TokenString request,
-                                              SubmitOptions submit_options) {
+void DecisionService::submit(cfg::TokenString request,
+                             std::function<void(const Decision&)> on_complete,
+                             SubmitOptions submit_options) {
     Task task;
     task.tokens = std::move(request);
     task.submitted_ns = obs::monotonic_ns();
-    std::chrono::microseconds timeout = submit_options.timeout;
-    if (timeout.count() <= 0) timeout = options_.default_timeout;
     // A timeout too large to represent means no deadline.
     constexpr std::uint64_t kNoDeadline = std::numeric_limits<std::uint64_t>::max();
-    auto timeout_us = static_cast<std::uint64_t>(std::max<std::int64_t>(timeout.count(), 0));
+    auto timeout_us =
+        static_cast<std::uint64_t>(std::max<std::int64_t>(submit_options.timeout.count(), 0));
     task.deadline_ns = timeout_us > 0 && timeout_us < (kNoDeadline - task.submitted_ns) / 1000
                            ? task.submitted_ns + timeout_us * 1000
                            : kNoDeadline;
     task.trace_id = options_.id_offset +
                     (submitted_.fetch_add(1, std::memory_order_relaxed) + 1) * options_.id_stride;
     task.client_id = submit_options.client_id;
-    task.on_complete = std::move(submit_options.on_complete);
+    task.on_complete = std::move(on_complete);
     if (options_.trace.active()) {
         // Tail-based: record spans now, decide at completion whether the
         // tree is worth keeping. When only sampling is on, skip the
@@ -89,29 +82,23 @@ std::future<Decision> DecisionService::submit(cfg::TokenString request,
             task.trace->begin_span(obs::PhaseId::SrvRequest, task.submitted_ns);
         }
     }
-    auto future = task.promise.get_future();
-    if (answer_if_cached(task)) return future;
+    if (answer_if_cached(task)) return;
 
-    bool rejected = false;
     task.enqueued_ns = obs::monotonic_ns();
+    bool queued = false;
     {
         util::MutexLock lock(queue_mu_);
-        if (stopping_ || queue_.size() >= options_.queue_capacity) {
-            rejected = true;
-        } else {
+        if (!stopping_ && queue_.size() < options_.queue_capacity) {
             queue_.push_back(std::move(task));
+            queued = true;
         }
     }
-    if (rejected) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        Decision decision;
-        finish(decision, task, Outcome::Overloaded);
-        task.promise.set_value(decision);
-        if (task.on_complete) task.on_complete(decision);
-        return future;
+    if (queued) {
+        queue_cv_.notify_one();
+        return;
     }
-    queue_cv_.notify_one();
-    return future;
+    Decision decision;
+    finish(task, decision, Outcome::Overloaded);
 }
 
 // The hit path: a request whose verdict is cached completes here, on the
@@ -125,38 +112,19 @@ bool DecisionService::answer_if_cached(Task& task) {
     // second, and the submitting thread may be the transport's event loop.
     if (!state_mu_.try_lock_shared()) return false;
     Decision decision;
-    std::optional<bool> permitted;
-    std::optional<std::string> error;
+    std::optional<Outcome> outcome;
     {
         obs::PhaseTimesScope phase_scope(&task.phases);
         obs::TraceContextScope trace_scope(task.trace.get());
-        try {
-            permitted = verdict(task, decision, /*cached_only=*/true);
-        } catch (const std::exception& e) {
-            error = e.what();
-        }
+        outcome = verdict(task, decision, /*cached_only=*/true);
     }
     state_mu_.unlock_shared();
-    if (!permitted && !error) return false;
+    if (!outcome) return false;
     // Answered without queueing: the request's queue wait is zero.
     obs::record_phase(obs::PhaseId::SrvQueueWait, task.submitted_ns, task.submitted_ns,
                       &task.phases, task.trace.get());
-    if (error) {
-        fail(decision, task, std::move(*error));
-    } else {
-        complete(decision, task, *permitted);
-    }
-    task.promise.set_value(decision);
-    if (task.on_complete) task.on_complete(decision);
+    finish(task, decision, *outcome);
     return true;
-}
-
-std::vector<std::future<Decision>> DecisionService::submit_batch(
-    std::vector<cfg::TokenString> requests) {
-    std::vector<std::future<Decision>> futures;
-    futures.reserve(requests.size());
-    for (auto& r : requests) futures.push_back(submit(std::move(r)));
-    return futures;
 }
 
 void DecisionService::drain() {
@@ -224,9 +192,7 @@ void DecisionService::worker_loop() {
             queue_.pop_front();
             ++in_flight_;
         }
-        Decision decision = process(task);
-        task.promise.set_value(decision);
-        if (task.on_complete) task.on_complete(decision);
+        process(task);
         {
             util::MutexLock lock(queue_mu_);
             --in_flight_;
@@ -252,7 +218,20 @@ void DecisionService::maybe_capture(Task& task, std::uint64_t end_ns, std::uint6
     while (captured_.size() > opts.max_captured) captured_.pop_front();
 }
 
-void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
+// Every request ends here, on the thread that answered it and with no lock
+// held: counted, recorded, then handed to its callback.
+void DecisionService::finish(Task& task, Decision& decision, Outcome outcome) {
+    switch (outcome) {
+        case Outcome::Permit:
+        case Outcome::Deny:
+            completed_.fetch_add(1, std::memory_order_relaxed);
+            (outcome == Outcome::Permit ? permitted_ : denied_)
+                .fetch_add(1, std::memory_order_relaxed);
+            break;
+        case Outcome::Overloaded: rejected_.fetch_add(1, std::memory_order_relaxed); break;
+        case Outcome::Expired: expired_.fetch_add(1, std::memory_order_relaxed); break;
+        case Outcome::Error: errors_.fetch_add(1, std::memory_order_relaxed); break;
+    }
     std::uint64_t end_ns = obs::monotonic_ns();
     obs::record_phase(obs::PhaseId::SrvRequest, task.submitted_ns, end_ns, &task.phases, nullptr);
     decision.outcome = outcome;
@@ -290,6 +269,7 @@ void DecisionService::finish(Decision& decision, Task& task, Outcome outcome) {
         options_.audit->record(std::move(entry));
     }
     maybe_capture(task, end_ns, decision.latency_us);
+    task.on_complete(decision);
 }
 
 // Gathers the request's context, keeps the part the model in force reads
@@ -321,71 +301,54 @@ std::optional<bool> DecisionService::probe(Task& task) {
 // One decision under the shared model lock: the probe (unless submit()
 // already made it), the PDP and the cache insert on a miss, then the PEP.
 // With `cached_only` it stops at a miss and returns nullopt, leaving the
-// probed task for a worker.
-std::optional<bool> DecisionService::verdict(Task& task, Decision& decision, bool cached_only) {
-    std::optional<bool> permitted;
-    // The slice, and so the key, depend on what the model reads: a miss
-    // probed under a model since replaced is probed again, or it would be
-    // decided and cached under a context that lacks what the new model reads.
-    if (!task.probed || task.probed_version != ams_.model_version()) permitted = probe(task);
-    decision.model_version = ams_.model_version();
-    if (permitted) {
-        decision.cache_hit = true;
-    } else if (cached_only) {
-        return std::nullopt;
-    } else {
-        // A miss's verdict step: the PDP (the context and key may come
-        // from submit(), under an older hold of the lock and the same
-        // model version). The slice is moved in; nothing reads it after.
-        obs::Phase phase(obs::PhaseId::SrvSolve);
-        permitted = ams_.decide(task.tokens, std::move(task.context));
-        if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);
+// probed task for a worker. A throw fails this request only (Error, with
+// its text in the decision); a throw from the verdict step skips the cache
+// insert.
+std::optional<Outcome> DecisionService::verdict(Task& task, Decision& decision,
+                                                bool cached_only) {
+    try {
+        std::optional<bool> permitted;
+        // The slice, and so the key, depend on what the model reads: a miss
+        // probed under a model since replaced is probed again, or it would
+        // be decided and cached under a context that lacks what the new
+        // model reads.
+        if (!task.probed || task.probed_version != ams_.model_version()) permitted = probe(task);
+        decision.model_version = ams_.model_version();
+        if (permitted) {
+            decision.cache_hit = true;
+        } else if (cached_only) {
+            return std::nullopt;
+        } else {
+            // A miss's verdict step: the PDP (the context and key may come
+            // from submit(), under an older hold of the lock and the same
+            // model version). The slice is moved in; nothing reads it after.
+            obs::Phase phase(obs::PhaseId::SrvSolve);
+            permitted = ams_.decide(task.tokens, std::move(task.context));
+            if (options_.use_cache) cache_.insert(task.key, decision.model_version, *permitted);
+        }
+        ams_.pep().enforce(task.tokens, *permitted);
+        return *permitted ? Outcome::Permit : Outcome::Deny;
+    } catch (const std::exception& e) {
+        decision.error = e.what();
+        return Outcome::Error;
     }
-    ams_.pep().enforce(task.tokens, *permitted);
-    return permitted;
 }
 
-void DecisionService::complete(Decision& decision, Task& task, bool permitted) {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    (permitted ? permitted_ : denied_).fetch_add(1, std::memory_order_relaxed);
-    finish(decision, task, permitted ? Outcome::Permit : Outcome::Deny);
-}
-
-void DecisionService::fail(Decision& decision, Task& task, std::string error) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    decision.error = std::move(error);
-    finish(decision, task, Outcome::Error);
-}
-
-Decision DecisionService::process(Task& task) {
+void DecisionService::process(Task& task) {
     std::uint64_t dequeued_ns = obs::monotonic_ns();
     obs::record_phase(obs::PhaseId::SrvQueueWait, task.enqueued_ns, dequeued_ns, &task.phases,
                       task.trace.get());
-    // Every obs::Phase below, down to the solver, feeds this request's
-    // phase times and trace through the thread-locals these install.
-    obs::PhaseTimesScope phase_scope(&task.phases);
-    obs::TraceContextScope trace_scope(task.trace.get());
     Decision decision;
-    decision.trace_id = task.trace_id;
-
-    if (dequeued_ns >= task.deadline_ns) {
-        expired_.fetch_add(1, std::memory_order_relaxed);
-        finish(decision, task, Outcome::Expired);
-        return decision;
-    }
-
-    std::optional<bool> permitted;
-    try {
+    Outcome outcome = Outcome::Expired;
+    if (dequeued_ns < task.deadline_ns) {
+        // Every obs::Phase below, down to the solver, feeds this request's
+        // phase times and trace through the thread-locals these install.
+        obs::PhaseTimesScope phase_scope(&task.phases);
+        obs::TraceContextScope trace_scope(task.trace.get());
         obs::ProfiledReadLock state(state_mu_);
-        permitted = verdict(task, decision, /*cached_only=*/false);
-    } catch (const std::exception& e) {
-        // Fails this request only; unwinding released the model lock, and
-        // a throw from the verdict step skipped the cache insert.
-        fail(decision, task, e.what());
-        return decision;
+        outcome = *verdict(task, decision, /*cached_only=*/false);
     }
-    complete(decision, task, *permitted);
-    return decision;
+    finish(task, decision, outcome);
 }
 
 }  // namespace agenp::srv

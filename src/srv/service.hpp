@@ -3,12 +3,20 @@
 //
 // Architecture:
 //
-//   submit() ── cache hit ──────────────────────────────────────▶ Decision
-//      │        (answered on the caller's thread: context, key,   ▲
-//      │         probe, PEP, flight/audit/trace)                  │
-//      └─ miss ──▶ bounded MPMC queue ──▶ fixed thread pool ──────┘
-//                  (reject Overloaded      PDP membership solve, cache
-//                   when full)             insert, PEP, flight/audit/trace
+//   submit() ── cache hit ───────────────────────────────┐
+//      │        (answered on the caller's thread:        │
+//      │         context, key, probe, PEP)               ▼
+//      └─ miss ──▶ bounded MPMC queue ──▶ thread pool ──▶ finish() ──▶ callback
+//                  (full: Overloaded,      (PDP solve,      (flight, audit,
+//                   straight to finish())   cache insert,     trace)
+//                                           PEP; Expired
+//                                           past the deadline)
+//
+// A decision leaves the service one way: the callback passed to submit().
+// Every request ends in finish(): a hit, a hit-path error, Overloaded,
+// Expired, a decided miss or a failed miss. finish() counts the request,
+// records it in the flight ring, the audit log and its trace, and then
+// calls the callback, holding no lock.
 //
 // The served decision history is the flight ring plus the audit log: a
 // decision writes no AMS state, and the AMS's DecisionMonitor belongs to
@@ -51,8 +59,8 @@
 // submitting thread and on the worker. Each per-request phase is fed once
 // per request, hit or miss; an inline hit's srv.queue_wait is 0.
 // A summary of each request (outcome, queue/solve/total latency from that
-// array, cache hit, model version) lands in a lock-free FlightRecorder
-// ring and the audit log. When request tracing is configured
+// array, cache hit, model version) lands in the FlightRecorder ring and
+// the audit log. When request tracing is configured
 // (TraceOptions), each request also carries a TraceContext through queue
 // wait -> cache probe -> PDP -> membership -> solver; the full span tree
 // is kept only for requests slower than the tail threshold (plus optional
@@ -63,7 +71,6 @@
 #include <chrono>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -110,9 +117,6 @@ struct ServiceOptions {
     // CPU they save is worth (DESIGN.md section 13).
     bool use_memo = false;
     asg::MemoOptions memo;
-    // Deadline applied to requests submitted without their own; zero means
-    // no deadline.
-    std::chrono::microseconds default_timeout{0};
     TraceOptions trace;
     std::size_t flight_capacity = FlightRecorder::kDefaultCapacity;
     // Request-id sequencing: ids are id_offset + k * id_stride for
@@ -164,6 +168,15 @@ struct ServiceStats {
     asg::MemoStats memo;  // zeros when use_memo is off
 };
 
+// Per-request options of DecisionService::submit. `timeout` is the
+// request's deadline (zero = none); it applies only to a request that is
+// queued. `client_id` tags the request's flight record and trace with the
+// transport connection it arrived on (0 = not connection-bound).
+struct SubmitOptions {
+    std::chrono::microseconds timeout{0};
+    std::uint64_t client_id = 0;
+};
+
 // A span tree the tail sampler decided to keep.
 struct CapturedTrace {
     std::string reason;  // "slow" or "sample"
@@ -183,31 +196,16 @@ public:
     DecisionService(const DecisionService&) = delete;
     DecisionService& operator=(const DecisionService&) = delete;
 
-    // Per-submit options for callers that need more than a deadline (the
-    // TCP transport and the router). `on_complete` is invoked exactly once
-    // after the future has been resolved: inline in submit() for a cache
-    // hit or an immediate Overloaded rejection, otherwise from the worker
-    // that completed the request. The deadline applies only to a request
-    // that is queued.
-    // `client_id` tags the request's flight record and trace with the
-    // transport connection it arrived on (0 = not connection-bound).
-    struct SubmitOptions {
-        std::chrono::microseconds timeout{0};
-        std::uint64_t client_id = 0;
-        std::function<void(const Decision&)> on_complete;
-    };
+    // Answers one request from the cache, or enqueues it. `on_complete`
+    // receives its Decision exactly once: before submit() returns for a
+    // cache hit or an immediate Overloaded rejection, otherwise on the
+    // worker that finished the request. Never waits for a worker or an
+    // adoption: a miss meeting a full queue is answered Overloaded.
+    void submit(cfg::TokenString request, std::function<void(const Decision&)> on_complete,
+                SubmitOptions submit_options = {});
 
-    // Answers one request from the cache, or enqueues it; the future
-    // resolves to its Decision (already resolved on return for a hit).
-    // Never waits for a worker or an adoption: a miss meeting a full queue
-    // resolves the future immediately as Overloaded.
-    std::future<Decision> submit(cfg::TokenString request,
-                                 std::chrono::microseconds timeout = std::chrono::microseconds{0});
-    std::future<Decision> submit(cfg::TokenString request, SubmitOptions submit_options);
-
-    std::vector<std::future<Decision>> submit_batch(std::vector<cfg::TokenString> requests);
-
-    // Blocks until every accepted request has completed.
+    // Blocks until every accepted request has completed and its callback
+    // has returned.
     void drain();
 
     // Runs `fn` with exclusive access to the AMS — no decision in flight,
@@ -239,7 +237,6 @@ public:
 private:
     struct Task {
         cfg::TokenString tokens;
-        std::promise<Decision> promise;
         std::uint64_t submitted_ns = 0;  // obs::monotonic_ns() at submit
         std::uint64_t enqueued_ns = 0;   // when queued; srv.queue_wait starts here
         std::uint64_t deadline_ns = 0;   // UINT64_MAX = none
@@ -261,13 +258,11 @@ private:
 
     bool answer_if_cached(Task& task);
     void worker_loop();
-    Decision process(Task& task);
+    void process(Task& task);
     std::optional<bool> probe(Task& task) REQUIRES_SHARED(state_mu_);
-    std::optional<bool> verdict(Task& task, Decision& decision, bool cached_only)
+    std::optional<Outcome> verdict(Task& task, Decision& decision, bool cached_only)
         REQUIRES_SHARED(state_mu_);
-    void complete(Decision& decision, Task& task, bool permitted);
-    void fail(Decision& decision, Task& task, std::string error);
-    void finish(Decision& decision, Task& task, Outcome outcome);
+    void finish(Task& task, Decision& decision, Outcome outcome);
     void maybe_capture(Task& task, std::uint64_t end_ns, std::uint64_t total_us);
 
     framework::AutonomousManagedSystem& ams_;

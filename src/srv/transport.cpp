@@ -52,23 +52,26 @@ DispatchResult dispatch_line(AmsRouter& router, std::string_view line, LineMode 
                 router.replicas(), router.model_version());
             return out;
         }
-        DecisionService::SubmitOptions submit_options;
+        SubmitOptions submit_options;
         submit_options.timeout = std::chrono::microseconds(request->timeout_ms * 1000);
         submit_options.client_id = client_id;
-        WireRequest echoed = *request;
-        submit_options.on_complete = [echoed, reply = std::move(reply)](const Decision& decision) {
-            reply(wire_decision_json(echoed, decision));
-        };
-        router.submit(cfg::tokenize(request->decide), std::move(submit_options));
+        router.submit(
+            cfg::tokenize(request->decide),
+            [echoed = *request, reply = std::move(reply)](const Decision& decision) {
+                reply(wire_decision_json(echoed, decision));
+            },
+            submit_options);
         out.deferred = true;
         return out;
     }
-    DecisionService::SubmitOptions submit_options;
+    SubmitOptions submit_options;
     submit_options.client_id = client_id;
-    submit_options.on_complete = [reply = std::move(reply)](const Decision& decision) {
-        reply(std::string(outcome_name(decision.outcome)));
-    };
-    router.submit(cfg::tokenize(line), std::move(submit_options));
+    router.submit(
+        cfg::tokenize(line),
+        [reply = std::move(reply)](const Decision& decision) {
+            reply(std::string(outcome_name(decision.outcome)));
+        },
+        submit_options);
     out.deferred = true;
     return out;
 }
@@ -225,14 +228,18 @@ bool TcpClient::receive(std::chrono::steady_clock::time_point deadline) {
         pollfd pfd{fd_, POLLIN, 0};
         int rc = ::poll(&pfd, 1, static_cast<int>(std::min<long long>(remaining, 60000)));
         if (rc < 0 && errno == EINTR) continue;
-        if (rc <= 0) return false;
-        char tmp[4096];
-        ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
-        if (n > 0) {
-            buf_.append(tmp, static_cast<std::size_t>(n));
-            return true;
+        if (rc == 0) return false;  // timeout
+        if (rc > 0) {
+            char tmp[4096];
+            ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
+            if (n > 0) {
+                buf_.append(tmp, static_cast<std::size_t>(n));
+                return true;
+            }
+            if (n < 0 && errno == EINTR) continue;
         }
-        if (n == 0 || errno != EINTR) return false;  // EOF or error
+        closed_ = true;  // EOF, or a poll or read error
+        return false;
     }
 }
 

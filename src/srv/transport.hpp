@@ -154,7 +154,8 @@ public:
     // Writes `line` plus a terminating newline; throws on a broken pipe.
     void send_line(std::string_view line);
 
-    // Next reply line (CR/LF stripped), or nullopt on EOF / timeout.
+    // Next reply line (CR/LF stripped), or nullopt on EOF, error or
+    // timeout; closed() tells the first two from the last.
     std::optional<std::string> recv_line(
         std::chrono::milliseconds timeout = std::chrono::milliseconds{10000});
     // Every byte not yet returned, up to EOF or the timeout.
@@ -163,14 +164,19 @@ public:
     // Half-close: no more requests, but replies still flow back.
     void shutdown_write();
 
+    // True once a read saw the peer close the connection (EOF) or an
+    // error; false after a read that only timed out.
+    [[nodiscard]] bool closed() const { return closed_; }
+
     [[nodiscard]] int fd() const { return fd_; }
 
 private:
     // Waits until `deadline` for bytes and appends them to buf_; false on
-    // EOF, error or timeout.
+    // EOF, error (both set closed_) or timeout.
     bool receive(std::chrono::steady_clock::time_point deadline);
 
     int fd_ = -1;
+    bool closed_ = false;
     std::string buf_;  // bytes received but not yet returned as lines
 };
 

@@ -77,7 +77,7 @@ struct WireRequest {
     std::string op;           // "ping", or empty for decisions
     bool has_id = false;      // `id` was present and is echoed back
     std::uint64_t id = 0;
-    std::uint64_t timeout_ms = 0;  // 0 = server default
+    std::uint64_t timeout_ms = 0;  // 0 = no deadline
 };
 
 // Parses one request line (already known to be valid UTF-8). On failure

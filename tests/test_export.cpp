@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -463,6 +464,26 @@ TEST(HttpServerTest, ConnectionCloseAndHttp10CloseAfterTheResponse) {
         EXPECT_EQ(response->body, "path=/c\n") << request;
         EXPECT_TRUE(conn.server_closes()) << request;
     }
+}
+
+TEST(HttpServerTest, UnreadInputAtCloseStillEndsInEofNotReset) {
+    // The Connection: close request ends the reading; 16 KiB more follows
+    // in the same write and is never read. A close over unread input makes
+    // the kernel send a reset, which over a real link can discard the
+    // response, so the server must end the connection with a FIN after it.
+    auto server = echo_server();
+    RawHttp conn(server->port());
+    std::string more;
+    while (more.size() < 16 * 1024) more += "GET /more HTTP/1.1\r\nHost: t\r\n\r\n";
+    conn.send("GET /c HTTP/1.1\r\nConnection: close\r\n\r\n" + more);
+    auto response = conn.next();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->body, "path=/c\n");
+    pollfd pfd{conn.fd(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 5000), 1);
+    char byte;
+    ssize_t n = ::recv(conn.fd(), &byte, 1, 0);
+    EXPECT_EQ(n, 0) << (n < 0 ? std::strerror(errno) : "more bytes");  // EOF, not a reset
 }
 
 TEST(HttpServerTest, PostGets405AndTheConnectionStaysUp) {

@@ -5,8 +5,11 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -23,6 +26,7 @@
 #include "asg/membership.hpp"
 #include "asp/parser.hpp"
 #include "obs/phase.hpp"
+#include "random_asg.hpp"
 #include "srv/audit.hpp"
 #include "srv/loadgen.hpp"
 #include "srv/router.hpp"
@@ -217,6 +221,19 @@ TEST(DecisionCache, ConcurrentHammering) {
     EXPECT_LE(stats.entries, 64u);
 }
 
+// Submits through the callback, the one way a decision leaves a
+// DecisionService or an AmsRouter, and returns a future the callback
+// resolves.
+template <typename Service>
+std::future<Decision> submit(Service& service, cfg::TokenString request,
+                             SubmitOptions options = {}) {
+    auto done = std::make_shared<std::promise<Decision>>();
+    std::future<Decision> decision = done->get_future();
+    service.submit(
+        std::move(request), [done](const Decision& d) { done->set_value(d); }, options);
+    return decision;
+}
+
 // --- service fixtures ---
 
 // Permits "do task_i" iff i % 5 + 1 <= 3 under the demo maxloa(3) context.
@@ -227,7 +244,7 @@ TEST(DecisionService, DecidesCorrectlyAndCaches) {
     DecisionService service(ams, service_options(2));
     for (int round = 0; round < 2; ++round) {
         for (std::size_t i = 0; i < 6; ++i) {
-            Decision d = service.submit(cfg::tokenize("do task_" + std::to_string(i))).get();
+            Decision d = submit(service, cfg::tokenize("do task_" + std::to_string(i))).get();
             EXPECT_EQ(d.permitted(), demo_expected(i)) << "task_" << i;
             EXPECT_EQ(d.cache_hit, round == 1) << "task_" << i;
         }
@@ -245,7 +262,8 @@ TEST(DecisionService, SubmitBatchAndDrain) {
     for (int i = 0; i < 40; ++i) {
         requests.push_back(cfg::tokenize("do task_" + std::to_string(i % 4)));
     }
-    auto futures = service.submit_batch(std::move(requests));
+    std::vector<std::future<Decision>> futures;
+    for (auto& request : requests) futures.push_back(submit(service, std::move(request)));
     service.drain();
     auto stats = service.snapshot_stats();
     EXPECT_EQ(stats.queue_depth, 0u);
@@ -264,7 +282,7 @@ TEST(DecisionService, BackpressureRejectsWhenQueueFull) {
     DecisionService service(ams, service_options(1, /*queue_capacity=*/2));
     std::vector<std::future<Decision>> futures;
     for (int i = 0; i < 64; ++i) {
-        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i))));
+        futures.push_back(submit(service, cfg::tokenize("do task_" + std::to_string(i))));
     }
     std::size_t overloaded = 0, decided = 0;
     for (auto& f : futures) {
@@ -287,8 +305,8 @@ TEST(DecisionService, DeadlineExpiresWhileQueued) {
     DecisionService service(ams, service_options(1));
     // First request occupies the worker for 20ms; the second's 1ms deadline
     // lapses in the queue.
-    auto blocker = service.submit(cfg::tokenize("do task_0"));
-    auto doomed = service.submit(cfg::tokenize("do task_1"), 1ms);
+    auto blocker = submit(service, cfg::tokenize("do task_0"));
+    auto doomed = submit(service, cfg::tokenize("do task_1"), {.timeout = 1ms});
     EXPECT_NE(blocker.get().outcome, Outcome::Expired);
     Decision d = doomed.get();
     EXPECT_EQ(d.outcome, Outcome::Expired);
@@ -308,7 +326,7 @@ TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
         ilp::HypothesisSpace{}, ams_options);
     DecisionService service(ams, service_options(1));
 
-    Decision failed = service.submit(cfg::tokenize("big")).get();
+    Decision failed = submit(service, cfg::tokenize("big")).get();
     EXPECT_EQ(failed.outcome, Outcome::Error);
     WireRequest request;
     request.has_id = true;
@@ -317,7 +335,7 @@ TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
               R"({"id":7,"error":"internal","message":"grounding exceeded max_atoms limit"})");
 
     // The one worker survived and decides the next request.
-    EXPECT_EQ(service.submit(cfg::tokenize("small")).get().outcome, Outcome::Permit);
+    EXPECT_EQ(submit(service, cfg::tokenize("small")).get().outcome, Outcome::Permit);
     ServiceStats stats = service.snapshot_stats();
     EXPECT_EQ(stats.errors, 1u);
     EXPECT_EQ(stats.completed, 1u);
@@ -327,9 +345,9 @@ TEST(DecisionService, ThrowingDecisionRepliesErrorAndWorkerKeepsServing) {
 TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(2));
-    Decision before = service.submit(cfg::tokenize("do task_0")).get();
+    Decision before = submit(service, cfg::tokenize("do task_0")).get();
     EXPECT_TRUE(before.permitted());
-    EXPECT_TRUE(service.submit(cfg::tokenize("do task_0")).get().cache_hit);
+    EXPECT_TRUE(submit(service, cfg::tokenize("do task_0")).get().cache_hit);
 
     // Adopt a stricter model (everything requires clearance 5) with the
     // service running; version stamping must retire the old entries.
@@ -340,12 +358,12 @@ TEST(DecisionService, ModelAdoptionInvalidatesByVersion) {
         ams.representations().store(asg::AnswerSetGrammar::parse(text), "test-adoption");
     });
 
-    Decision after = service.submit(cfg::tokenize("do task_0")).get();
+    Decision after = submit(service, cfg::tokenize("do task_0")).get();
     EXPECT_FALSE(after.cache_hit);  // old entry is stale, not served
     EXPECT_FALSE(after.permitted());
     EXPECT_GT(after.model_version, before.model_version);
     // And the new verdict is itself cached.
-    Decision again = service.submit(cfg::tokenize("do task_0")).get();
+    Decision again = submit(service, cfg::tokenize("do task_0")).get();
     EXPECT_TRUE(again.cache_hit);
     EXPECT_FALSE(again.permitted());
     EXPECT_GE(service.cache().stats().invalidations, 1u);
@@ -364,15 +382,16 @@ TEST(DecisionService, MissQueuedAcrossAnAdoptionIsSlicedUnderTheNewModel) {
     std::promise<void> entered;
     std::promise<void> release;
     std::shared_future<void> released = release.get_future().share();
-    DecisionService::SubmitOptions park;
-    park.on_complete = [&](const Decision&) {
+    std::promise<Decision> parked;
+    std::future<Decision> a = parked.get_future();
+    service.submit(cfg::tokenize("do task_1"), [&](const Decision& decision) {
         entered.set_value();
         (void)released.wait_for(5s);
-    };
-    std::future<Decision> a = service.submit(cfg::tokenize("do task_1"), std::move(park));
+        parked.set_value(decision);
+    });
     entered.get_future().wait();
 
-    std::future<Decision> b = service.submit(cfg::tokenize("do task_0"));
+    std::future<Decision> b = submit(service, cfg::tokenize("do task_0"));
     EXPECT_EQ(b.wait_for(0s), std::future_status::timeout);  // probed under v, queued
     std::uint64_t v = ams.model_version();
     service.update_model([&] {
@@ -393,20 +412,21 @@ TEST(DecisionService, MissQueuedAcrossAnAdoptionIsSlicedUnderTheNewModel) {
 TEST(DecisionService, CacheHitCompletesInsideSubmit) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(1));
-    Decision miss = service.submit(cfg::tokenize("do task_0")).get();
+    Decision miss = submit(service, cfg::tokenize("do task_0")).get();
     ASSERT_FALSE(miss.cache_hit);
 
-    // The hit is answered on this thread: the future is resolved and
-    // on_complete has run before submit() returns.
+    // The hit is answered on this thread: the callback has run, and
+    // resolved the future, before submit() returns.
     std::atomic<bool> completed{false};
     std::atomic<bool> on_caller{false};
-    DecisionService::SubmitOptions submit_options;
-    submit_options.on_complete = [&, caller = std::this_thread::get_id()](const Decision&) {
-        on_caller.store(std::this_thread::get_id() == caller);
-        completed.store(true);
-    };
-    std::future<Decision> future =
-        service.submit(cfg::tokenize("do task_0"), std::move(submit_options));
+    std::promise<Decision> done;
+    std::future<Decision> future = done.get_future();
+    service.submit(cfg::tokenize("do task_0"),
+                   [&, caller = std::this_thread::get_id()](const Decision& decision) {
+                       on_caller.store(std::this_thread::get_id() == caller);
+                       completed.store(true);
+                       done.set_value(decision);
+                   });
     EXPECT_TRUE(completed.load());
     EXPECT_TRUE(on_caller.load());
     ASSERT_EQ(future.wait_for(0s), std::future_status::ready);
@@ -438,8 +458,8 @@ TEST(DecisionService, ServedDecisionsLeaveTheAmsMonitorEmpty) {
     // worker's miss nor an inline hit writes the AMS's PAdaP monitor.
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(1));
-    Decision miss = service.submit(cfg::tokenize("do task_0")).get();
-    Decision hit = service.submit(cfg::tokenize("do task_0")).get();
+    Decision miss = submit(service, cfg::tokenize("do task_0")).get();
+    Decision hit = submit(service, cfg::tokenize("do task_0")).get();
     ASSERT_FALSE(miss.cache_hit);
     ASSERT_TRUE(hit.cache_hit);
 
@@ -455,7 +475,7 @@ TEST(DecisionService, ServedDecisionsLeaveTheAmsMonitorEmpty) {
 TEST(DecisionService, HitDuringAdoptionQueuesInsteadOfBlocking) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(1));
-    Decision before = service.submit(cfg::tokenize("do task_0")).get();
+    Decision before = submit(service, cfg::tokenize("do task_0")).get();
 
     // Park an adoption inside the model write lock. The park ends by
     // itself after 5 s, so a submit that waited for the lock fails the
@@ -473,7 +493,7 @@ TEST(DecisionService, HitDuringAdoptionQueuesInsteadOfBlocking) {
     entered.get_future().wait();
 
     auto start = std::chrono::steady_clock::now();
-    std::future<Decision> future = service.submit(cfg::tokenize("do task_0"));
+    std::future<Decision> future = submit(service, cfg::tokenize("do task_0"));
     auto submit_time = std::chrono::steady_clock::now() - start;
     EXPECT_LT(submit_time, 2s);
     // Queued, not answered: the worker needs the model lock too.
@@ -501,15 +521,15 @@ TEST(DecisionService, HitIsAnsweredWhenQueueIsFull) {
     });
     auto service = std::make_unique<DecisionService>(ams, service_options(1, /*queue_capacity=*/1));
     DecisionService* running = service.get();
-    ASSERT_TRUE(running->submit(cfg::tokenize("do task_0")).get().permitted());
+    ASSERT_TRUE(submit(*running, cfg::tokenize("do task_0")).get().permitted());
 
-    std::future<Decision> slow = running->submit(cfg::tokenize("do task_1"));
+    std::future<Decision> slow = submit(*running, cfg::tokenize("do task_1"));
     parked.get_future().wait();
-    std::future<Decision> queued = running->submit(cfg::tokenize("do task_2"));
+    std::future<Decision> queued = submit(*running, cfg::tokenize("do task_2"));
     EXPECT_EQ(running->queue_depth(), 1u);
     // The queue is full: another miss is shed, the cached request is not.
-    EXPECT_EQ(running->submit(cfg::tokenize("do task_3")).get().outcome, Outcome::Overloaded);
-    std::future<Decision> hit = running->submit(cfg::tokenize("do task_0"));
+    EXPECT_EQ(submit(*running, cfg::tokenize("do task_3")).get().outcome, Outcome::Overloaded);
+    std::future<Decision> hit = submit(*running, cfg::tokenize("do task_0"));
     ASSERT_EQ(hit.wait_for(0s), std::future_status::ready);
     Decision answered = hit.get();
     EXPECT_EQ(answered.outcome, Outcome::Permit);
@@ -520,7 +540,7 @@ TEST(DecisionService, HitIsAnsweredWhenQueueIsFull) {
     std::thread stopper([&service] { service.reset(); });
     Outcome outcome = Outcome::Permit;
     for (int i = 0; i < 5000 && outcome != Outcome::Overloaded; ++i) {
-        outcome = running->submit(cfg::tokenize("do task_0")).get().outcome;
+        outcome = submit(*running, cfg::tokenize("do task_0")).get().outcome;
         if (outcome != Outcome::Overloaded) std::this_thread::sleep_for(1ms);
     }
     EXPECT_EQ(outcome, Outcome::Overloaded);
@@ -545,7 +565,7 @@ TEST(DecisionService, CacheOffEquivalence) {
         DecisionService service(ams, service_options(4, 1024, use_cache));
         std::vector<std::future<Decision>> futures;
         futures.reserve(stream.size());
-        for (const auto& r : stream) futures.push_back(service.submit(r));
+        for (const auto& r : stream) futures.push_back(submit(service, r));
         for (auto& f : futures) {
             (use_cache ? with_cache : without_cache).push_back(f.get().permitted());
         }
@@ -570,7 +590,7 @@ TEST(DecisionService, MemoOffEquivalence) {
         DecisionService service(ams, options);
         std::vector<std::future<Decision>> futures;
         futures.reserve(stream.size());
-        for (const auto& r : stream) futures.push_back(service.submit(r));
+        for (const auto& r : stream) futures.push_back(submit(service, r));
         for (auto& f : futures) {
             (use_memo ? with_memo : without_memo).push_back(f.get().permitted());
         }
@@ -591,7 +611,7 @@ TEST(DecisionService, MemoEpochFollowsModelAdoption) {
     options.use_memo = true;  // off by default
     DecisionService service(ams, options);
     ASSERT_NE(service.grounding_memo(), nullptr);
-    EXPECT_TRUE(service.submit(cfg::tokenize("do task_0")).get().permitted());
+    EXPECT_TRUE(submit(service, cfg::tokenize("do task_0")).get().permitted());
     EXPECT_EQ(service.grounding_memo()->epoch(), ams.model_version());
 
     service.update_model([&] {
@@ -603,10 +623,10 @@ TEST(DecisionService, MemoEpochFollowsModelAdoption) {
     // The memo epoch tracked the version bump, so entries grounded under
     // the old model cannot be served for the new one.
     EXPECT_EQ(service.grounding_memo()->epoch(), ams.model_version());
-    EXPECT_FALSE(service.submit(cfg::tokenize("do task_0")).get().permitted());
+    EXPECT_FALSE(submit(service, cfg::tokenize("do task_0")).get().permitted());
     // Under the new model the request re-grounds (stale entries invalidate
     // lazily) and the fresh verdict is correct on the repeat too.
-    EXPECT_FALSE(service.submit(cfg::tokenize("do task_0")).get().permitted());
+    EXPECT_FALSE(submit(service, cfg::tokenize("do task_0")).get().permitted());
 }
 
 TEST(ConcurrentSubmitters, MemoOnAgainstSharedMemo) {
@@ -627,7 +647,7 @@ TEST(ConcurrentSubmitters, MemoOnAgainstSharedMemo) {
             for (int i = 0; i < kPerClient; ++i) {
                 auto task = static_cast<std::size_t>(rng.uniform(0, 7));
                 Decision d =
-                    service.submit(cfg::tokenize("do task_" + std::to_string(task))).get();
+                    submit(service, cfg::tokenize("do task_" + std::to_string(task))).get();
                 if (d.permitted() != demo_expected(task)) wrong.fetch_add(1);
             }
         });
@@ -653,7 +673,7 @@ TEST(DecisionService, ConcurrentSubmittersAgainstOneCache) {
             for (int i = 0; i < kPerClient; ++i) {
                 auto task = static_cast<std::size_t>(rng.uniform(0, 7));
                 Decision d =
-                    service.submit(cfg::tokenize("do task_" + std::to_string(task))).get();
+                    submit(service, cfg::tokenize("do task_" + std::to_string(task))).get();
                 if (d.permitted() != demo_expected(task)) wrong.fetch_add(1);
             }
         });
@@ -663,6 +683,77 @@ TEST(DecisionService, ConcurrentSubmittersAgainstOneCache) {
     auto stats = service.snapshot_stats();
     EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients) * kPerClient);
     EXPECT_GT(stats.cache.hits, 0u);
+}
+
+// Served ≡ plain ≡ repository over the seeded random grammars of
+// tests/random_asg.hpp. Each string goes through a DecisionService's
+// callback twice, a miss and then a cache hit, and once through a service
+// over an AMS that decides by its refreshed policy repository. All three
+// must give plain membership's verdict (asg::in_language). A repository
+// whose enumeration was truncated, or a string longer than the
+// enumeration's max_length, gives no verdict to compare: that case skips
+// the repository.
+TEST(DecisionService, ServedMatchesPlainMembershipAndTheRepository) {
+    using namespace random_asg;
+    framework::AmsOptions repository_options;
+    repository_options.strategy = framework::DecisionStrategy::Repository;
+    cfg::GenerateOptions& enumeration = repository_options.prep.language.enumeration;
+    // Short enough that Earley never meets a long string of an ambiguous
+    // grammar; the strings below have at most seven tokens.
+    enumeration.max_length = 8;
+    enumeration.max_strings = 64;
+    enumeration.max_expansions = 4000;
+    util::Rng rng(29);
+    std::size_t cases = 0, permits = 0, denies = 0, skips = 0;
+    for (int grammar_index = 0; grammar_index < 40; ++grammar_index) {
+        std::string text;
+        std::vector<Production> productions = random_grammar(rng, text);
+        auto grammar = asg::AnswerSetGrammar::parse(text);
+        std::set<std::string> strings;  // distinct, so each first submit misses
+        for (int i = 0; i < 4; ++i) {
+            std::string s;
+            if (i % 2 == 1 || !derive(rng, productions, 0, 0, s)) s = random_string(rng);
+            strings.insert(s);
+        }
+        for (int c = 0; c < 3; ++c) {
+            std::string context_text = random_context(rng);
+            auto context = asp::parse_program(context_text);
+            framework::AutonomousManagedSystem plain("plain", grammar, ilp::HypothesisSpace{});
+            framework::AutonomousManagedSystem repository("repository", grammar,
+                                                          ilp::HypothesisSpace{}, repository_options);
+            plain.pip().add_source("context", [&context] { return context; });
+            repository.pip().add_source("context", [&context] { return context; });
+            const bool truncated = repository.refresh_policies().truncated;
+            DecisionService served(plain, service_options(1));
+            DecisionService from_repository(repository, service_options(1));
+            for (const std::string& s : strings) {
+                cfg::TokenString tokens = cfg::tokenize(s);
+                const Outcome expected =
+                    asg::in_language(grammar, tokens, context) ? Outcome::Permit : Outcome::Deny;
+                const std::string where = "grammar " + std::to_string(grammar_index) + " '" + s +
+                                          "' under " + context_text + "\n" + text;
+                ++cases;
+                ++(expected == Outcome::Permit ? permits : denies);
+                Decision miss = submit(served, tokens).get();
+                EXPECT_FALSE(miss.cache_hit) << where;
+                EXPECT_EQ(miss.outcome, expected) << where;
+                Decision hit = submit(served, tokens).get();
+                EXPECT_TRUE(hit.cache_hit) << where;
+                EXPECT_EQ(hit.outcome, expected) << where;
+                if (truncated || tokens.size() > enumeration.max_length) {
+                    ++skips;
+                    continue;
+                }
+                EXPECT_EQ(submit(from_repository, tokens).get().outcome, expected)
+                    << "repository: " << where;
+            }
+        }
+    }
+    std::printf("served differential: %zu cases, %zu permits, %zu denies, %zu repository skips\n",
+                cases, permits, denies, skips);
+    EXPECT_GT(permits, 0u);
+    EXPECT_GT(denies, 0u);
+    EXPECT_LT(skips, cases);
 }
 
 TEST(Loadgen, ReportIsConsistentAndJsonWellFormed) {
@@ -768,7 +859,7 @@ TEST(DecisionService, FlightRingSeesEveryRequest) {
     DecisionService service(ams, options);
     std::vector<std::future<Decision>> futures;
     for (int i = 0; i < 20; ++i) {
-        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+        futures.push_back(submit(service, cfg::tokenize("do task_" + std::to_string(i % 4))));
     }
     std::set<std::uint64_t> decision_ids;
     for (auto& f : futures) decision_ids.insert(f.get().trace_id);
@@ -791,7 +882,7 @@ TEST(DecisionService, SampledCaptureProducesSpanTree) {
     DecisionService service(ams, options);
     std::vector<std::future<Decision>> futures;
     for (int i = 0; i < 8; ++i) {
-        futures.push_back(service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+        futures.push_back(submit(service, cfg::tokenize("do task_" + std::to_string(i % 4))));
     }
     std::set<std::uint64_t> decision_ids;
     for (auto& f : futures) decision_ids.insert(f.get().trace_id);
@@ -834,7 +925,7 @@ TEST(DecisionService, SlowThresholdKeepsOnlySlowRequests) {
     options.trace.slow_threshold_us = 60'000'000;
     DecisionService service(ams, options);
     for (int i = 0; i < 8; ++i) {
-        service.submit(cfg::tokenize("do task_" + std::to_string(i % 4)));
+        submit(service, cfg::tokenize("do task_" + std::to_string(i % 4)));
     }
     service.drain();
     EXPECT_EQ(service.captured_traces().size(), 0u);
@@ -847,7 +938,7 @@ TEST(DecisionService, SlowThresholdKeepsOnlySlowRequests) {
     DecisionService eager_service(ams, eager);
     std::vector<std::future<Decision>> futures;
     for (int i = 0; i < 8; ++i) {
-        futures.push_back(eager_service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+        futures.push_back(submit(eager_service, cfg::tokenize("do task_" + std::to_string(i % 4))));
     }
     for (auto& f : futures) f.get();
     eager_service.drain();
@@ -863,7 +954,7 @@ TEST(DecisionService, CapturedStoreStaysBounded) {
     options.trace.max_captured = 4;
     DecisionService service(ams, options);
     for (int i = 0; i < 32; ++i) {
-        service.submit(cfg::tokenize("do task_" + std::to_string(i % 2)));
+        submit(service, cfg::tokenize("do task_" + std::to_string(i % 2)));
     }
     service.drain();
     auto captured = service.captured_traces();
@@ -883,7 +974,7 @@ TEST(DecisionService, CapturedStoreStaysBounded) {
 TEST(DecisionService, TracingOffAllocatesNoContexts) {
     auto ams = make_demo_ams(2, /*context_weight=*/0);
     DecisionService service(ams, service_options(2));  // trace knobs at zero
-    auto decision = service.submit(cfg::tokenize("do task_0")).get();
+    auto decision = submit(service, cfg::tokenize("do task_0")).get();
     service.drain();
     EXPECT_GT(decision.trace_id, 0u);  // ids are assigned regardless
     EXPECT_EQ(service.captured_traces().size(), 0u);
@@ -924,7 +1015,7 @@ TEST(DecisionService, TraceFlightAuditAndHistogramsAgreePerRequest) {
             std::vector<std::future<Decision>> futures;
             for (std::size_t i = 0; i < kPerRound; ++i) {
                 futures.push_back(
-                    service.submit(cfg::tokenize("do task_" + std::to_string(i % 4))));
+                    submit(service, cfg::tokenize("do task_" + std::to_string(i % 4))));
             }
             for (auto& f : futures) {
                 Decision d = f.get();
@@ -1070,7 +1161,7 @@ TEST(AmsRouter, AffinityIsDeterministicAndCorrect) {
     EXPECT_LT(target, 3u);
     EXPECT_EQ(router.replica_for(cfg::tokenize("do task_0")), target);
 
-    for (int i = 0; i < 8; ++i) EXPECT_TRUE(router.submit(tokens).get().permitted());
+    for (int i = 0; i < 8; ++i) EXPECT_TRUE(submit(router, tokens).get().permitted());
     router.drain();
     RouterStats stats = router.snapshot_stats();
     EXPECT_EQ(stats.routed_affinity, 8u);
@@ -1087,7 +1178,7 @@ TEST(AmsRouter, OutcomesMatchSingleServiceAcrossReplicas) {
     AmsRouter router(demo_factory(), router_options(3, 2));
     for (int round = 0; round < 2; ++round) {
         for (std::size_t i = 0; i < 6; ++i) {
-            Decision d = router.submit(cfg::tokenize("do task_" + std::to_string(i))).get();
+            Decision d = submit(router, cfg::tokenize("do task_" + std::to_string(i))).get();
             EXPECT_EQ(d.permitted(), demo_expected(i)) << "task_" << i;
         }
     }
@@ -1108,7 +1199,7 @@ TEST(AmsRouter, FallbackSpillsWhenPrimarySaturated) {
     }
     ASSERT_EQ(requests.size(), 8u);
     std::vector<std::future<Decision>> futures;
-    for (auto& tokens : requests) futures.push_back(router.submit(std::move(tokens)));
+    for (auto& tokens : requests) futures.push_back(submit(router, std::move(tokens)));
     for (auto& f : futures) (void)f.get();
     router.drain();
     RouterStats stats = router.snapshot_stats();
@@ -1134,7 +1225,7 @@ TEST(AmsRouter, UpdateModelBroadcastsAndVersionsAgree) {
     EXPECT_EQ(stats.model_version, 1u);
     for (const auto& replica : stats.replicas) EXPECT_EQ(replica.model_version, 1u);
     // Decisions after the update carry the new version.
-    Decision d = router.submit(cfg::tokenize("do task_0")).get();
+    Decision d = submit(router, cfg::tokenize("do task_0")).get();
     EXPECT_EQ(d.model_version, 1u);
 }
 
@@ -1142,7 +1233,7 @@ TEST(AmsRouter, RequestIdsStayUniqueAcrossReplicas) {
     AmsRouter router(demo_factory(), router_options(3, 2));
     std::vector<std::future<Decision>> futures;
     for (std::size_t i = 0; i < 30; ++i) {
-        futures.push_back(router.submit(cfg::tokenize("do task_" + std::to_string(i % 6))));
+        futures.push_back(submit(router, cfg::tokenize("do task_" + std::to_string(i % 6))));
     }
     for (auto& f : futures) (void)f.get();
     router.drain();
@@ -1262,7 +1353,7 @@ TEST(AmsRouter, ExportRestoreWarmsCacheAcrossReplicaCounts) {
     {
         AmsRouter source(demo_factory(), router_options(1, 2));
         for (std::size_t i = 0; i < 6; ++i) {
-            (void)source.submit(cfg::tokenize("do task_" + std::to_string(i))).get();
+            (void)submit(source, cfg::tokenize("do task_" + std::to_string(i))).get();
         }
         source.drain();
         data = source.export_state();
@@ -1276,7 +1367,7 @@ TEST(AmsRouter, ExportRestoreWarmsCacheAcrossReplicaCounts) {
     EXPECT_TRUE(report.warning.empty());
 
     for (std::size_t i = 0; i < 6; ++i) {
-        Decision d = target.submit(cfg::tokenize("do task_" + std::to_string(i))).get();
+        Decision d = submit(target, cfg::tokenize("do task_" + std::to_string(i))).get();
         EXPECT_TRUE(d.cache_hit) << "task_" << i;
         EXPECT_EQ(d.permitted(), demo_expected(i)) << "task_" << i;
     }
@@ -1319,7 +1410,7 @@ TEST(AmsRouter, RestoreStateRebuildsModelAndPoliciesOnEveryReplica) {
     RouterStats stats = target.snapshot_stats();
     EXPECT_EQ(stats.model_version, 1u);
     EXPECT_TRUE(stats.versions_agree);
-    Decision d = target.submit(cfg::tokenize("do task_0")).get();
+    Decision d = submit(target, cfg::tokenize("do task_0")).get();
     EXPECT_EQ(d.model_version, 1u);
     EXPECT_TRUE(d.permitted());
 
@@ -1340,7 +1431,7 @@ TEST(AmsRouter, RestoreStateWithUnparseableModelWarnsAndServesInitial) {
     EXPECT_FALSE(report.model_restored);
     EXPECT_NE(report.warning.find("unparseable"), std::string::npos) << report.warning;
     // The initial demo model still decides correctly.
-    EXPECT_TRUE(router.submit(cfg::tokenize("do task_0")).get().permitted());
+    EXPECT_TRUE(submit(router, cfg::tokenize("do task_0")).get().permitted());
 }
 
 // --- TCP transport ----------------------------------------------------------
@@ -1441,11 +1532,42 @@ TEST(Transport, OversizedLineRepliesThenDisconnects) {
     EXPECT_NE(reply->find("line exceeds maximum length"), std::string::npos);
     // After the reply flushes the server closes: next read is EOF.
     EXPECT_FALSE(client.recv_line(std::chrono::milliseconds{5000}).has_value());
+    EXPECT_TRUE(client.closed());
     server.shutdown();
     TransportStats stats = server.stats();
     EXPECT_EQ(stats.oversized_disconnects, 1u);
     EXPECT_EQ(stats.closed, stats.accepted);
     EXPECT_EQ(stats.active, 0u);  // no leaked connection slots
+}
+
+// What the next read on `fd` gets within 5 s: 0 for EOF, -errno for an
+// error, -ETIMEDOUT when nothing came.
+ssize_t next_read(int fd) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) return -ETIMEDOUT;
+    char byte;
+    ssize_t n = ::recv(fd, &byte, 1, 0);
+    return n < 0 ? -errno : n;
+}
+
+TEST(Transport, UnreadInputAtCloseStillEndsInEofNotReset) {
+    // The oversized line ends the reading; 16 KiB more follows in the same
+    // write and is never read. A close over unread input makes the kernel
+    // send a reset, which over a real link can discard the reply, so the
+    // server must end the connection with a FIN after the reply.
+    AmsRouter router(demo_factory(), router_options(1, 1));
+    TransportOptions options;
+    options.max_line_bytes = 128;
+    TcpServer server(router, options);
+    TcpClient client("127.0.0.1", server.port());
+    std::string more;
+    while (more.size() < 16 * 1024) more += "{\"decide\":\"do task_0\"}\n";
+    client.send("{\"decide\":\"" + std::string(500, 'x') + "\"}\n" + more);
+    auto reply = client.recv_line();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_NE(reply->find("line exceeds maximum length"), std::string::npos);
+    EXPECT_EQ(next_read(client.fd()), 0) << "-ECONNRESET is " << -ECONNRESET;
+    server.shutdown();
 }
 
 TEST(Transport, HalfCloseStillDeliversEveryReply) {
@@ -1477,6 +1599,7 @@ TEST(Transport, SlowClientHittingWriteBufferCapIsDisconnected) {
     client.send_line("{\"id\":1,\"decide\":\"do task_0\"}");
     // The reply cannot be buffered within the cap: the client is dropped.
     EXPECT_FALSE(client.recv_line(std::chrono::milliseconds{5000}).has_value());
+    EXPECT_TRUE(client.closed());
     server.shutdown();
     TransportStats stats = server.stats();
     EXPECT_EQ(stats.slow_client_disconnects, 1u);
@@ -1499,6 +1622,7 @@ TEST(Transport, ConnectionCapAnswersOverloadedInBand) {
     EXPECT_NE(reply->find("\"error\":\"overloaded\""), std::string::npos);
     EXPECT_NE(reply->find("too many connections"), std::string::npos);
     EXPECT_FALSE(second.recv_line(std::chrono::milliseconds{5000}).has_value());  // then EOF
+    EXPECT_TRUE(second.closed());
     server.shutdown();
 }
 
@@ -1510,6 +1634,7 @@ TEST(Transport, IdleConnectionsAreReaped) {
     TcpClient client("127.0.0.1", server.port());
     // Send nothing: the server should close us on its own.
     EXPECT_FALSE(client.recv_line(std::chrono::milliseconds{10000}).has_value());
+    EXPECT_TRUE(client.closed());
     server.shutdown();
     TransportStats stats = server.stats();
     EXPECT_EQ(stats.idle_disconnects, 1u);
