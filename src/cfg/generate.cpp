@@ -54,7 +54,13 @@ GenerateResult generate_strings(const Grammar& grammar, const GenerateOptions& o
             next.insert(next.end(), form.begin(), form.begin() + static_cast<std::ptrdiff_t>(nt_index));
             next.insert(next.end(), prod.rhs.begin(), prod.rhs.end());
             next.insert(next.end(), form.begin() + static_cast<std::ptrdiff_t>(nt_index) + 1, form.end());
-            if (next.size() > options.max_length) continue;
+            if (next.size() > options.max_length) {
+                // The form may still derive a sentence, so the list is
+                // incomplete: say so, or a caller that trusts it as the
+                // whole language denies what it left out.
+                result.truncated = true;
+                continue;
+            }
             if (seen_forms.insert(form_key(next)).second) queue.push_back(std::move(next));
         }
     }

@@ -10,7 +10,7 @@ namespace agenp::cfg {
 
 struct GenerateOptions {
     std::size_t max_strings = 10000;   // stop after this many sentences
-    std::size_t max_length = 32;       // drop sentential forms longer than this
+    std::size_t max_length = 32;       // drop sentential forms longer than this (truncates)
     std::size_t max_expansions = 1000000;  // overall work budget
 };
 

@@ -28,8 +28,8 @@
 // lines — `!stats` prints a SERVE_STATS_JSON line (service + cache + lock
 // contention), `!flight` prints a FLIGHT_JSON line (the recent-request
 // ring), `!trace <file>` writes captured slow-request span trees as
-// Chrome trace JSON, `!snapshot` persists the serving state to the
-// `--state-dir` (SNAPSHOT_JSON reply). --trace-slow-ms MS captures trees
+// Chrome trace JSON, `!snapshot` persists the model and the policy
+// repository to the `--state-dir` (SNAPSHOT_JSON reply). --trace-slow-ms MS captures trees
 // for requests slower than MS, --trace-sample N also captures every Nth
 // request. --stats-every SEC prints a SERVE_WINDOW_JSON line (rates and
 // latency quantiles over the last SEC seconds) every SEC seconds.

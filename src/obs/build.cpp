@@ -22,7 +22,7 @@ std::string build_info_json(
 
     out += ",\"features\":[";
     bool first = true;
-    auto feature = [&](const char* name) {
+    [[maybe_unused]] auto feature = [&](const char* name) {
         if (!first) out += ',';
         first = false;
         out += '"';

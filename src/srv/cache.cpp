@@ -8,7 +8,7 @@
 
 namespace agenp::srv {
 
-DecisionCache::DecisionCache(CacheOptions options) : on_insert_(std::move(options.on_insert)) {
+DecisionCache::DecisionCache(CacheOptions options) {
     std::size_t shards = std::bit_ceil(options.shards == 0 ? std::size_t{1} : options.shards);
     shards_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
@@ -57,13 +57,6 @@ void DecisionCache::erase_entry(Shard& shard, std::uint64_t hash, std::list<Entr
     shard.lru.erase(it);
 }
 
-void DecisionCache::add_entry(Shard& shard, std::uint64_t hash, Entry entry, bool hot) {
-    if (auto it = shard.index.find(hash); it != shard.index.end()) erase_entry(shard, hash, it->second);
-    shard.bytes += entry_bytes(entry.text.size());
-    auto at = hot ? shard.lru.begin() : shard.lru.end();
-    shard.index.emplace(hash, shard.lru.insert(at, std::move(entry)));
-}
-
 std::optional<bool> DecisionCache::lookup(const CacheKey& key, std::uint64_t model_version) {
     Shard& shard = shard_for(key.hash);
     obs::ProfiledMutexLock lock(shard.mu);
@@ -84,66 +77,25 @@ std::optional<bool> DecisionCache::lookup(const CacheKey& key, std::uint64_t mod
 }
 
 void DecisionCache::insert(const CacheKey& key, std::uint64_t model_version, bool permitted) {
-    {
-        Shard& shard = shard_for(key.hash);
-        obs::ProfiledMutexLock lock(shard.mu);
-        if (auto it = shard.index.find(key.hash); it != shard.index.end() && it->second->text == key.text) {
+    Shard& shard = shard_for(key.hash);
+    obs::ProfiledMutexLock lock(shard.mu);
+    if (auto it = shard.index.find(key.hash); it != shard.index.end()) {
+        if (it->second->text == key.text) {
             it->second->stamp = stamp(model_version, permitted);
             shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        } else {
-            add_entry(shard, key.hash, {key.text, stamp(model_version, permitted)}, /*hot=*/true);
-            ++shard.insertions;
-            while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
-                auto coldest = std::prev(shard.lru.end());
-                erase_entry(shard, util::fnv1a_hash(coldest->text), coldest);
-                ++shard.evictions;
-            }
+            return;
         }
+        erase_entry(shard, key.hash, it->second);  // a collision: the later key replaces it
     }
-    // Outside the shard lock: the WAL hook does file I/O.
-    if (on_insert_) on_insert_({key.text, model_version, permitted});
-}
-
-std::vector<CacheEntry> DecisionCache::export_entries() const {
-    std::vector<CacheEntry> out;
-    for (const auto& shard : shards_) {
-        obs::ProfiledMutexLock lock(shard->mu);
-        for (const auto& entry : shard->lru) {
-            out.push_back({entry.text, entry.version(), entry.permitted()});
-        }
+    shard.bytes += entry_bytes(key.text.size());
+    shard.lru.push_front({key.text, stamp(model_version, permitted)});
+    shard.index.emplace(key.hash, shard.lru.begin());
+    ++shard.insertions;
+    while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
+        auto coldest = std::prev(shard.lru.end());
+        erase_entry(shard, util::fnv1a_hash(coldest->text), coldest);
+        ++shard.evictions;
     }
-    return out;
-}
-
-DecisionCache::RestoreCounts DecisionCache::restore_entries(const std::vector<CacheEntry>& entries) {
-    RestoreCounts counts;
-    for (const auto& entry : entries) {
-        std::uint64_t hash = util::fnv1a_hash(entry.text);
-        Shard& shard = shard_for(hash);
-        obs::ProfiledMutexLock lock(shard.mu);
-        if (auto it = shard.index.find(hash); it != shard.index.end() && it->second->text == entry.text) {
-            // Duplicate key: a WAL record replayed over its snapshot
-            // entry. The later record wins; it counts as the same entry.
-            it->second->stamp = stamp(entry.model_version, entry.permitted);
-            continue;
-        }
-        // Append at the cold end so hottest-first input keeps its LRU
-        // order; skip (never evict) once the shard's budget is spent —
-        // the caller reports the truncation.
-        std::uint64_t bytes = entry_bytes(entry.text.size());
-        if (shard.bytes + bytes > shard_capacity_bytes_ && !shard.lru.empty()) {
-            ++counts.skipped;
-            continue;
-        }
-        add_entry(shard, hash, {entry.text, stamp(entry.model_version, entry.permitted)}, /*hot=*/false);
-        ++counts.restored;
-    }
-    return counts;
-}
-
-std::string_view DecisionCache::request_text_of_key(std::string_view key_text) {
-    auto sep = key_text.find('\x1f');
-    return sep == std::string_view::npos ? key_text : key_text.substr(0, sep);
 }
 
 void DecisionCache::clear() {

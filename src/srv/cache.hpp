@@ -7,6 +7,10 @@
 // means adopting a new GPM (PAdaP adoption or a coalition share) needs no
 // global flush — stale entries age out as they are touched or evicted.
 //
+// The cache lives and dies with its process: it starts empty and is never
+// persisted (DESIGN.md §11). A version stamp orders the models of one
+// process only; it does not name a model across a restart.
+//
 // Concurrency: the key space is split across N shards (N rounded up to a
 // power of two), each guarded by its own mutex, so threads hammering
 // different requests rarely contend. Entries store the full key text and
@@ -15,12 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,21 +33,9 @@
 
 namespace agenp::srv {
 
-// One cache entry as a plain value: the unit of export_entries /
-// restore_entries and of the persistence WAL (src/store).
-struct CacheEntry {
-    std::string text;  // request tokens + '\x1f' + context program
-    std::uint64_t model_version = 0;
-    bool permitted = false;
-};
-
 struct CacheOptions {
     std::size_t capacity_bytes = 64ull << 20;  // total across shards
     std::size_t shards = 16;                   // rounded up to a power of two
-    // Called after every insert(), outside the shard lock — the
-    // persistence WAL hook. Restores do NOT fire it (they would echo the
-    // snapshot straight back into the WAL).
-    std::function<void(const CacheEntry&)> on_insert;
 };
 
 struct CacheStats {
@@ -87,31 +77,6 @@ public:
 
     void clear();
 
-    // --- persistence (src/store warm restarts) ---
-
-    // Every live entry, most-recently-used first within each shard, with
-    // its model-version stamp intact.
-    [[nodiscard]] std::vector<CacheEntry> export_entries() const;
-
-    struct RestoreCounts {
-        std::size_t restored = 0;
-        std::size_t skipped = 0;  // dropped: shard already at capacity
-    };
-
-    // Loads exported entries back, preserving version stamps (stale ones
-    // invalidate lazily on lookup, exactly like after update_model). Call
-    // `entries` hottest-first: once a shard's byte budget fills, further
-    // entries for it are skipped rather than evicting what was already
-    // restored. A duplicate key overwrites (WAL entries replayed over a
-    // snapshot are newer). Does not fire on_insert.
-    RestoreCounts restore_entries(const std::vector<CacheEntry>& entries);
-
-    // The request-text prefix of a key's text (everything before the
-    // '\x1f' separator) — what the router hashes for replica placement,
-    // so restored entries can be re-partitioned under a different
-    // replica count.
-    [[nodiscard]] static std::string_view request_text_of_key(std::string_view key_text);
-
     [[nodiscard]] CacheStats stats() const;
     [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
@@ -144,9 +109,6 @@ private:
 
     Shard& shard_for(std::uint64_t hash) { return *shards_[hash & shard_mask_]; }
     void erase_entry(Shard& shard, std::uint64_t hash, std::list<Entry>::iterator it) REQUIRES(shard.mu);
-    // Inserts a new entry at the hot or the cold end of the LRU list,
-    // replacing an entry whose key shares `hash`.
-    void add_entry(Shard& shard, std::uint64_t hash, Entry entry, bool hot) REQUIRES(shard.mu);
     // What one entry with a key of `key_size` chars costs the heap: the
     // budget and stats().bytes count this.
     static std::uint64_t entry_bytes(std::size_t key_size);
@@ -154,7 +116,6 @@ private:
     std::vector<std::unique_ptr<Shard>> shards_;
     std::uint64_t shard_mask_ = 0;
     std::size_t shard_capacity_bytes_ = 0;
-    std::function<void(const CacheEntry&)> on_insert_;
 };
 
 }  // namespace agenp::srv

@@ -50,14 +50,8 @@ std::string store_status_json(const store::StoreStatus& status) {
     out += ",\"snapshot_failures\":" + std::to_string(status.snapshot_failures);
     out += ",\"snapshot_age_s\":" + std::to_string(snapshot_age_s(status));
     out += ",\"snapshot_bytes\":" + std::to_string(status.snapshot_bytes);
-    out += ",\"snapshot_entries\":" + std::to_string(status.snapshot_entries);
     out += ",\"snapshot_policies\":" + std::to_string(status.snapshot_policies);
-    out += ",\"wal_appends\":" + std::to_string(status.wal_appends);
-    out += ",\"wal_bytes\":" + std::to_string(status.wal_bytes);
     out += std::string(",\"restored\":") + (status.restored ? "true" : "false");
-    out += ",\"restored_entries\":" + std::to_string(status.restored_entries);
-    out += ",\"wal_replayed\":" + std::to_string(status.wal_replayed);
-    out += ",\"wal_discarded_bytes\":" + std::to_string(status.wal_discarded_bytes);
     out += "}";
     return out;
 }
@@ -283,14 +277,8 @@ obs::MetricsSnapshot serve_metrics(const ServeSources& sources) {
         counter("store.snapshot_failures", status.snapshot_failures);
         out.gauges.emplace_back("store.snapshot_age_seconds", snapshot_age_s(status));
         gauge("store.snapshot_bytes", status.snapshot_bytes);
-        gauge("store.snapshot_entries", status.snapshot_entries);
         gauge("store.snapshot_policies", status.snapshot_policies);
-        counter("store.wal_appends", status.wal_appends);
-        gauge("store.wal_bytes", status.wal_bytes);
         gauge("store.restored", status.restored ? 1 : 0);
-        counter("store.restored_entries", status.restored_entries);
-        counter("store.wal_replayed_entries", status.wal_replayed);
-        counter("store.wal_discarded_bytes", status.wal_discarded_bytes);
     }
     return out;
 }

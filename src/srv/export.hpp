@@ -88,7 +88,7 @@ std::vector<PhaseCost> phase_costs(const obs::WindowDelta& delta);
 // service counters, cache, locks, router routing detail, per-replica rows,
 // and transport counters when serving TCP. With a StateStore attached
 // (`--state-dir`) a "store" object rides along: snapshot
-// count/age/bytes/entries, WAL growth, and what restore() found. With a
+// count/age/bytes/policies, and whether restore() found a snapshot. With a
 // rolling window attached, a "window" object with 10s/60s/300s spans and
 // a "costs" array (phase_costs over the same 60s delta as window["60s"])
 // ride along too — all additions are new keys; the original key set is

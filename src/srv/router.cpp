@@ -87,11 +87,6 @@ store::SnapshotData AmsRouter::export_state() {
                 {cfg::detokenize(stored.policy), stored.source, stored.version});
         }
     });
-    for (auto& service : services_) {
-        for (auto& entry : service->cache().export_entries()) {
-            data.entries.push_back({std::move(entry.text), entry.model_version, entry.permitted});
-        }
-    }
     return data;
 }
 
@@ -124,23 +119,6 @@ StateRestoreReport AmsRouter::restore_state(const store::SnapshotData& data) {
         report.policies_restored = stored.size();
     }
     report.model_version = model_version();
-
-    if (!data.entries.empty() && services_[0]->options().use_cache) {
-        // Re-partition by the same request-hash the submit path routes
-        // with, over the replica count in force *now* — entries follow
-        // their requests even when --replicas changed across the restart.
-        std::vector<std::vector<CacheEntry>> parts(services_.size());
-        for (const auto& entry : data.entries) {
-            auto request = DecisionCache::request_text_of_key(entry.text);
-            std::size_t i = util::fnv1a_hash(request) % services_.size();
-            parts[i].push_back({entry.text, entry.model_version, entry.permitted});
-        }
-        for (std::size_t i = 0; i < services_.size(); ++i) {
-            auto counts = services_[i]->cache().restore_entries(parts[i]);
-            report.entries_restored += counts.restored;
-            report.entries_skipped += counts.skipped;
-        }
-    }
     return report;
 }
 

@@ -48,9 +48,7 @@ struct StateRestoreReport {
     bool model_restored = false;
     std::uint64_t model_version = 0;
     std::size_t policies_restored = 0;
-    std::size_t entries_restored = 0;
-    std::size_t entries_skipped = 0;  // snapshot exceeded the cache budget
-    std::string warning;              // non-fatal (e.g. unparseable model)
+    std::string warning;  // non-fatal (e.g. unparseable model)
 };
 
 struct RouterOptions {
@@ -107,21 +105,18 @@ public:
     // Blocks until every replica has completed all accepted requests.
     void drain();
 
-    // --- warm restarts (src/store) ---
+    // --- persistence (src/store) ---
 
-    // The full serving state as one snapshot: replica 0's model + policy
-    // repository (replicas agree as long as updates go through the
-    // router) plus every replica's cache entries. Reads the AMS under its
-    // model lock, so it is safe against concurrent update_model().
+    // The durable serving state as one snapshot: replica 0's model and
+    // policy repository (replicas agree as long as updates go through the
+    // router). Reads the AMS under its model lock, so it is safe against
+    // concurrent update_model(). No cache entry is included: a restarted
+    // router starts with empty caches.
     [[nodiscard]] store::SnapshotData export_state();
 
     // Restores a snapshot into this (freshly built) router: model and
-    // policies broadcast to every replica under its model lock, cache
-    // entries re-partitioned by request-hash over the *current* replica
-    // count (a snapshot taken under --replicas 2 restores cleanly under
-    // --replicas 3). Restored entries keep their model-version stamps, so
-    // entries persisted under a superseded model lazily invalidate on
-    // first touch exactly as they would have in memory.
+    // policies broadcast to every replica under its model lock, whatever
+    // the replica count the snapshot was taken under.
     StateRestoreReport restore_state(const store::SnapshotData& data);
 
     [[nodiscard]] RouterStats snapshot_stats() const;

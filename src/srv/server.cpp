@@ -18,16 +18,10 @@
 namespace agenp::srv {
 namespace {
 
-// The router options with the server's sinks wired in: every replica's
-// service records through the audit log, and every cache insert appends
-// to the state store's WAL.
-RouterOptions with_sinks(RouterOptions options, AuditLog* audit, store::StateStore* state) {
+// The router options with the audit log wired in: every replica's
+// service records through it.
+RouterOptions with_audit(RouterOptions options, AuditLog* audit) {
     options.service.audit = audit;
-    if (state != nullptr) {
-        options.service.cache.on_insert = [state](const CacheEntry& e) {
-            state->append_wal({e.text, e.model_version, e.permitted});
-        };
-    }
     return options;
 }
 
@@ -106,26 +100,15 @@ Server::Server(const AmsRouter::AmsFactory& factory, ServerOptions options, std:
       state_(options_.state_dir.empty()
                  ? nullptr
                  : std::make_unique<store::StateStore>(store::StoreOptions{options_.state_dir})),
-      router_(factory, with_sinks(options_.router, audit_.get(), state_.get())),
+      router_(factory, with_audit(options_.router, audit_.get())),
       window_([this] { return serve_metrics(sources()); }) {
-    // Warm restart: replay the last snapshot + WAL into the fresh router
-    // before any traffic.
+    // Load the last snapshot's model and policies into the fresh router
+    // before any traffic; the caches start empty.
     if (state_ != nullptr) {
         store::RestoreResult restored = state_->restore();
         StateRestoreReport report = router_.restore_state(restored.data);
-        print("AGENP_STATE_RESTORED entries=" + std::to_string(report.entries_restored) +
-              " skipped=" + std::to_string(report.entries_skipped) +
-              " policies=" + std::to_string(report.policies_restored) +
-              " model_version=" + std::to_string(report.model_version) +
-              " wal_replayed=" + std::to_string(restored.wal_replayed) +
-              " wal_discarded_bytes=" + std::to_string(restored.wal_discarded_bytes));
-        if (report.entries_skipped > 0) {
-            print("state restore truncated: snapshot exceeds the configured cache budget "
-                  "(--cache-mb " +
-                  std::to_string(options_.router.service.cache.capacity_bytes >> 20) +
-                  "); restored " + std::to_string(report.entries_restored) + " entries, dropped " +
-                  std::to_string(report.entries_skipped));
-        }
+        print("AGENP_STATE_RESTORED policies=" + std::to_string(report.policies_restored) +
+              " model_version=" + std::to_string(report.model_version));
         if (!restored.warning.empty()) print("state restore warning: " + restored.warning);
         if (!report.warning.empty()) print("state restore warning: " + report.warning);
     }
@@ -274,12 +257,10 @@ std::string Server::stats_json() const { return serve_stats_json(sources(), &win
 std::string Server::snapshot() {
     util::MutexLock lock(snapshot_mu_);
     store::SnapshotData data = router_.export_state();
-    std::size_t entries = data.entries.size();
     std::size_t policies = data.policies.size();
     std::string error;
     if (!state_->save_snapshot(std::move(data), &error)) return "snapshot failed: " + error;
-    return "SNAPSHOT_JSON {\"entries\":" + std::to_string(entries) +
-           ",\"policies\":" + std::to_string(policies) +
+    return "SNAPSHOT_JSON {\"policies\":" + std::to_string(policies) +
            ",\"bytes\":" + std::to_string(state_->status().snapshot_bytes) +
            ",\"model_version\":" + std::to_string(router_.model_version()) + "}";
 }

@@ -3,14 +3,15 @@
 // so the path that is tested is the path that runs.
 //
 // The server owns everything around the AmsRouter: the decision audit
-// log, the `--state-dir` state store with its WAL hook on the cache, the
-// rolling telemetry window and its ticker, the optional TCP listener
-// (wire protocol, docs/PROTOCOL.md) and the optional metrics HTTP
-// listener (/metrics, /healthz, /statz, /buildz, /profz), and the
-// handler for '!' control lines shared by stdin and TCP. The periodic
-// `--stats-every` window line and `--snapshot-every` snapshot run as
-// every-N-ticks work on the ticker thread; a slow snapshot delays the
-// next bucket, but buckets carry measured timestamps, so no rate skews.
+// log, the `--state-dir` state store (the model and the policy
+// repository, never the decision cache), the rolling telemetry window
+// and its ticker, the optional TCP listener (wire protocol,
+// docs/PROTOCOL.md) and the optional metrics HTTP listener (/metrics,
+// /healthz, /statz, /buildz, /profz), and the handler for '!' control
+// lines shared by stdin and TCP. The periodic `--stats-every` window
+// line and `--snapshot-every` snapshot run as every-N-ticks work on the
+// ticker thread; a slow snapshot delays the next bucket, but buckets
+// carry measured timestamps, so no rate skews.
 //
 // drain() is the one shutdown sequence for both front ends, in order:
 // set the draining flag (/healthz turns 503), shut down TCP, drain the
@@ -53,8 +54,8 @@ struct ServerOptions {
     std::optional<std::uint16_t> port;
     // Metrics HTTP listener on 127.0.0.1; 0 binds an ephemeral port.
     std::optional<std::uint16_t> metrics_port;
-    // Warm restarts: restore from this directory on start, append cache
-    // inserts to its WAL, snapshot on drain. Empty = stateless.
+    // Restore the model and policies from this directory on start, and
+    // snapshot them back to it. Empty = stateless.
     std::string state_dir;
     std::size_t stats_every_s = 0;     // SERVE_WINDOW_JSON period (0 = off)
     std::size_t snapshot_every_s = 0;  // periodic snapshot (0 = off; needs state_dir)
@@ -111,7 +112,7 @@ private:
     // One snapshot at a time: `!snapshot` can land while the periodic
     // tick writes, and both write the same temporary file.
     util::Mutex snapshot_mu_;
-    AmsRouter router_;  // after audit_ and state_: its workers use both
+    AmsRouter router_;  // after audit_: its workers record through it
     obs::RollingWindow window_;
     std::atomic<bool> draining_{false};
     // tcp_ as the handlers see it: published once the listener exists,

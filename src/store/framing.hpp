@@ -1,17 +1,16 @@
 // On-disk record framing for the persistence subsystem (DESIGN.md §11).
 //
-// Every durable file (snapshot, WAL) is a flat sequence of framed records:
+// The snapshot file is a flat sequence of framed records:
 //
 //   u32 payload_len (LE) | u32 crc32(payload) (LE) | payload bytes
 //
 // The frame is the unit of corruption detection: a reader walks records
 // from the front and stops at the first frame whose length runs past EOF
 // or whose CRC does not match. Everything before that point is trusted;
-// everything after is a "torn tail" — the expected shape of a file whose
-// writer was killed mid-append — and is discarded by the caller.
+// everything after is a corrupt or torn tail, which the caller rejects.
 //
-// Payload encoding is the caller's business (see snapshot.hpp / wal.hpp);
-// this layer only moves validated byte strings. No dependencies beyond
+// Payload encoding is the caller's business (see snapshot.hpp); this
+// layer only moves validated byte strings. No dependencies beyond
 // the standard library and POSIX file APIs.
 #pragma once
 

@@ -6,10 +6,10 @@ namespace agenp::store {
 
 namespace {
 
+// Tag 3 was format 1's decision-cache entry; it is not reused.
 enum RecordTag : std::uint8_t {
     kTagHeader = 1,
     kTagPolicy = 2,
-    kTagEntry = 3,
     kTagFooter = 4,
 };
 
@@ -41,35 +41,11 @@ std::string encode_snapshot(const SnapshotData& data) {
         put_u64(p, policy.version);
         append_record(out, p);
     }
-    for (const auto& entry : data.entries) append_record(out, encode_cache_entry(entry));
     p.clear();
     put_u8(p, kTagFooter);
     put_u64(p, data.policies.size());
-    put_u64(p, data.entries.size());
     append_record(out, p);
     return out;
-}
-
-std::string encode_cache_entry(const CacheEntryRecord& entry) {
-    std::string p;
-    put_u8(p, kTagEntry);
-    put_string(p, entry.text);
-    put_u64(p, entry.model_version);
-    put_u8(p, entry.permitted ? 1 : 0);
-    return p;
-}
-
-bool decode_cache_entry(std::string_view payload, CacheEntryRecord* entry) {
-    Cursor c{payload};
-    std::uint8_t tag = 0;
-    std::uint8_t permitted = 0;
-    if (!get_u8(c, &tag) || tag != kTagEntry) return false;
-    if (!get_string(c, &entry->text) || !get_u64(c, &entry->model_version) ||
-        !get_u8(c, &permitted)) {
-        return false;
-    }
-    entry->permitted = permitted != 0;
-    return true;
 }
 
 bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* error) {
@@ -104,9 +80,10 @@ bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* er
             *error = "snapshot header truncated";
             return false;
         }
-        if (format > kSnapshotFormatVersion) {
+        if (format != kSnapshotFormatVersion) {
             *error = "snapshot format version " + std::to_string(format) +
-                     " is newer than supported " + std::to_string(kSnapshotFormatVersion);
+                     " is not supported (this build reads version " +
+                     std::to_string(kSnapshotFormatVersion) + ")";
             return false;
         }
         std::uint8_t truncated = 0;
@@ -122,7 +99,6 @@ bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* er
     // Body + footer.
     bool saw_footer = false;
     std::uint64_t footer_policies = 0;
-    std::uint64_t footer_entries = 0;
     for (std::size_t i = 1; i < payloads.size(); ++i) {
         Cursor c{payloads[i]};
         std::uint8_t tag = 0;
@@ -145,17 +121,8 @@ bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* er
                 data->policies.push_back(std::move(policy));
                 break;
             }
-            case kTagEntry: {
-                CacheEntryRecord entry;
-                if (!decode_cache_entry(payloads[i], &entry)) {
-                    *error = "snapshot cache record " + std::to_string(i) + " truncated";
-                    return false;
-                }
-                data->entries.push_back(std::move(entry));
-                break;
-            }
             case kTagFooter: {
-                if (!get_u64(c, &footer_policies) || !get_u64(c, &footer_entries)) {
+                if (!get_u64(c, &footer_policies)) {
                     *error = "snapshot footer truncated";
                     return false;
                 }
@@ -163,9 +130,8 @@ bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* er
                 break;
             }
             default:
-                // Unknown record tags from a same-major future writer would
-                // land here; format-version gating above already rejects
-                // files we cannot be sure about, so this is corruption.
+                // The format-version check above turns away every other
+                // writer, so an unknown tag here is corruption.
                 *error = "snapshot record " + std::to_string(i) + " has unknown tag " +
                          std::to_string(tag);
                 return false;
@@ -175,8 +141,8 @@ bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* er
         *error = "snapshot footer missing (file truncated?)";
         return false;
     }
-    if (footer_policies != data->policies.size() || footer_entries != data->entries.size()) {
-        *error = "snapshot footer counts disagree with records read";
+    if (footer_policies != data->policies.size()) {
+        *error = "snapshot footer count disagrees with records read";
         return false;
     }
     return true;

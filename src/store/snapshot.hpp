@@ -1,22 +1,25 @@
-// Snapshot payload format: the full serving state of one AmsRouter as a
-// flat record stream (DESIGN.md §11).
+// Snapshot payload format: the durable serving state of one AmsRouter,
+// the model in force and the policy repository, as a flat record stream
+// (DESIGN.md §11).
 //
 //   Header  (tag 1)  magic "AGNPSNAP", format version, model version,
 //                    model text (serialized ASG, empty = no learned
 //                    model), model note, repository version + truncated
 //                    flag, creation wall-clock seconds
 //   Policy  (tag 2)  one stored policy: text, source, stamping version
-//   Entry   (tag 3)  one decision-cache entry: key text, model version,
-//                    verdict — the exact triple DecisionCache keeps in
-//                    memory, so restored entries invalidate lazily on
-//                    version mismatch exactly like live ones
-//   Footer  (tag 4)  policy + entry counts
+//   Footer  (tag 4)  policy count
+//
+// Decision-cache entries are not persisted: a verdict is a function of
+// request, context and model, and the next miss recomputes it under the
+// model then in force. Format 1 carried them (tag 3); this build reads
+// format 2 only.
 //
 // A snapshot is valid only when the header parses, the format version is
-// one we know, and the footer's counts match what was read — a file that
-// ends without its footer (torn writer, truncated copy) is rejected as a
-// whole rather than half-loaded, because atomic_write_file means a good
-// snapshot is always all-or-nothing on disk.
+// the one this build writes, and the footer's count matches what was
+// read — a file that ends without its footer (torn writer, truncated
+// copy) is rejected as a whole rather than half-loaded, because
+// atomic_write_file means a good snapshot is always all-or-nothing on
+// disk.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +30,7 @@
 namespace agenp::store {
 
 inline constexpr std::string_view kSnapshotMagic = "AGNPSNAP";
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
-
-// One decision-cache entry, exactly as DecisionCache stores it.
-struct CacheEntryRecord {
-    std::string text;  // request tokens + '\x1f' + context program
-    std::uint64_t model_version = 0;
-    bool permitted = false;
-};
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 // One policy-repository entry (tokens re-tokenized from text on restore).
 struct PolicyRecord {
@@ -51,20 +47,15 @@ struct SnapshotData {
     bool repo_truncated = false;
     std::uint64_t created_unix_s = 0;
     std::vector<PolicyRecord> policies;
-    std::vector<CacheEntryRecord> entries;
 };
 
 // Serializes `data` as a framed record stream ready for atomic_write_file.
 std::string encode_snapshot(const SnapshotData& data);
 
 // Parses a snapshot file's bytes. On failure returns false with a
-// one-line reason in *error ("snapshot format version 9 is newer than
-// supported 1", "snapshot footer missing", ...); *data is unspecified.
+// one-line reason in *error ("snapshot format version 1 is not
+// supported (this build reads version 2)", "snapshot footer missing",
+// ...); *data is unspecified.
 bool decode_snapshot(std::string_view bytes, SnapshotData* data, std::string* error);
-
-// The tagged cache-entry payload is shared with the WAL: a WAL record is
-// exactly one snapshot Entry record, so replay reuses this pair.
-std::string encode_cache_entry(const CacheEntryRecord& entry);
-bool decode_cache_entry(std::string_view payload, CacheEntryRecord* entry);
 
 }  // namespace agenp::store

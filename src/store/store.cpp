@@ -1,10 +1,11 @@
 #include "store/store.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/phase.hpp"
@@ -25,64 +26,41 @@ std::uint64_t wall_unix_ms() {
 
 StateStore::StateStore(StoreOptions options) : options_(std::move(options)) {
     if (options_.dir.empty()) throw std::runtime_error("state store needs a directory");
-    // 0700: snapshot entries contain full request text (the audit log
+    // 0700: stored policies are full request strings (the audit log
     // stores only hashes), so the state dir is private to the serving user.
     if (::mkdir(options_.dir.c_str(), 0700) != 0 && errno != EEXIST) {
         throw std::runtime_error("cannot create state dir " + options_.dir + ": " +
                                  util::errno_string());
     }
-    std::string error;
-    if (!wal_.open(wal_path(), &error)) {
-        throw std::runtime_error("cannot open wal: " + error);
+    // Fail at startup, not at the first snapshot: create and remove the
+    // temporary file every snapshot is written through.
+    std::string probe = snapshot_path() + ".tmp";
+    int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0600);
+    if (fd < 0) {
+        throw std::runtime_error("cannot write state dir " + options_.dir + ": " +
+                                 util::errno_string());
     }
+    ::close(fd);
+    ::unlink(probe.c_str());
 }
 
-StateStore::~StateStore() = default;
-
 std::string StateStore::snapshot_path() const { return options_.dir + "/snapshot.agenp"; }
-std::string StateStore::wal_path() const { return options_.dir + "/wal.agenp"; }
 
 RestoreResult StateStore::restore() {
     obs::Phase phase(obs::PhaseId::StoreRestore);
     RestoreResult out;
-
     std::string bytes;
-    if (read_file(snapshot_path(), &bytes, nullptr)) {
-        std::string error;
-        SnapshotData data;
-        if (decode_snapshot(bytes, &data, &error)) {
-            out.snapshot_loaded = true;
-            out.data = std::move(data);
-            snapshot_bytes_.store(bytes.size(), std::memory_order_relaxed);
-            snapshot_entries_.store(out.data.entries.size(), std::memory_order_relaxed);
-            snapshot_policies_.store(out.data.policies.size(), std::memory_order_relaxed);
-        } else {
-            out.warning = "ignoring snapshot: " + error;
-        }
+    if (!read_file(snapshot_path(), &bytes, nullptr)) return out;  // cold start
+    std::string error;
+    if (!decode_snapshot(bytes, &out.data, &error)) {
+        out.data = SnapshotData{};
+        out.warning = "ignoring snapshot: " + error;
+        return out;
     }
-
-    WalReplay replay = replay_wal(wal_path());
-    out.wal_replayed = replay.entries.size();
-    out.wal_discarded_bytes = replay.discarded_bytes;
-    // WAL entries are newer than the snapshot: append after, so a restore
-    // that inserts in order lets the WAL verdicts win on duplicate keys.
-    for (auto& entry : replay.entries) out.data.entries.push_back(std::move(entry));
-    if (!replay.warning.empty()) {
-        if (!out.warning.empty()) out.warning += "; ";
-        out.warning += replay.warning;
-    }
-    if (replay.discarded_bytes > 0) {
-        // Drop the torn tail on disk too, so new appends extend a clean
-        // CRC-valid prefix instead of hiding behind the corruption.
-        wal_.truncate_to(replay.valid_bytes);
-        if (replay.valid_bytes == 0) wal_.reset();
-    }
-
-    bool restored = out.snapshot_loaded || out.wal_replayed > 0;
-    restored_.store(restored, std::memory_order_relaxed);
-    restored_entries_.store(out.data.entries.size(), std::memory_order_relaxed);
-    wal_replayed_.store(out.wal_replayed, std::memory_order_relaxed);
-    wal_discarded_bytes_.store(out.wal_discarded_bytes, std::memory_order_relaxed);
+    out.snapshot_loaded = true;
+    restored_.store(true, std::memory_order_relaxed);
+    snapshot_bytes_.store(bytes.size(), std::memory_order_relaxed);
+    snapshot_policies_.store(out.data.policies.size(), std::memory_order_relaxed);
     return out;
 }
 
@@ -96,42 +74,21 @@ bool StateStore::save_snapshot(SnapshotData data, std::string* error) {
         if (error) *error = io_error;
         return false;
     }
-    // Snapshot is durable; the WAL's entries are all covered by it now.
-    // A crash before this reset only replays duplicates, which restore
-    // handles idempotently.
-    wal_.reset();
-    wal_bytes_.store(0, std::memory_order_relaxed);
-
     snapshots_written_.fetch_add(1, std::memory_order_relaxed);
     last_snapshot_unix_ms_.store(wall_unix_ms(), std::memory_order_relaxed);
     snapshot_bytes_.store(bytes.size(), std::memory_order_relaxed);
-    snapshot_entries_.store(data.entries.size(), std::memory_order_relaxed);
     snapshot_policies_.store(data.policies.size(), std::memory_order_relaxed);
     return true;
 }
 
-void StateStore::append_wal(const CacheEntryRecord& entry) {
-    std::size_t written = wal_.append(entry);
-    if (written == 0) return;
-    wal_appends_.fetch_add(1, std::memory_order_relaxed);
-    wal_bytes_.fetch_add(written, std::memory_order_relaxed);
-}
-
 StoreStatus StateStore::status() const {
     StoreStatus out;
-    out.dir = options_.dir;
     out.snapshots_written = snapshots_written_.load(std::memory_order_relaxed);
     out.snapshot_failures = snapshot_failures_.load(std::memory_order_relaxed);
     out.last_snapshot_unix_ms = last_snapshot_unix_ms_.load(std::memory_order_relaxed);
     out.snapshot_bytes = snapshot_bytes_.load(std::memory_order_relaxed);
-    out.snapshot_entries = snapshot_entries_.load(std::memory_order_relaxed);
     out.snapshot_policies = snapshot_policies_.load(std::memory_order_relaxed);
-    out.wal_appends = wal_appends_.load(std::memory_order_relaxed);
-    out.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
     out.restored = restored_.load(std::memory_order_relaxed);
-    out.restored_entries = restored_entries_.load(std::memory_order_relaxed);
-    out.wal_replayed = wal_replayed_.load(std::memory_order_relaxed);
-    out.wal_discarded_bytes = wal_discarded_bytes_.load(std::memory_order_relaxed);
     return out;
 }
 

@@ -292,6 +292,8 @@ TEST(Generate, RespectsMaxLength) {
     auto result = generate_strings(g, {.max_strings = 1000, .max_length = 5});
     EXPECT_LE(result.strings.size(), 5u);
     for (const auto& s : result.strings) EXPECT_LE(s.size(), 5u);
+    // The language goes on past the cut: the list says it is incomplete.
+    EXPECT_TRUE(result.truncated);
 }
 
 TEST(Generate, EveryGeneratedStringIsRecognized) {

@@ -623,34 +623,76 @@ TEST(CmdServe, WarmRestartRoundTripThroughStateDir) {
     options.state_dir = std::string(::testing::TempDir()) + "/agenp_cli_state";
 
     // First life: cold start (nothing to restore), two decisions, and a
-    // drain-time snapshot covering both.
+    // drain-time snapshot of the model and the (empty) repository.
     {
         std::istringstream in("do patrol\ndo strike\n");
         std::ostringstream out;
         EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
-        EXPECT_NE(out.str().find("AGENP_STATE_RESTORED entries=0"), std::string::npos)
+        EXPECT_NE(out.str().find("AGENP_STATE_RESTORED policies=0 model_version=0\n"),
+                  std::string::npos)
             << out.str();
-        EXPECT_NE(out.str().find("SNAPSHOT_JSON {\"entries\":2"), std::string::npos) << out.str();
+        EXPECT_NE(out.str().find("SNAPSHOT_JSON {\"policies\":0,"), std::string::npos) << out.str();
     }
-    // Second life on the same --state-dir: both requests hit the restored
-    // cache and the store section reports the warm start.
+    // Second life on the same --state-dir: the snapshot is restored, the
+    // cache starts empty, and both requests are decided again, the same.
     {
         std::istringstream in("do patrol\ndo strike\n!stats\n");
         std::ostringstream out;
         EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
         std::string text = out.str();
-        EXPECT_NE(text.find("AGENP_STATE_RESTORED entries=2"), std::string::npos) << text;
+        EXPECT_NE(text.find("AGENP_STATE_RESTORED policies=0 model_version=0\n"),
+                  std::string::npos)
+            << text;
+        EXPECT_EQ(text.find("state restore warning"), std::string::npos) << text;
+        EXPECT_NE(text.find("Permit\nDeny\n"), std::string::npos) << text;
         auto stats_pos = text.find("SERVE_STATS_JSON {");
         ASSERT_NE(stats_pos, std::string::npos);
         std::string stats_line = text.substr(stats_pos, text.find('\n', stats_pos) - stats_pos);
         for (const char* field :
-             {"\"hits\":2", "\"misses\":0", "\"store\":{", "\"restored\":true",
-              "\"restored_entries\":2"}) {
+             {"\"cache\":{\"hits\":0,\"misses\":2,", "\"store\":{", "\"restored\":true"}) {
             EXPECT_NE(stats_line.find(field), std::string::npos) << field << "\n" << stats_line;
         }
     }
     std::remove((options.state_dir + "/snapshot.agenp").c_str());
-    std::remove((options.state_dir + "/wal.agenp").c_str());
+    ::rmdir(options.state_dir.c_str());
+}
+
+TEST(CmdServe, PolicyEditTakesEffectAcrossARestart) {
+    std::string context = temp_file("serve_edit.lp", "maxloa(3).\n");
+    srv::ServerOptions options;
+    options.router.service.threads = 1;
+    options.state_dir = std::string(::testing::TempDir()) + "/agenp_cli_edit";
+
+    // First life permits patrol (requires 2, maxloa 3) and drains, which
+    // writes the snapshot.
+    {
+        std::string grammar = temp_file("serve_edit.asg", kServeGrammar);
+        std::istringstream in("do patrol\n");
+        std::ostringstream out;
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
+        EXPECT_NE(out.str().find("\nPermit\n"), std::string::npos) << out.str();
+    }
+    // The operator raises patrol above maxloa and restarts on the same
+    // directory: the new policy decides, and no verdict of the old one
+    // comes back.
+    {
+        std::string edited = kServeGrammar;
+        const std::string patrol = "task -> \"patrol\" { requires(2). }";
+        ASSERT_NE(edited.find(patrol), std::string::npos);
+        edited.replace(edited.find(patrol), patrol.size(), "task -> \"patrol\" { requires(5). }");
+        std::string grammar = temp_file("serve_edit.asg", edited);
+        std::istringstream in("do patrol\n!stats\n");
+        std::ostringstream out;
+        EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
+        std::string text = out.str();
+        EXPECT_NE(text.find("\nDeny\n"), std::string::npos) << text;
+        EXPECT_EQ(text.find("Permit"), std::string::npos) << text;
+        auto stats_pos = text.find("SERVE_STATS_JSON {");
+        ASSERT_NE(stats_pos, std::string::npos);
+        std::string stats_line = text.substr(stats_pos, text.find('\n', stats_pos) - stats_pos);
+        EXPECT_NE(stats_line.find("\"cache\":{\"hits\":0,"), std::string::npos) << stats_line;
+    }
+    std::remove((options.state_dir + "/snapshot.agenp").c_str());
     ::rmdir(options.state_dir.c_str());
 }
 
@@ -669,16 +711,21 @@ TEST(CmdServe, SnapshotControlLineNeedsStateDir) {
                   std::string::npos)
             << out.str();
     }
-    // With one, it persists on demand and replies with the summary line.
+    // With one, it persists on demand and replies with the summary line,
+    // which counts policies and carries no cache entries.
     options.state_dir = std::string(::testing::TempDir()) + "/agenp_cli_snap";
     {
         std::istringstream in("do patrol\n!snapshot\n");
         std::ostringstream out;
         EXPECT_EQ(cmd_serve(grammar, context, options, in, out), 0);
-        EXPECT_NE(out.str().find("SNAPSHOT_JSON {\"entries\":1"), std::string::npos) << out.str();
+        std::string text = out.str();
+        auto snapshot_pos = text.find("SNAPSHOT_JSON {\"policies\":0,");
+        ASSERT_NE(snapshot_pos, std::string::npos) << text;
+        std::string snapshot_line =
+            text.substr(snapshot_pos, text.find('\n', snapshot_pos) - snapshot_pos);
+        EXPECT_EQ(snapshot_line.find("entries"), std::string::npos) << snapshot_line;
     }
     std::remove((options.state_dir + "/snapshot.agenp").c_str());
-    std::remove((options.state_dir + "/wal.agenp").c_str());
     ::rmdir(options.state_dir.c_str());
 }
 

@@ -218,15 +218,11 @@ void expect_idle_metrics_match_statz(const std::string& metrics,
         expect_one("agenp_srv_conn_active", *conn, "active");
     }
     if (const agenp::srv::JsonValue* store = statz.find("store"); store != nullptr) {
-        for (const char* field : {"snapshot_failures", "wal_appends", "restored_entries",
-                                  "wal_discarded_bytes"}) {
-            expect_one(std::string("agenp_store_") + field + "_total", *store, field);
-        }
-        for (const char* field : {"snapshot_bytes", "snapshot_entries", "wal_bytes", "restored"}) {
+        expect_one("agenp_store_snapshot_failures_total", *store, "snapshot_failures");
+        for (const char* field : {"snapshot_bytes", "snapshot_policies", "restored"}) {
             expect_one(std::string("agenp_store_") + field, *store, field);
         }
         expect_one("agenp_store_snapshots_total", *store, "snapshots");
-        expect_one("agenp_store_wal_replayed_entries_total", *store, "wal_replayed");
     }
 
     // Every queue-depth sample is read when scraped, so an idle server's
@@ -239,11 +235,15 @@ void expect_idle_metrics_match_statz(const std::string& metrics,
     EXPECT_EQ(by_name["agenp_srv_replica_queue_depth"].size(),
               statz.find("replicas")->array.size());
 
-    // One family per number: the duplicates are gone.
+    // One family per number: the duplicates are gone, and so are the
+    // families of the decision cache's persistence.
     for (const char* gone :
          {"agenp_srv_queue_depth", "agenp_srv_router_queue_depth", "agenp_srv_router_model_version",
           "agenp_store_snapshot_size_bytes", "agenp_store_snapshot_cache_entries",
-          "agenp_store_restores_total"}) {
+          "agenp_store_restores_total", "agenp_store_snapshot_entries",
+          "agenp_store_wal_appends_total", "agenp_store_wal_bytes",
+          "agenp_store_restored_entries_total", "agenp_store_wal_replayed_entries_total",
+          "agenp_store_wal_discarded_bytes_total"}) {
         EXPECT_EQ(by_name.count(gone), 0U) << gone;
     }
     EXPECT_EQ(metrics.find("agenp_asg_memo_"), std::string::npos);
@@ -1059,7 +1059,6 @@ TEST(ServeMetricsTest, ScrapeAfterABurstWithExpiriesMatchesStatz) {
     server.drain();
     std::remove(audit_path.c_str());
     std::remove((dir + "/snapshot.agenp").c_str());
-    std::remove((dir + "/wal.agenp").c_str());
     ::rmdir(dir.c_str());
 }
 
@@ -1257,10 +1256,9 @@ TEST(ServeMetricsTest, PeriodicWindowLinesAndSnapshotsRunOnTheTicker) {
 
     server.drain();
     std::string text = sink.text();
-    EXPECT_NE(text.find("SNAPSHOT_JSON {\"entries\":1"), std::string::npos) << text;
+    EXPECT_NE(text.find("SNAPSHOT_JSON {\"policies\":0,"), std::string::npos) << text;
     EXPECT_NE(text.find("SERVE_STATS_JSON {"), std::string::npos) << text;
     std::remove(snapshot_path.c_str());
-    std::remove((state_dir + "/wal.agenp").c_str());
     ::rmdir(state_dir.c_str());
 }
 

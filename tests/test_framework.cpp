@@ -403,6 +403,26 @@ TEST(Ams, RepositoryStrategyRefreshesOnAdoption) {
     EXPECT_FALSE(strike_ok);
 }
 
+TEST(Ams, RepositoryStrategyFallsBackForStringsPastMaxLength) {
+    // The enumeration cuts every string longer than max_length 4, so the
+    // repository is incomplete and must say so: the PDP then asks the
+    // model for what the repository never listed, instead of denying it.
+    AmsOptions options;
+    options.strategy = DecisionStrategy::Repository;
+    options.prep.language.enumeration.max_length = 4;
+    AutonomousManagedSystem ams("epsilon", asg::AnswerSetGrammar::parse(R"(
+        s -> "a" s
+        s -> "a"
+    )"),
+                                ilp::HypothesisSpace{}, options);
+    PrepReport report = ams.refresh_policies();
+    EXPECT_EQ(report.generated, 4u);
+    EXPECT_TRUE(report.truncated);
+    EXPECT_TRUE(ams.handle_request(tokenize("a a a a")).first);    // from the repository
+    EXPECT_TRUE(ams.handle_request(tokenize("a a a a a")).first);  // membership fallback
+    EXPECT_FALSE(ams.handle_request(tokenize("a b")).first);
+}
+
 TEST(Ams, PepEffectorObservesEnforcement) {
     auto ams = make_ams("gamma");
     ams.pip().add_source("loa", [] { return asp::parse_program("maxloa(3)."); });

@@ -318,8 +318,12 @@ TEST(Naming, LabeledRegistrationIsPerLabelSet) {
         ASSERT_TRUE(parse_metric_key(key, &name, &labels)) << key;
         if (name != "srv.test.labeled" || labels.empty()) continue;
         ++found;
-        if (labels == MetricLabels{{"replica", "0"}}) EXPECT_EQ(value, 5u);
-        if (labels == MetricLabels{{"replica", "1"}}) EXPECT_EQ(value, 7u);
+        if (labels == MetricLabels{{"replica", "0"}}) {
+            EXPECT_EQ(value, 5u);
+        }
+        if (labels == MetricLabels{{"replica", "1"}}) {
+            EXPECT_EQ(value, 7u);
+        }
     }
     EXPECT_EQ(found, 2u);
 }

@@ -236,7 +236,6 @@ TEST(Protocol, ShippedExamplesRoundTripAgainstLiveServer) {
     EXPECT_NE(serve_out.str().find("AGENP_LISTENING port="), std::string::npos);
     EXPECT_NE(serve_out.str().find("SERVE_STATS_JSON "), std::string::npos);
     std::remove((options.state_dir + "/snapshot.agenp").c_str());
-    std::remove((options.state_dir + "/wal.agenp").c_str());
     ::rmdir(options.state_dir.c_str());
 }
 

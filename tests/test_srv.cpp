@@ -689,10 +689,10 @@ TEST(DecisionService, ConcurrentSubmittersAgainstOneCache) {
 // tests/random_asg.hpp. Each string goes through a DecisionService's
 // callback twice, a miss and then a cache hit, and once through a service
 // over an AMS that decides by its refreshed policy repository. All three
-// must give plain membership's verdict (asg::in_language). A repository
-// whose enumeration was truncated, or a string longer than the
-// enumeration's max_length, gives no verdict to compare: that case skips
-// the repository.
+// must give plain membership's verdict (asg::in_language), the
+// repository too: a complete one by lookup, a truncated one (a budget, or
+// a form cut at max_length) by falling back to membership for what it
+// does not hold.
 TEST(DecisionService, ServedMatchesPlainMembershipAndTheRepository) {
     using namespace random_asg;
     framework::AmsOptions repository_options;
@@ -704,7 +704,7 @@ TEST(DecisionService, ServedMatchesPlainMembershipAndTheRepository) {
     enumeration.max_strings = 64;
     enumeration.max_expansions = 4000;
     util::Rng rng(29);
-    std::size_t cases = 0, permits = 0, denies = 0, skips = 0;
+    std::size_t cases = 0, permits = 0, denies = 0, truncated_cases = 0;
     for (int grammar_index = 0; grammar_index < 40; ++grammar_index) {
         std::string text;
         std::vector<Production> productions = random_grammar(rng, text);
@@ -740,20 +740,20 @@ TEST(DecisionService, ServedMatchesPlainMembershipAndTheRepository) {
                 Decision hit = submit(served, tokens).get();
                 EXPECT_TRUE(hit.cache_hit) << where;
                 EXPECT_EQ(hit.outcome, expected) << where;
-                if (truncated || tokens.size() > enumeration.max_length) {
-                    ++skips;
-                    continue;
-                }
+                if (truncated) ++truncated_cases;
                 EXPECT_EQ(submit(from_repository, tokens).get().outcome, expected)
-                    << "repository: " << where;
+                    << "repository (truncated " << truncated << "): " << where;
             }
         }
     }
-    std::printf("served differential: %zu cases, %zu permits, %zu denies, %zu repository skips\n",
-                cases, permits, denies, skips);
+    std::printf("served differential: %zu cases, %zu permits, %zu denies, %zu through a "
+                "truncated repository\n",
+                cases, permits, denies, truncated_cases);
     EXPECT_GT(permits, 0u);
     EXPECT_GT(denies, 0u);
-    EXPECT_LT(skips, cases);
+    // Both repository paths, lookup and fallback, are exercised.
+    EXPECT_GT(truncated_cases, 0u);
+    EXPECT_LT(truncated_cases, cases);
 }
 
 TEST(Loadgen, ReportIsConsistentAndJsonWellFormed) {
@@ -1248,89 +1248,6 @@ TEST(AmsRouter, RequestIdsStayUniqueAcrossReplicas) {
     }
 }
 
-// --- persistence (src/store warm restarts) ----------------------------------
-
-TEST(DecisionCache, ExportRestoreRoundTripPreservesVersionStamps) {
-    DecisionCache source;
-    source.insert(key_for("do patrol", "maxloa(3)."), 1, true);
-    source.insert(key_for("do strike", "maxloa(3)."), 2, false);
-    auto exported = source.export_entries();
-    ASSERT_EQ(exported.size(), 2u);
-
-    DecisionCache target;
-    auto counts = target.restore_entries(exported);
-    EXPECT_EQ(counts.restored, 2u);
-    EXPECT_EQ(counts.skipped, 0u);
-    auto patrol = target.lookup(key_for("do patrol", "maxloa(3)."), 1);
-    ASSERT_TRUE(patrol.has_value());
-    EXPECT_TRUE(*patrol);
-    auto strike = target.lookup(key_for("do strike", "maxloa(3)."), 2);
-    ASSERT_TRUE(strike.has_value());
-    EXPECT_FALSE(*strike);
-    EXPECT_EQ(target.stats().entries, 2u);
-}
-
-TEST(DecisionCache, RestoredStaleEntriesInvalidateLazily) {
-    DecisionCache source;
-    source.insert(key_for("do patrol"), 1, true);
-    DecisionCache target;
-    target.restore_entries(source.export_entries());
-    // The model moved on while the process was down: the restored entry
-    // must miss and retire, exactly like a live entry after update_model.
-    EXPECT_FALSE(target.lookup(key_for("do patrol"), 2).has_value());
-    EXPECT_EQ(target.stats().invalidations, 1u);
-    EXPECT_EQ(target.stats().entries, 0u);
-}
-
-TEST(DecisionCache, RestoreDuplicateKeyKeepsLaterEntry) {
-    // WAL entries are replayed after the snapshot's: on a duplicate key
-    // the later (newer) verdict must win.
-    auto key = key_for("do patrol");
-    DecisionCache target;
-    auto counts = target.restore_entries({{key.text, 1, true}, {key.text, 2, false}});
-    // The overwrite counts as the same entry, not a second restore.
-    EXPECT_EQ(counts.restored, 1u);
-    EXPECT_EQ(counts.skipped, 0u);
-    EXPECT_EQ(target.stats().entries, 1u);
-    auto hit = target.lookup(key, 2);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_FALSE(*hit);
-}
-
-TEST(DecisionCache, RestoreSkipsNotEvictsWhenOverBudget) {
-    CacheOptions small;
-    small.shards = 1;
-    small.capacity_bytes = 1;  // room for exactly one entry (never zero)
-    DecisionCache target(small);
-    std::vector<CacheEntry> entries = {{key_for("do task_0").text, 0, true},
-                                       {key_for("do task_1").text, 0, true},
-                                       {key_for("do task_2").text, 0, false}};
-    auto counts = target.restore_entries(entries);
-    // Hottest-first input: the first entry lands, the rest are skipped
-    // rather than evicting what was already restored.
-    EXPECT_EQ(counts.restored, 1u);
-    EXPECT_EQ(counts.skipped, 2u);
-    EXPECT_TRUE(target.lookup(key_for("do task_0"), 0).has_value());
-    EXPECT_FALSE(target.lookup(key_for("do task_1"), 0).has_value());
-}
-
-TEST(DecisionCache, OnInsertHookFiresOnInsertNotOnRestore) {
-    std::vector<CacheEntry> seen;
-    CacheOptions options;
-    options.on_insert = [&seen](const CacheEntry& entry) { seen.push_back(entry); };
-    DecisionCache cache(options);
-    auto key = key_for("do patrol", "maxloa(3).");
-    cache.insert(key, 3, true);
-    ASSERT_EQ(seen.size(), 1u);
-    EXPECT_EQ(seen[0].text, key.text);
-    EXPECT_EQ(seen[0].model_version, 3u);
-    EXPECT_TRUE(seen[0].permitted);
-    // Restores must not echo back into the hook — that would write the
-    // snapshot straight into the WAL it was just read from.
-    cache.restore_entries(seen);
-    EXPECT_EQ(seen.size(), 1u);
-}
-
 TEST(DecisionCache, ShardCountRoundsUpToPowerOfTwo) {
     CacheOptions options;
     options.shards = 5;
@@ -1339,51 +1256,7 @@ TEST(DecisionCache, ShardCountRoundsUpToPowerOfTwo) {
     EXPECT_EQ(DecisionCache(options).shard_count(), 1u);
 }
 
-TEST(DecisionCache, RequestTextOfKeySplitsAtSeparator) {
-    auto key = key_for("do patrol", "maxloa(3).");
-    EXPECT_EQ(DecisionCache::request_text_of_key(key.text), "do patrol");
-    // No separator (not a well-formed key): the whole text is the request.
-    EXPECT_EQ(DecisionCache::request_text_of_key("plain"), "plain");
-}
-
-TEST(AmsRouter, ExportRestoreWarmsCacheAcrossReplicaCounts) {
-    // Persist from a 1-replica router, restore into a 3-replica one: the
-    // entries must follow their requests to the new affinity replicas.
-    store::SnapshotData data;
-    {
-        AmsRouter source(demo_factory(), router_options(1, 2));
-        for (std::size_t i = 0; i < 6; ++i) {
-            (void)submit(source, cfg::tokenize("do task_" + std::to_string(i))).get();
-        }
-        source.drain();
-        data = source.export_state();
-    }
-    EXPECT_EQ(data.entries.size(), 6u);
-
-    AmsRouter target(demo_factory(), router_options(3, 2));
-    StateRestoreReport report = target.restore_state(data);
-    EXPECT_EQ(report.entries_restored, 6u);
-    EXPECT_EQ(report.entries_skipped, 0u);
-    EXPECT_TRUE(report.warning.empty());
-
-    for (std::size_t i = 0; i < 6; ++i) {
-        Decision d = submit(target, cfg::tokenize("do task_" + std::to_string(i))).get();
-        EXPECT_TRUE(d.cache_hit) << "task_" << i;
-        EXPECT_EQ(d.permitted(), demo_expected(i)) << "task_" << i;
-    }
-    target.drain();
-    RouterStats stats = target.snapshot_stats();
-    EXPECT_EQ(stats.total.cache.hits, 6u);
-    EXPECT_EQ(stats.total.cache.misses, 0u);
-
-    // Restore must not disturb the id_offset/id_stride flight-id
-    // partitioning: every post-restore request still gets a unique id.
-    auto records = target.flight_snapshot();
-    ASSERT_EQ(records.size(), 6u);
-    std::set<std::uint64_t> ids;
-    for (const auto& r : records) ids.insert(r.id);
-    EXPECT_EQ(ids.size(), 6u);
-}
+// --- persistence (src/store) -----------------------------------------------
 
 TEST(AmsRouter, RestoreStateRebuildsModelAndPoliciesOnEveryReplica) {
     store::SnapshotData data;

@@ -1,9 +1,8 @@
 // Persistence subsystem (DESIGN.md §11): record framing + CRC, snapshot
-// encode/decode, WAL append/replay, and the StateStore lifecycle —
-// including the corruption shapes a kill -9 leaves behind (torn tails,
-// half-written frames), the refusal paths (newer format, missing
-// footer), and a seeded mutation fuzz of the decoders through a router
-// restore.
+// encode/decode, and the StateStore lifecycle — including the corruption
+// shapes a crash or a bad copy leaves behind (torn tails, half-written
+// frames), the refusal paths (another format version, missing footer),
+// and a seeded mutation fuzz of the decoder through a router restore.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -24,7 +23,6 @@
 #include "store/framing.hpp"
 #include "store/snapshot.hpp"
 #include "store/store.hpp"
-#include "store/wal.hpp"
 
 namespace agenp::store {
 namespace {
@@ -41,7 +39,7 @@ public:
     }
     ~TempDir() {
         if (path_.empty()) return;
-        for (const char* name : {"snapshot.agenp", "snapshot.agenp.tmp", "wal.agenp", "file"}) {
+        for (const char* name : {"snapshot.agenp", "snapshot.agenp.tmp", "file"}) {
             std::remove((path_ + "/" + name).c_str());
         }
         ::rmdir(path_.c_str());
@@ -75,9 +73,26 @@ SnapshotData sample_snapshot() {
     data.created_unix_s = 1754600000;
     data.policies.push_back({"do patrol", "prep", 3});
     data.policies.push_back({"do survey", "operator", 2});
-    data.entries.push_back({std::string("do patrol\x1f") + "maxloa(3).", 3, true});
-    data.entries.push_back({std::string("do strike\x1f") + "maxloa(3).", 3, false});
     return data;
+}
+
+// A snapshot whose header claims format `format`, followed by `records`:
+// what a writer of another format version would have left on disk.
+std::string forged_snapshot(std::uint32_t format, const std::vector<std::string>& records) {
+    std::string header;
+    put_u8(header, 1);  // header tag
+    header.append(kSnapshotMagic);
+    put_u32(header, format);
+    put_u64(header, 0);  // model version
+    put_string(header, "");
+    put_string(header, "");
+    put_u64(header, 0);  // repository version
+    put_u8(header, 0);
+    put_u64(header, 1754600000);
+    std::string bytes;
+    append_record(bytes, header);
+    for (const std::string& record : records) append_record(bytes, record);
+    return bytes;
 }
 
 // --- framing ----------------------------------------------------------------
@@ -208,27 +223,21 @@ TEST(Snapshot, EncodeDecodeRoundTrip) {
     ASSERT_EQ(out.policies.size(), 2u);
     EXPECT_EQ(out.policies[0].text, "do patrol");
     EXPECT_EQ(out.policies[1].source, "operator");
-    ASSERT_EQ(out.entries.size(), 2u);
-    EXPECT_EQ(out.entries[0].text, data.entries[0].text);
-    EXPECT_EQ(out.entries[0].model_version, 3u);
-    EXPECT_TRUE(out.entries[0].permitted);
-    EXPECT_FALSE(out.entries[1].permitted);
+    EXPECT_EQ(out.policies[1].version, 2u);
 }
 
 TEST(Snapshot, NewerFormatVersionIsRefused) {
     // Forge a header one format version ahead: an older binary must refuse
     // the whole file rather than misread it.
-    std::string payload;
-    put_u8(payload, 1);  // header tag
-    payload.append(kSnapshotMagic);
-    put_u32(payload, kSnapshotFormatVersion + 1);
-    std::string bytes;
-    append_record(bytes, payload);
+    std::string bytes = forged_snapshot(kSnapshotFormatVersion + 1, {});
 
     SnapshotData out;
     std::string error;
     EXPECT_FALSE(decode_snapshot(bytes, &out, &error));
-    EXPECT_NE(error.find("newer"), std::string::npos) << error;
+    const std::string expected = "format version " + std::to_string(kSnapshotFormatVersion + 1) +
+                                 " is not supported (this build reads version " +
+                                 std::to_string(kSnapshotFormatVersion) + ")";
+    EXPECT_NE(error.find(expected), std::string::npos) << error;
 }
 
 TEST(Snapshot, WrongMagicIsRefused) {
@@ -260,11 +269,11 @@ TEST(Snapshot, FooterCountMismatchIsRefused) {
     std::string bytes = encode_snapshot(data);
     std::vector<std::string> payloads;
     ASSERT_EQ(read_records(bytes, &payloads), bytes.size());
-    // Drop one entry record but keep the footer: counts no longer match.
+    // Drop one policy record but keep the footer: counts no longer match.
     std::string tampered;
     bool dropped = false;
     for (const auto& payload : payloads) {
-        if (!dropped && !payload.empty() && payload[0] == 3) {
+        if (!dropped && !payload.empty() && payload[0] == 2) {
             dropped = true;
             continue;
         }
@@ -276,111 +285,6 @@ TEST(Snapshot, FooterCountMismatchIsRefused) {
     EXPECT_FALSE(decode_snapshot(tampered, &out, &error));
 }
 
-TEST(Snapshot, CacheEntryPayloadSharedWithWal) {
-    CacheEntryRecord entry{std::string("do patrol\x1f") + "maxloa(3).", 7, true};
-    CacheEntryRecord out;
-    ASSERT_TRUE(decode_cache_entry(encode_cache_entry(entry), &out));
-    EXPECT_EQ(out.text, entry.text);
-    EXPECT_EQ(out.model_version, 7u);
-    EXPECT_TRUE(out.permitted);
-    EXPECT_FALSE(decode_cache_entry("\x02junk", &out));  // wrong tag
-}
-
-// --- WAL --------------------------------------------------------------------
-
-TEST(Wal, AppendThenReplay) {
-    TempDir dir;
-    std::string path = dir.file("wal.agenp");
-    WalWriter writer;
-    std::string error;
-    ASSERT_TRUE(writer.open(path, &error)) << error;
-    EXPECT_GT(writer.append({"a\x1f", 1, true}), 0u);
-    EXPECT_GT(writer.append({"b\x1f", 1, false}), 0u);
-    writer.close();
-
-    WalReplay replay = replay_wal(path);
-    EXPECT_TRUE(replay.present);
-    EXPECT_EQ(replay.discarded_bytes, 0u);
-    EXPECT_TRUE(replay.warning.empty());
-    ASSERT_EQ(replay.entries.size(), 2u);
-    EXPECT_EQ(replay.entries[0].text, "a\x1f");
-    EXPECT_TRUE(replay.entries[0].permitted);
-    EXPECT_FALSE(replay.entries[1].permitted);
-}
-
-TEST(Wal, MissingFileIsCleanEmptyReplay) {
-    WalReplay replay = replay_wal("/nonexistent/path/wal.agenp");
-    EXPECT_FALSE(replay.present);
-    EXPECT_TRUE(replay.entries.empty());
-    EXPECT_TRUE(replay.warning.empty());
-}
-
-TEST(Wal, TornTailIsDiscardedAndTruncationRestoresCleanAppends) {
-    TempDir dir;
-    std::string path = dir.file("wal.agenp");
-    WalWriter writer;
-    std::string error;
-    ASSERT_TRUE(writer.open(path, &error)) << error;
-    writer.append({"a\x1f", 1, true});
-    writer.append({"b\x1f", 1, true});
-    writer.close();
-
-    // kill -9 mid-append: chop the file inside the last record.
-    std::string bytes = slurp(path);
-    dump(path, bytes.substr(0, bytes.size() - 3));
-
-    WalReplay replay = replay_wal(path);
-    EXPECT_TRUE(replay.present);
-    ASSERT_EQ(replay.entries.size(), 1u);
-    EXPECT_EQ(replay.entries[0].text, "a\x1f");
-    EXPECT_GT(replay.discarded_bytes, 0u);
-    EXPECT_FALSE(replay.warning.empty());
-
-    // Truncate back to the valid prefix (what StateStore::restore does),
-    // then append again: the new record lands on a clean prefix.
-    ASSERT_TRUE(writer.open(path, &error)) << error;
-    ASSERT_TRUE(writer.truncate_to(replay.valid_bytes));
-    EXPECT_GT(writer.append({"c\x1f", 2, false}), 0u);
-    writer.close();
-
-    WalReplay again = replay_wal(path);
-    ASSERT_EQ(again.entries.size(), 2u);
-    EXPECT_EQ(again.entries[1].text, "c\x1f");
-    EXPECT_EQ(again.discarded_bytes, 0u);
-}
-
-TEST(Wal, NewerFormatReplaysEmptyWithWarning) {
-    TempDir dir;
-    std::string path = dir.file("wal.agenp");
-    std::string header;
-    header.append(kWalMagic);
-    put_u32(header, kWalFormatVersion + 1);
-    std::string bytes;
-    append_record(bytes, header);
-    dump(path, bytes);
-
-    WalReplay replay = replay_wal(path);
-    EXPECT_TRUE(replay.present);
-    EXPECT_TRUE(replay.entries.empty());
-    EXPECT_FALSE(replay.warning.empty());
-}
-
-TEST(Wal, ResetEmptiesBackToHeader) {
-    TempDir dir;
-    std::string path = dir.file("wal.agenp");
-    WalWriter writer;
-    std::string error;
-    ASSERT_TRUE(writer.open(path, &error)) << error;
-    writer.append({"a\x1f", 1, true});
-    ASSERT_TRUE(writer.reset());
-    writer.append({"b\x1f", 2, true});
-    writer.close();
-
-    WalReplay replay = replay_wal(path);
-    ASSERT_EQ(replay.entries.size(), 1u);
-    EXPECT_EQ(replay.entries[0].text, "b\x1f");
-}
-
 // --- StateStore -------------------------------------------------------------
 
 TEST(StateStoreTest, CreatesPrivateDirectoryAndFiles) {
@@ -388,84 +292,58 @@ TEST(StateStoreTest, CreatesPrivateDirectoryAndFiles) {
     std::string state_dir = dir.file("state");
     {
         StateStore store({state_dir});
-        store.append_wal({"a\x1f", 1, true});
+        std::string error;
+        ASSERT_TRUE(store.save_snapshot(sample_snapshot(), &error)) << error;
     }
     struct stat st {};
     ASSERT_EQ(::stat(state_dir.c_str(), &st), 0);
     EXPECT_EQ(st.st_mode & 0777, 0700u) << "state dir must be private: full request text";
-    ASSERT_EQ(::stat((state_dir + "/wal.agenp").c_str(), &st), 0);
+    ASSERT_EQ(::stat((state_dir + "/snapshot.agenp").c_str(), &st), 0);
     EXPECT_EQ(st.st_mode & 0777, 0600u);
-    std::remove((state_dir + "/wal.agenp").c_str());
+    // Only the snapshot: the probe the constructor writes is gone.
+    std::string ignored;
+    EXPECT_FALSE(read_file(state_dir + "/snapshot.agenp.tmp", &ignored, nullptr));
     std::remove((state_dir + "/snapshot.agenp").c_str());
     ::rmdir(state_dir.c_str());
 }
 
-TEST(StateStoreTest, SnapshotThenWalRestoreMergesWithWalWinning) {
+TEST(StateStoreTest, ThrowsWhenTheDirectoryCannotBeCreatedOrWritten) {
+    TempDir dir;
+    // No parent to create it in.
+    EXPECT_THROW(StateStore({dir.file("missing/state")}), std::runtime_error);
+    // A file where the directory should be.
+    dump(dir.file("file"), "not a directory");
+    EXPECT_THROW(StateStore({dir.file("file")}), std::runtime_error);
+    // A directory without write permission (root writes anywhere).
+    if (::geteuid() != 0) {
+        std::string read_only = dir.file("state");
+        ASSERT_EQ(::mkdir(read_only.c_str(), 0500), 0);
+        EXPECT_THROW(StateStore({read_only}), std::runtime_error);
+        ::rmdir(read_only.c_str());
+    }
+}
+
+TEST(StateStoreTest, SnapshotRoundTripsThroughTheDirectory) {
     TempDir dir;
     {
-        StateStore store({dir.path()});
-        SnapshotData data = sample_snapshot();
+        StateStore store(StoreOptions{dir.path()});
         std::string error;
-        ASSERT_TRUE(store.save_snapshot(data, &error)) << error;
-        // Post-snapshot inserts: one fresh entry, one re-deciding an entry
-        // the snapshot already has (newer verdict must win on restore).
-        store.append_wal({std::string("do survey\x1f") + "maxloa(3).", 3, true});
-        store.append_wal({sample_snapshot().entries[0].text, 4, false});
+        ASSERT_TRUE(store.save_snapshot(sample_snapshot(), &error)) << error;
+        EXPECT_EQ(store.status().snapshots_written, 1u);
+        EXPECT_EQ(store.status().snapshot_policies, 2u);
     }
     StateStore store(StoreOptions{dir.path()});
     RestoreResult result = store.restore();
     EXPECT_TRUE(result.snapshot_loaded);
-    EXPECT_EQ(result.wal_replayed, 2u);
-    EXPECT_EQ(result.wal_discarded_bytes, 0u);
+    EXPECT_TRUE(result.warning.empty()) << result.warning;
     EXPECT_EQ(result.data.model_version, 3u);
-    EXPECT_EQ(result.data.policies.size(), 2u);
-    // Snapshot entries first, WAL entries after — the cache's
-    // restore_entries overwrites duplicates in input order, so WAL wins.
-    ASSERT_EQ(result.data.entries.size(), 4u);
-    EXPECT_EQ(result.data.entries[3].text, sample_snapshot().entries[0].text);
-    EXPECT_EQ(result.data.entries[3].model_version, 4u);
-
+    EXPECT_EQ(result.data.model_note, "learned from 12 examples");
+    ASSERT_EQ(result.data.policies.size(), 2u);
+    EXPECT_EQ(result.data.policies[0].text, "do patrol");
     StoreStatus status = store.status();
     EXPECT_TRUE(status.restored);
-    EXPECT_EQ(status.restored_entries, 4u);
-    EXPECT_EQ(status.wal_replayed, 2u);
-}
-
-TEST(StateStoreTest, SaveSnapshotResetsWal) {
-    TempDir dir;
-    StateStore store(StoreOptions{dir.path()});
-    store.append_wal({"a\x1f", 1, true});
-    std::string error;
-    ASSERT_TRUE(store.save_snapshot(SnapshotData{}, &error)) << error;
-    EXPECT_EQ(store.status().wal_bytes, 0u);
-    WalReplay replay = replay_wal(dir.file("wal.agenp"));
-    EXPECT_TRUE(replay.entries.empty());
-}
-
-TEST(StateStoreTest, RestoreTruncatesTornWalTailOnDisk) {
-    TempDir dir;
-    {
-        StateStore store(StoreOptions{dir.path()});
-        store.append_wal({"a\x1f", 1, true});
-        store.append_wal({"b\x1f", 1, true});
-    }
-    std::string wal_path = dir.file("wal.agenp");
-    std::string bytes = slurp(wal_path);
-    dump(wal_path, bytes.substr(0, bytes.size() - 2));
-
-    StateStore store(StoreOptions{dir.path()});
-    RestoreResult result = store.restore();
-    EXPECT_FALSE(result.snapshot_loaded);
-    EXPECT_EQ(result.wal_replayed, 1u);
-    EXPECT_GT(result.wal_discarded_bytes, 0u);
-    EXPECT_FALSE(result.warning.empty());
-
-    // The torn tail is gone from disk: new appends extend a clean prefix.
-    store.append_wal({"c\x1f", 2, true});
-    WalReplay replay = replay_wal(wal_path);
-    ASSERT_EQ(replay.entries.size(), 2u);
-    EXPECT_EQ(replay.entries[1].text, "c\x1f");
-    EXPECT_EQ(replay.discarded_bytes, 0u);
+    EXPECT_EQ(status.snapshot_policies, 2u);
+    EXPECT_GT(status.snapshot_bytes, 0u);
 }
 
 TEST(StateStoreTest, CorruptSnapshotFallsBackToWalOnly) {
@@ -474,10 +352,9 @@ TEST(StateStoreTest, CorruptSnapshotFallsBackToWalOnly) {
         StateStore store(StoreOptions{dir.path()});
         std::string error;
         ASSERT_TRUE(store.save_snapshot(sample_snapshot(), &error)) << error;
-        store.append_wal({"fresh\x1f", 3, true});
     }
-    // Corrupt the snapshot body: restore must refuse it but still replay
-    // the WAL, so a damaged snapshot degrades warmth, not correctness.
+    // Corrupt the snapshot body: restore must refuse all of it with a
+    // warning, so the server starts from its grammar file, as if cold.
     std::string snapshot_path = dir.file("snapshot.agenp");
     std::string bytes = slurp(snapshot_path);
     bytes[bytes.size() / 2] ^= 0x01;
@@ -486,10 +363,56 @@ TEST(StateStoreTest, CorruptSnapshotFallsBackToWalOnly) {
     StateStore store(StoreOptions{dir.path()});
     RestoreResult result = store.restore();
     EXPECT_FALSE(result.snapshot_loaded);
-    EXPECT_FALSE(result.warning.empty());
-    ASSERT_EQ(result.data.entries.size(), 1u);
-    EXPECT_EQ(result.data.entries[0].text, "fresh\x1f");
+    EXPECT_NE(result.warning.find("ignoring snapshot"), std::string::npos) << result.warning;
     EXPECT_EQ(result.data.model_version, 0u);
+    EXPECT_TRUE(result.data.model_text.empty());
+    EXPECT_TRUE(result.data.policies.empty());
+    EXPECT_FALSE(store.status().restored);
+}
+
+TEST(StateStoreTest, FormatOneSnapshotIsIgnoredWithAWarning) {
+    // What the cache-persisting build left behind: a format-1 snapshot
+    // with a learned model, a policy and a cache record. None of it is
+    // read; the server starts from its grammar file.
+    TempDir dir;
+    std::string policy;
+    put_u8(policy, 2);
+    put_string(policy, "do patrol");
+    put_string(policy, "prep");
+    put_u64(policy, 1);
+    std::string entry;
+    put_u8(entry, 3);
+    put_string(entry, std::string("do patrol\x1f") + "maxloa(3).");
+    put_u64(entry, 0);
+    put_u8(entry, 1);
+    std::string footer;
+    put_u8(footer, 4);
+    put_u64(footer, 1);
+    put_u64(footer, 1);
+    dump(dir.file("snapshot.agenp"), forged_snapshot(1, {policy, entry, footer}));
+
+    StateStore store(StoreOptions{dir.path()});
+    RestoreResult result = store.restore();
+    EXPECT_FALSE(result.snapshot_loaded);
+    EXPECT_NE(result.warning.find("ignoring snapshot: snapshot format version 1 is not supported"),
+              std::string::npos)
+        << result.warning;
+    EXPECT_TRUE(result.data.policies.empty());
+    EXPECT_EQ(result.data.model_version, 0u);
+    EXPECT_FALSE(store.status().restored);
+
+    // Through a router: nothing restored, the initial model serves.
+    srv::RouterOptions options;
+    options.service.threads = 1;
+    srv::AmsRouter router(
+        [] {
+            return std::make_unique<framework::AutonomousManagedSystem>(srv::make_demo_ams(4, 0));
+        },
+        options);
+    srv::StateRestoreReport report = router.restore_state(result.data);
+    EXPECT_FALSE(report.model_restored);
+    EXPECT_EQ(report.policies_restored, 0u);
+    EXPECT_EQ(report.model_version, 0u);
 }
 
 TEST(StateStoreTest, EmptyDirRestoreIsCleanColdStart) {
@@ -497,17 +420,17 @@ TEST(StateStoreTest, EmptyDirRestoreIsCleanColdStart) {
     StateStore store(StoreOptions{dir.path()});
     RestoreResult result = store.restore();
     EXPECT_FALSE(result.snapshot_loaded);
-    EXPECT_EQ(result.data.entries.size(), 0u);
+    EXPECT_TRUE(result.data.policies.empty());
     EXPECT_TRUE(result.warning.empty());
     EXPECT_FALSE(store.status().restored);
 }
 
 // --- mutation fuzz ----------------------------------------------------------
 //
-// Snapshot and WAL bytes come back from disk, where a crash, a bad copy or
-// a stray write can damage them in any way. Fixed mt19937_64 seeds mutate
-// encoded snapshots and WAL files, both raw and re-framed with fresh CRCs
-// so the record decoders see damaged payloads and not only the CRC check.
+// Snapshot bytes come back from disk, where a crash, a bad copy or a
+// stray write can damage them in any way. Fixed mt19937_64 seeds mutate
+// encoded snapshots, both raw and re-framed with fresh CRCs so the record
+// decoder sees damaged payloads and not only the CRC check.
 
 void put_u32_at(std::string& bytes, std::size_t pos, std::uint32_t v) {
     for (std::size_t i = 0; i < 4; ++i) bytes[pos + i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
@@ -619,25 +542,9 @@ bool check_snapshot(const std::string& bytes) {
     Cursor footer{payloads.back()};
     std::uint8_t tag = 0;
     std::uint64_t policies = 0;
-    std::uint64_t entries = 0;
-    EXPECT_TRUE(get_u8(footer, &tag) && get_u64(footer, &policies) && get_u64(footer, &entries));
+    EXPECT_TRUE(get_u8(footer, &tag) && get_u64(footer, &policies));
     EXPECT_EQ(policies, data.policies.size());
-    EXPECT_EQ(entries, data.entries.size());
     return true;
-}
-
-// replay_wal never throws, and every entry it returns re-encodes to a
-// payload that decodes equal.
-void check_wal(const std::string& path) {
-    WalReplay replay;
-    ASSERT_NO_THROW(replay = replay_wal(path));
-    for (const CacheEntryRecord& entry : replay.entries) {
-        CacheEntryRecord back;
-        ASSERT_TRUE(decode_cache_entry(encode_cache_entry(entry), &back));
-        EXPECT_EQ(back.text, entry.text);
-        EXPECT_EQ(back.model_version, entry.model_version);
-        EXPECT_EQ(back.permitted, entry.permitted);
-    }
 }
 
 // Models a mutant carried, by what restore_state did with them.
@@ -646,7 +553,7 @@ struct ModelCounts {
     int refused = 0;
 };
 
-// A warm restart from the damaged state never throws, and a model that
+// A restart from the damaged state never throws, and a model that
 // does not parse is reported and left unserved.
 void check_restore(const std::string& dir, srv::AmsRouter& router, ModelCounts& models) {
     RestoreResult restored;
@@ -674,33 +581,19 @@ void check_restore(const std::string& dir, srv::AmsRouter& router, ModelCounts& 
 TEST(StateStoreTest, MutatedSnapshotsAndWalsNeverBreakRestore) {
     TempDir dir;
     const std::string snapshot_path = dir.file("snapshot.agenp");
-    const std::string wal_path = dir.file("wal.agenp");
 
     // Snapshots: the sample, an empty one, one whose model parses, and
     // one whose model text was cut short.
     SnapshotData learned = sample_snapshot();
     learned.model_text = srv::demo_grammar(4, 0).to_string();
     for (int i = 0; i < 8; ++i) {
-        learned.entries.push_back({"do task_" + std::to_string(i) + "\x1fmaxloa(3).", 3, i % 2 == 0});
+        learned.policies.push_back({"do task_" + std::to_string(i), "prep", 3});
     }
     SnapshotData cut = learned;
     cut.model_text.resize(cut.model_text.size() / 2);
     const std::vector<std::string> snapshots = {
         encode_snapshot(sample_snapshot()), encode_snapshot(SnapshotData{}),
         encode_snapshot(learned), encode_snapshot(cut)};
-    // WALs: header only, and header plus entries.
-    std::vector<std::string> wals;
-    for (std::size_t entries : {0, 6}) {
-        std::remove(wal_path.c_str());
-        WalWriter writer;
-        std::string error;
-        ASSERT_TRUE(writer.open(wal_path, &error)) << error;
-        for (std::size_t i = 0; i < entries; ++i) {
-            writer.append({"do task_" + std::to_string(i) + "\x1f", i, i % 3 == 0});
-        }
-        writer.close();
-        wals.push_back(slurp(wal_path));
-    }
 
     srv::RouterOptions options;
     options.service.threads = 1;
@@ -710,11 +603,10 @@ TEST(StateStoreTest, MutatedSnapshotsAndWalsNeverBreakRestore) {
         },
         options);
 
-    // 16 fixed seeds: the same mutants on every run. replay_wal reads a
-    // file, so WAL mutants cost a write each and get fewer draws.
+    // 16 fixed seeds: the same mutants on every run. A restore reads a
+    // file, so restore mutants cost a write each and get fewer draws.
     constexpr std::uint64_t kSeeds = 16;
     constexpr int kSnapshotMutants = 1000;
-    constexpr int kWalMutants = 200;
     constexpr int kRestoreMutants = 25;
     int decoded = 0;
     ModelCounts models;
@@ -724,14 +616,8 @@ TEST(StateStoreTest, MutatedSnapshotsAndWalsNeverBreakRestore) {
             if (check_snapshot(mutate(snapshots[rng() % snapshots.size()], rng))) ++decoded;
             if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", snapshot " << i;
         }
-        for (int i = 0; i < kWalMutants; ++i) {
-            dump(wal_path, mutate(wals[rng() % wals.size()], rng));
-            check_wal(wal_path);
-            if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", wal " << i;
-        }
         for (int i = 0; i < kRestoreMutants; ++i) {
             dump(snapshot_path, mutate(snapshots[rng() % snapshots.size()], rng));
-            dump(wal_path, mutate(wals[rng() % wals.size()], rng));
             check_restore(dir.path(), router, models);
             if (::testing::Test::HasFailure()) FAIL() << "seed " << seed << ", restore " << i;
         }
